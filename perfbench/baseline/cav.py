@@ -1,0 +1,85 @@
+"""Concept activation vectors: clamped cosine similarity between part
+features and every concept centroid in a book.
+
+Activations are computed against all classes' centroids, and negatives are
+clamped to zero so that 0 means "concept absent" and deletion-by-zeroing is
+well defined downstream.
+"""
+
+from __future__ import annotations
+
+import csv
+from dataclasses import dataclass
+
+import numpy as np
+
+from .dataset import PartFeatureDataset
+from .errors import ValidationError
+from .mining import ConceptBook
+
+
+@dataclass
+class ConceptActivationVector:
+    z: np.ndarray  # [d_c], each entry in [0, 1]
+    g: np.ndarray  # [d_f] pass-through non-prototypical features
+
+
+def _unit_rows(a: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm; zero rows stay zero (cosine with 0 is 0)."""
+    norms = np.linalg.norm(a, axis=-1, keepdims=True)
+    return np.where(norms > 0, a / np.where(norms > 0, norms, 1.0), 0.0)
+
+
+def _cav_core(parts: np.ndarray, book: ConceptBook) -> np.ndarray:
+    if parts.shape[2] != book.feat_dim:
+        raise ValidationError(
+            f"feature dim {parts.shape[2]} does not match book d_f={book.feat_dim}"
+        )
+    if parts.shape[1] <= book.parts().max(initial=-1):
+        raise ValidationError(
+            f"book references part {int(book.parts().max())} but sample has "
+            f"only {parts.shape[1]} parts"
+        )
+    unit_cents = _unit_rows(book.centroid_matrix())
+    entry_parts = book.parts()
+    z = np.zeros((parts.shape[0], book.d_c), dtype=np.float64)
+    for p in np.unique(entry_parts):
+        cols = np.flatnonzero(entry_parts == p)
+        unit_f = _unit_rows(parts[:, p, :].astype(np.float64))
+        z[:, cols] = unit_f @ unit_cents[cols].T
+    return np.clip(z, 0.0, 1.0)
+
+
+def compute_cav(sample_parts: np.ndarray, g: np.ndarray,
+                book: ConceptBook) -> ConceptActivationVector:
+    """CAV of a single sample: [K, d_f] part features plus its g vector."""
+    sample_parts = np.asarray(sample_parts, dtype=np.float64)
+    if sample_parts.ndim != 2:
+        raise ValidationError(f"sample parts must be 2-D, got {sample_parts.shape}")
+    z = _cav_core(sample_parts[None, :, :], book)[0]
+    return ConceptActivationVector(z=z, g=np.array(g, dtype=np.float64))
+
+
+def compute_cav_batch(ds: PartFeatureDataset,
+                      book: ConceptBook) -> tuple[np.ndarray, np.ndarray]:
+    """CAV matrix [n_samples, d_c] and pass-through g matrix [n_samples, d_f]."""
+    z = _cav_core(ds.part_features.astype(np.float64), book)
+    return z, ds.nonproto_features.astype(np.float64)
+
+
+def export_cav_csv(z: np.ndarray, g: np.ndarray, labels: np.ndarray, path):
+    """Interchange CSV: one row per sample, d_c z-columns, d_f g-columns, label."""
+    z = np.asarray(z)
+    g = np.asarray(g)
+    if z.shape[0] != g.shape[0] or z.shape[0] != len(labels):
+        raise ValidationError("z, g and labels row counts disagree")
+    header = [f"z_{i}" for i in range(z.shape[1])]
+    header += [f"g_{i}" for i in range(g.shape[1])] + ["label"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(z.shape[0]):
+            row = [repr(float(v)) for v in z[i]]
+            row += [repr(float(v)) for v in g[i]]
+            row.append(str(int(labels[i])))
+            writer.writerow(row)

@@ -1,0 +1,565 @@
+"""Command-line front end: dataset generation, the staged pipeline
+(center fitting, then alternating concept mining and sparse-head training),
+and report/merge/occlusion utilities.
+
+Exit codes: 0 success, 1 runtime failure, 2 usage error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from dataclasses import asdict, dataclass, replace
+from pathlib import Path
+
+import numpy as np
+
+from .cav import compute_cav_batch, export_cav_csv
+from .dataset import (PartFeatureDataset, SyntheticSpec, generate_synthetic,
+                      load_dataset, save_dataset)
+from .errors import CompatibilityError, ConceptMineError, ValidationError
+from .head import (HeadTrainConfig, SparseHead, load_head, load_head_meta,
+                   predict, save_head, train_head)
+from .mining import (ConceptBook, DbscanParams, load_book, load_book_meta,
+                     merge_centroids, MergeConfig, mine_concepts, save_book)
+from .occlusion import OcclusionConfig, occlusion_eval, save_curve_csv, save_curve_svg
+from .partproto import McmConfig, fit_prototype_centers, save_centers
+from .xaimetrics import (MetricReport, config_hash, consistency, faithfulness,
+                         report_to_dict, save_report_csv, sparseness, stability)
+
+
+@dataclass
+class PipelineConfig:
+    """Module configs plus the staged-training schedule.
+
+    The head is trained in chunks of ``remine_interval`` epochs with a fresh
+    concept-mining pass before each chunk; ``head.beta`` is folded into the
+    head learning rate when the staged objective is composed.
+    """
+
+    mcm: McmConfig
+    head: HeadTrainConfig
+    eps: float | None = None  # None -> per-cell adaptive DBSCAN defaults
+    min_pts: int | None = None
+    remine_interval: int = 5
+    stability_k: int = 10
+    faithfulness_ns: tuple[int, ...] = (1, 2, 3, 4, 5)
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.remine_interval < 1:
+            raise ValidationError(
+                f"remine_interval must be >= 1, got {self.remine_interval}")
+        if self.head.beta <= 0:
+            raise ValidationError("pipeline stage-2 beta must be > 0")
+
+    def mining_params(self) -> DbscanParams | None:
+        if self.eps is None:
+            return None
+        return DbscanParams(eps=self.eps,
+                            min_pts=self.min_pts if self.min_pts else 3)
+
+    def to_dict(self) -> dict:
+        d = {
+            "mcm": asdict(self.mcm),
+            "head": asdict(self.head),
+            "mining": {"eps": self.eps, "min_pts": self.min_pts},
+            "remine_interval": self.remine_interval,
+            "stability_k": self.stability_k,
+            "faithfulness_ns": list(self.faithfulness_ns),
+            "seed": self.seed,
+        }
+        return d
+
+
+def pipeline_config_from_dict(raw: dict) -> PipelineConfig:
+    mcm = McmConfig(**raw.get("mcm", {}))
+    head = HeadTrainConfig(**raw.get("head", {}))
+    mining = raw.get("mining", {})
+    seed = int(raw.get("seed", 0))
+    cfg = PipelineConfig(
+        mcm=replace(mcm, seed=seed),
+        head=replace(head, seed=seed),
+        eps=mining.get("eps"),
+        min_pts=mining.get("min_pts"),
+        remine_interval=int(raw.get("remine_interval", 5)),
+        stability_k=int(raw.get("stability_k", 10)),
+        faithfulness_ns=tuple(raw.get("faithfulness_ns", (1, 2, 3, 4, 5))),
+        seed=seed,
+    )
+    return cfg
+
+
+def _dataset_format(path: Path) -> str:
+    if path.suffix == ".csv":
+        return "csv"
+    return "pfd"
+
+
+def _book_format(path: Path) -> str:
+    return "pcmb" if path.suffix == ".pcmb" else "json"
+
+
+def _head_format(path: Path) -> str:
+    return "pcmh" if path.suffix == ".pcmh" else "json"
+
+
+def _accuracy_breakdown(z, g, labels, head: SparseHead) -> dict:
+    """Full, W1-only (prototypical) and W2-only (non-prototypical) accuracy."""
+    zeros_w1 = np.zeros_like(head.W1)
+    zeros_w2 = np.zeros_like(head.W2)
+    variants = {
+        "full": head,
+        "prototypical_only": SparseHead(head.W1, zeros_w2, head.b),
+        "nonprototypical_only": SparseHead(zeros_w1, head.W2, head.b),
+    }
+    y = np.asarray(labels, dtype=np.int64)
+    return {name: 100.0 * float(np.mean(predict(z, g, h) == y))
+            for name, h in variants.items()}
+
+
+def _check_compat(book: ConceptBook, head: SparseHead,
+                  book_meta: dict, head_meta: dict, force: bool):
+    if head.W1.shape[0] != book.d_c:
+        raise CompatibilityError(
+            f"head expects d_c={head.W1.shape[0]} but book has d_c={book.d_c}")
+    bh = book_meta.get("config_hash")
+    hh = head_meta.get("config_hash")
+    if not force and bh and hh and bh != hh:
+        raise CompatibilityError(
+            f"book config hash {bh} != head config hash {hh}; "
+            f"pass --force to evaluate anyway")
+
+
+def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> dict:
+    """Fit centers, alternate mining and head training, evaluate metrics,
+    and write all artifacts to ``outdir``. Returns the manifest dict."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    cfg_dict = cfg.to_dict()
+    h = config_hash(cfg_dict)
+    params = cfg.mining_params()
+
+    stage = "fit-centers"
+    try:
+        centers = fit_prototype_centers(ds, cfg.mcm)
+
+        stage = "mine-and-train"
+        objectives = []
+
+        def on_epoch(epoch, objective, step, pre_prox, w1):
+            objectives.append(objective)
+
+        head = None
+        book = None
+        done = 0
+        mining_passes = 0
+        total = cfg.head.epochs
+        while done < total:
+            book = mine_concepts(ds, params)
+            mining_passes += 1
+            z, g = compute_cav_batch(ds, book)
+            chunk_epochs = min(cfg.remine_interval, total - done)
+            chunk = replace(cfg.head, epochs=chunk_epochs,
+                            lr=cfg.head.beta * cfg.head.lr)
+            if head is not None and head.W1.shape[0] != book.d_c:
+                head = None  # book size changed between passes; restart head
+            head = train_head(z, g, ds.labels, chunk, on_epoch=on_epoch,
+                              init=head)
+            done += chunk_epochs
+
+        stage = "metrics"
+        z, g = compute_cav_batch(ds, book)
+        labels = ds.labels.astype(np.int64)
+        intra, inter = consistency(z, labels)
+        report = MetricReport(
+            faithfulness=faithfulness(z, g, labels, head, book,
+                                      list(cfg.faithfulness_ns)),
+            stability=stability(ds, cfg.stability_k, params, cfg.seed),
+            consistency_intra=intra, consistency_inter=inter,
+            sparseness=sparseness(z),
+            config=cfg_dict, seed=cfg.seed,
+        )
+        accuracies = _accuracy_breakdown(z, g, labels, head)
+
+        stage = "write-artifacts"
+        meta = {"config_hash": h, "eps": cfg.eps, "min_pts": cfg.min_pts}
+        save_centers(centers, outdir / "centers.pcmc", "pcmc")
+        save_book(book, outdir / "book.json", "json", meta=meta)
+        save_book(book, outdir / "book.pcmb", "pcmb")
+        save_head(head, outdir / "head.json", "json", lam=cfg.head.lam,
+                  gamma=cfg.head.gamma, meta={"config_hash": h})
+        save_head(head, outdir / "head.pcmh", "pcmh", lam=cfg.head.lam,
+                  gamma=cfg.head.gamma)
+        with open(outdir / "metrics.json", "w") as fh:
+            payload = report_to_dict(report)
+            payload["accuracies"] = accuracies
+            json.dump(payload, fh, sort_keys=True, indent=2)
+        save_report_csv(report, outdir / "metrics.csv")
+        with open(outdir / "training_log.csv", "w") as fh:
+            fh.write("epoch,objective\n")
+            for i, obj in enumerate(objectives):
+                fh.write(f"{i},{obj!r}\n")
+
+        manifest = {
+            "config": cfg_dict,
+            "config_hash": h,
+            "d_c": book.d_c,
+            "mining_passes": mining_passes,
+            "accuracies": accuracies,
+            "artifacts": {
+                "centers": "centers.pcmc",
+                "book": "book.json",
+                "book_binary": "book.pcmb",
+                "head": "head.json",
+                "head_binary": "head.pcmh",
+                "metrics": "metrics.json",
+                "metrics_csv": "metrics.csv",
+                "training_log": "training_log.csv",
+            },
+        }
+        with open(outdir / "manifest.json", "w") as fh:
+            json.dump(manifest, fh, sort_keys=True, indent=2)
+        return manifest
+    except ConceptMineError as e:
+        raise type(e)(f"stage {stage}: {e}") from e
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+
+
+def cmd_gen(args) -> int:
+    spec = SyntheticSpec(
+        n_classes=args.classes, n_parts=args.parts, feat_dim=args.dim,
+        samples_per_class=args.per_class, concepts_per_cell=args.concepts,
+        noise_sigma=args.noise, min_separation=args.min_sep, seed=args.seed,
+    )
+    ds, gt = generate_synthetic(spec)
+    out = Path(args.output)
+    save_dataset(ds, out, _dataset_format(out))
+    gt_path = Path(args.ground_truth) if args.ground_truth else \
+        out.with_suffix(out.suffix + ".gt.json")
+    with open(gt_path, "w") as fh:
+        json.dump({
+            "planted_means": gt.planted_means.tolist(),
+            "assignment": gt.assignment.tolist(),
+            "spec": asdict(spec),
+        }, fh, sort_keys=True)
+    print(f"wrote {out} ({ds.n_samples} samples, K={ds.n_parts}, "
+          f"L={ds.n_classes}, d_f={ds.feat_dim}) and {gt_path}")
+    return 0
+
+
+def _load_pipeline_config(args) -> PipelineConfig:
+    raw = {}
+    if args.config:
+        with open(args.config) as fh:
+            raw = json.load(fh)
+    if args.seed is not None:
+        raw["seed"] = args.seed
+    for key, attr in (("remine_interval", "remine_interval"),
+                      ("stability_k", "k")):
+        val = getattr(args, attr, None)
+        if val is not None:
+            raw[key] = val
+    mining = dict(raw.get("mining", {}))
+    if getattr(args, "eps", None) is not None:
+        mining["eps"] = args.eps
+    if getattr(args, "min_pts", None) is not None:
+        mining["min_pts"] = args.min_pts
+    raw["mining"] = mining
+    head = dict(raw.get("head", {}))
+    for key, attr in (("lam", "lam"), ("gamma", "gamma"), ("beta", "beta"),
+                      ("lr", "lr"), ("epochs", "epochs")):
+        val = getattr(args, attr, None)
+        if val is not None:
+            head[key] = val
+    raw["head"] = head
+    return pipeline_config_from_dict(raw)
+
+
+def cmd_pipeline(args) -> int:
+    cfg = _load_pipeline_config(args)
+    try:
+        ds = load_dataset(args.data, _dataset_format(Path(args.data)))
+    except (ConceptMineError, OSError) as e:
+        raise ValidationError(f"stage load-data: {e}") from e
+    manifest = run_pipeline(ds, cfg, Path(args.output))
+    acc = manifest["accuracies"]["full"]
+    print(f"pipeline done: d_c={manifest['d_c']}, "
+          f"mining_passes={manifest['mining_passes']}, "
+          f"train_acc={acc:.2f}%, config_hash={manifest['config_hash']}")
+    return 0
+
+
+def cmd_mine(args) -> int:
+    ds = load_dataset(args.data, _dataset_format(Path(args.data)))
+    params = None
+    if args.eps is not None:
+        params = DbscanParams(eps=args.eps, min_pts=args.min_pts or 3)
+    book = mine_concepts(ds, params)
+    out = Path(args.output)
+    meta = {"config_hash": config_hash({"eps": args.eps, "min_pts": args.min_pts}),
+            "eps": args.eps, "min_pts": args.min_pts}
+    save_book(book, out, _book_format(out),
+              meta=meta if _book_format(out) == "json" else None)
+    print(f"mined {book.d_c} concepts from {ds.n_samples} samples")
+    return 0
+
+
+def cmd_merge(args) -> int:
+    book = load_book(args.book, _book_format(Path(args.book)))
+    cfg = MergeConfig(threshold_pct=args.threshold, level=args.level)
+    merged = merge_centroids(book, cfg)
+    out = Path(args.output)
+    meta = load_book_meta(args.book) if _book_format(Path(args.book)) == "json" else {}
+    save_book(merged, out, _book_format(out),
+              meta=meta if _book_format(out) == "json" else None)
+    print(f"d_c before={book.d_c} after={merged.d_c} "
+          f"(threshold={args.threshold}%, level={args.level})")
+
+    if args.data:
+        ds = load_dataset(args.data, _dataset_format(Path(args.data)))
+        head_cfg = HeadTrainConfig(lam=args.lam, gamma=args.gamma,
+                                   epochs=args.epochs, seed=args.seed or 0)
+        rows = []
+        for tag, pct, b in (("input", 0.0, book),
+                            ("merged", args.threshold, merged)):
+            z, g = compute_cav_batch(ds, b)
+            head = train_head(z, g, ds.labels, head_cfg)
+            labels = ds.labels.astype(np.int64)
+            acc = 100.0 * float(np.mean(predict(z, g, head) == labels))
+            f3 = faithfulness(z, g, labels, head, b, [3])[3]
+            rows.append((tag, pct, args.level, b.d_c, acc, f3))
+        csv_path = args.csv or (str(out) + ".table.csv")
+        with open(csv_path, "w") as fh:
+            fh.write("book,threshold_pct,level,d_c,accuracy,F3\n")
+            for tag, pct, level, d_c, acc, f3 in rows:
+                fh.write(f"{tag},{pct},{level},{d_c},{acc!r},{f3!r}\n")
+        for tag, pct, level, d_c, acc, f3 in rows:
+            print(f"  {tag}: d_c={d_c} accuracy={acc:.2f}% F(3)={f3:.2f}")
+    return 0
+
+
+def cmd_train(args) -> int:
+    ds = load_dataset(args.data, _dataset_format(Path(args.data)))
+    book = load_book(args.book, _book_format(Path(args.book)))
+    z, g = compute_cav_batch(ds, book)
+    cfg = HeadTrainConfig(lam=args.lam, gamma=args.gamma, beta=args.beta,
+                          lr=args.lr, epochs=args.epochs, seed=args.seed or 0)
+    head = train_head(z, g, ds.labels, cfg)
+    out = Path(args.output)
+    book_meta = load_book_meta(args.book) \
+        if _book_format(Path(args.book)) == "json" else {}
+    meta = {"config_hash": book_meta.get("config_hash",
+                                         config_hash(asdict(cfg)))}
+    save_head(head, out, _head_format(out), lam=cfg.lam, gamma=cfg.gamma,
+              meta=meta if _head_format(out) == "json" else None)
+    labels = ds.labels.astype(np.int64)
+    acc = 100.0 * float(np.mean(predict(z, g, head) == labels))
+    print(f"trained head: train_acc={acc:.2f}%, "
+          f"W1 zeros={float(np.mean(head.W1 == 0)):.2%}")
+    return 0
+
+
+def cmd_eval(args) -> int:
+    ds = load_dataset(args.data, _dataset_format(Path(args.data)))
+    book = load_book(args.book, _book_format(Path(args.book)))
+    head = load_head(args.head, _head_format(Path(args.head)))
+    book_meta = load_book_meta(args.book) \
+        if _book_format(Path(args.book)) == "json" else {}
+    head_meta = load_head_meta(args.head) \
+        if _head_format(Path(args.head)) == "json" else {}
+    _check_compat(book, head, book_meta, head_meta, args.force)
+
+    params = None
+    eps = args.eps if args.eps is not None else book_meta.get("eps")
+    min_pts = args.min_pts if args.min_pts is not None else book_meta.get("min_pts")
+    if eps is not None:
+        params = DbscanParams(eps=eps, min_pts=min_pts or 3)
+
+    z, g = compute_cav_batch(ds, book)
+    labels = ds.labels.astype(np.int64)
+    ns = [int(x) for x in args.ns.split(",")] if args.ns else [1, 2, 3, 4, 5]
+    intra, inter = consistency(z, labels)
+    report = MetricReport(
+        faithfulness=faithfulness(z, g, labels, head, book, ns),
+        stability=stability(ds, args.k, params, args.seed or 0),
+        consistency_intra=intra, consistency_inter=inter,
+        sparseness=sparseness(z),
+        config={"book": book_meta, "k": args.k, "ns": ns,
+                "eps": eps, "min_pts": min_pts},
+        seed=args.seed or 0,
+    )
+
+    payload = report_to_dict(report)
+    payload["accuracies"] = _accuracy_breakdown(z, g, labels, head)
+    with open(args.output, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+    if args.csv:
+        save_report_csv(report, args.csv)
+    print(f"metrics written to {args.output}: "
+          f"acc={payload['accuracies']['full']:.2f}% "
+          f"intra={report.consistency_intra:.2f} inter={report.consistency_inter:.2f} "
+          f"Sp={report.sparseness:.2f} stability={report.stability:.2f}")
+    return 0
+
+
+def cmd_occlude(args) -> int:
+    ds = load_dataset(args.data, _dataset_format(Path(args.data)))
+    book = load_book(args.book, _book_format(Path(args.book)))
+    head = load_head(args.head, _head_format(Path(args.head)))
+    book_meta = load_book_meta(args.book) \
+        if _book_format(Path(args.book)) == "json" else {}
+    head_meta = load_head_meta(args.head) \
+        if _head_format(Path(args.head)) == "json" else {}
+    _check_compat(book, head, book_meta, head_meta, args.force)
+
+    fractions = tuple(float(x) for x in args.fractions.split(","))
+    cfg = OcclusionConfig(fractions=fractions, seed=args.seed or 0)
+    rows = occlusion_eval(ds, head, book, cfg)
+    save_curve_csv(rows, args.output)
+    if args.svg:
+        save_curve_svg(rows, args.svg)
+    for fraction, acc, f3 in rows:
+        print(f"fraction={fraction:g}: accuracy={acc:.2f}% F(3)={f3:.2f}")
+    return 0
+
+
+def cmd_export(args) -> int:
+    ds = load_dataset(args.data, _dataset_format(Path(args.data)))
+    out = Path(args.output)
+    if args.book:
+        book = load_book(args.book, _book_format(Path(args.book)))
+        z, g = compute_cav_batch(ds, book)
+        export_cav_csv(z, g, ds.labels, out)
+        print(f"wrote CAV matrix ({z.shape[0]} x {z.shape[1]}) to {out}")
+    else:
+        save_dataset(ds, out, _dataset_format(out))
+        print(f"converted {args.data} -> {out}")
+    return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="conceptmine",
+        description="Concept mining, sparse concept-vector classification, "
+                    "and explainability metrics over part-feature datasets.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("gen", help="generate a planted synthetic dataset")
+    p.add_argument("--classes", type=int, default=5)
+    p.add_argument("--parts", type=int, default=4)
+    p.add_argument("--dim", type=int, default=32)
+    p.add_argument("--per-class", type=int, default=40)
+    p.add_argument("--concepts", type=int, default=2)
+    p.add_argument("--noise", type=float, default=0.02)
+    p.add_argument("--min-sep", type=float, default=1.0)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--ground-truth", help="ground-truth JSON path")
+    p.add_argument("-o", "--output", required=True)
+    p.set_defaults(func=cmd_gen)
+
+    p = sub.add_parser("pipeline", help="run the full staged pipeline")
+    p.add_argument("--data", required=True)
+    p.add_argument("--config", help="JSON pipeline config")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--remine-interval", dest="remine_interval", type=int)
+    p.add_argument("--k", type=int, help="stability fold count")
+    p.add_argument("--eps", type=float)
+    p.add_argument("--min-pts", dest="min_pts", type=int)
+    p.add_argument("--lam", type=float)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("-o", "--output", required=True, help="output directory")
+    p.set_defaults(func=cmd_pipeline)
+
+    p = sub.add_parser("mine", help="mine a concept book from a dataset")
+    p.add_argument("--data", required=True)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--min-pts", dest="min_pts", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("-o", "--output", required=True)
+    p.set_defaults(func=cmd_mine)
+
+    p = sub.add_parser("merge", help="merge similar centroids in a book")
+    p.add_argument("--book", required=True)
+    p.add_argument("--threshold", type=float, required=True,
+                   help="percent of max pairwise centroid distance")
+    p.add_argument("--level", type=int, choices=(1, 2, 3), default=1)
+    p.add_argument("--data", help="dataset for the accuracy/F(3) table")
+    p.add_argument("--csv", help="path of the Table-style CSV report")
+    p.add_argument("--lam", type=float, default=0.007)
+    p.add_argument("--gamma", type=float, default=0.5)
+    p.add_argument("--epochs", type=int, default=200)
+    p.add_argument("--seed", type=int)
+    p.add_argument("-o", "--output", required=True)
+    p.set_defaults(func=cmd_merge)
+
+    p = sub.add_parser("train", help="train the sparse head on a book's CAVs")
+    p.add_argument("--data", required=True)
+    p.add_argument("--book", required=True)
+    p.add_argument("--lam", type=float, default=0.007)
+    p.add_argument("--gamma", type=float, default=0.5)
+    p.add_argument("--beta", type=float, default=2.0)
+    p.add_argument("--lr", type=float, default=1.0)
+    p.add_argument("--epochs", type=int, default=200)
+    p.add_argument("--seed", type=int)
+    p.add_argument("-o", "--output", required=True)
+    p.set_defaults(func=cmd_train)
+
+    p = sub.add_parser("eval", help="compute the metric report")
+    p.add_argument("--data", required=True)
+    p.add_argument("--book", required=True)
+    p.add_argument("--head", required=True)
+    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--ns", help="comma-separated faithfulness n list")
+    p.add_argument("--eps", type=float)
+    p.add_argument("--min-pts", dest="min_pts", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--force", action="store_true",
+                   help="skip the config-hash compatibility check")
+    p.add_argument("--csv", help="also write the one-row CSV report")
+    p.add_argument("-o", "--output", required=True)
+    p.set_defaults(func=cmd_eval)
+
+    p = sub.add_parser("occlude", help="occlusion robustness curve")
+    p.add_argument("--data", required=True)
+    p.add_argument("--book", required=True)
+    p.add_argument("--head", required=True)
+    p.add_argument("--fractions", default="0.1,0.2,0.3")
+    p.add_argument("--svg", help="also write an SVG chart")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--force", action="store_true")
+    p.add_argument("-o", "--output", required=True)
+    p.set_defaults(func=cmd_occlude)
+
+    p = sub.add_parser("export", help="export CAV CSV or convert a dataset")
+    p.add_argument("--data", required=True)
+    p.add_argument("--book", help="book for CAV export; omit to convert the dataset")
+    p.add_argument("--seed", type=int)
+    p.add_argument("-o", "--output", required=True)
+    p.set_defaults(func=cmd_export)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except ConceptMineError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:
+        print(f"I/O error: {e}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

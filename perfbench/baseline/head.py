@@ -1,0 +1,273 @@
+"""Sparse linear classification over (z, g): softmax cross-entropy with an
+elastic-net penalty on the concept weights W1 only.
+
+Training is full-batch proximal gradient descent: a gradient step on the
+smooth part (cross-entropy + L2), then soft-thresholding of W1 by
+step * lambda * gamma. The step size is halved until the objective does not
+increase, so the recorded objective is non-increasing by construction.
+"""
+
+from __future__ import annotations
+
+import json
+import struct
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import DivergenceError, FormatError, ValidationError
+
+HEAD_MAGIC = b"PCMH"
+_HEAD_HEADER = struct.Struct("<4s4I2d")
+
+_MAX_HALVINGS = 60
+
+
+@dataclass
+class SparseHead:
+    """Classification weights: logits = W1^T z + W2^T g + b."""
+
+    W1: np.ndarray  # [d_c, L]
+    W2: np.ndarray  # [d_f, L]
+    b: np.ndarray  # [L]
+
+    def __post_init__(self):
+        self.W1 = np.asarray(self.W1, dtype=np.float64)
+        self.W2 = np.asarray(self.W2, dtype=np.float64)
+        self.b = np.asarray(self.b, dtype=np.float64)
+        if self.W1.ndim != 2 or self.W2.ndim != 2 or self.b.ndim != 1:
+            raise ValidationError("head weights have wrong rank")
+        if not (self.W1.shape[1] == self.W2.shape[1] == self.b.shape[0]):
+            raise ValidationError(
+                f"inconsistent class counts: W1 {self.W1.shape}, "
+                f"W2 {self.W2.shape}, b {self.b.shape}"
+            )
+        for name, arr in (("W1", self.W1), ("W2", self.W2), ("b", self.b)):
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"{name} contains non-finite values")
+
+    @property
+    def n_classes(self) -> int:
+        return self.b.shape[0]
+
+
+@dataclass
+class HeadTrainConfig:
+    lam: float = 0.007
+    gamma: float = 0.5
+    beta: float = 2.0  # staged-objective weight; the pipeline folds it into lr
+    lr: float = 1.0
+    epochs: int = 200
+    batch_size: int = 0  # accepted for interface parity; training is full-batch
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.lam < 0:
+            raise ValidationError(f"lambda must be >= 0, got {self.lam}")
+        if not 0 <= self.gamma <= 1:
+            raise ValidationError(f"gamma must be in [0, 1], got {self.gamma}")
+        if self.lr <= 0 or self.epochs < 1:
+            raise ValidationError("lr must be > 0 and epochs >= 1")
+
+
+def head_forward(z: np.ndarray, g: np.ndarray, head: SparseHead) -> np.ndarray:
+    """Logits for one sample. Prediction is argmax (lowest index wins ties)."""
+    z = np.asarray(z, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    if z.shape != (head.W1.shape[0],) or g.shape != (head.W2.shape[0],):
+        raise ValidationError(
+            f"input dims z{z.shape}/g{g.shape} do not match head "
+            f"({head.W1.shape[0]}, {head.W2.shape[0]})"
+        )
+    return head.W1.T @ z + head.W2.T @ g + head.b
+
+
+def forward_batch(z: np.ndarray, g: np.ndarray, head: SparseHead) -> np.ndarray:
+    z = np.asarray(z, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    if z.shape[1] != head.W1.shape[0] or g.shape[1] != head.W2.shape[0]:
+        raise ValidationError("batch dims do not match head")
+    return z @ head.W1 + g @ head.W2 + head.b
+
+
+def predict(z: np.ndarray, g: np.ndarray, head: SparseHead) -> np.ndarray:
+    return np.argmax(forward_batch(z, g, head), axis=1)
+
+
+def elastic_net_penalty(W1: np.ndarray, lam: float, gamma: float) -> float:
+    """lambda * ((1 - gamma) * 0.5 * ||W1||_F^2 + gamma * ||W1||_1)."""
+    if lam < 0:
+        raise ValidationError(f"lambda must be >= 0, got {lam}")
+    if not 0 <= gamma <= 1:
+        raise ValidationError(f"gamma must be in [0, 1], got {gamma}")
+    W1 = np.asarray(W1, dtype=np.float64)
+    return float(lam * ((1 - gamma) * 0.5 * np.sum(W1 * W1)
+                        + gamma * np.sum(np.abs(W1))))
+
+
+def soft_threshold(u: np.ndarray, t: float) -> np.ndarray:
+    """Proximal operator of t * ||.||_1; entries with |u| <= t become exactly 0."""
+    return np.where(np.abs(u) <= t, 0.0, u - np.sign(u) * t)
+
+
+def _log_softmax(o: np.ndarray) -> np.ndarray:
+    shifted = o - o.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _smooth_objective_and_grads(z, g, onehot, W1, W2, b, lam, gamma):
+    """Mean cross-entropy plus the L2 part of the penalty, with gradients."""
+    n = z.shape[0]
+    o = z @ W1 + g @ W2 + b
+    logp = _log_softmax(o)
+    ce = -float((onehot * logp).sum()) / n
+    l2 = lam * (1 - gamma) * 0.5 * float(np.sum(W1 * W1))
+
+    d_o = (np.exp(logp) - onehot) / n
+    g_w1 = z.T @ d_o + lam * (1 - gamma) * W1
+    g_w2 = g.T @ d_o
+    g_b = d_o.sum(axis=0)
+    return ce + l2, g_w1, g_w2, g_b
+
+
+def head_objective(z, g, labels, head: SparseHead, lam: float, gamma: float) -> float:
+    """Full training objective: mean CE + elastic-net penalty on W1."""
+    z = np.asarray(z, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    onehot = np.eye(head.n_classes)[np.asarray(labels, dtype=np.int64)]
+    smooth, *_ = _smooth_objective_and_grads(z, g, onehot, head.W1, head.W2,
+                                             head.b, lam, gamma)
+    return smooth + lam * gamma * float(np.sum(np.abs(head.W1)))
+
+
+def train_head(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,
+               cfg: HeadTrainConfig, on_epoch=None,
+               init: SparseHead | None = None) -> SparseHead:
+    """Fit the sparse head by proximal gradient descent with backtracking.
+
+    Weights start at zero unless ``init`` is given (the objective is convex,
+    so the run is deterministic; cfg.seed and cfg.batch_size are accepted
+    for interface parity only). ``on_epoch(epoch, objective, step, pre_prox,
+    w1)`` is invoked after every accepted step, exposing the pre-threshold
+    W1 for diagnostics.
+    """
+    z = np.asarray(cavs, dtype=np.float64)
+    g = np.asarray(gs, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if z.ndim != 2 or g.ndim != 2 or z.shape[0] != g.shape[0] or len(y) != z.shape[0]:
+        raise ValidationError("cavs, gs and labels shapes are inconsistent")
+    n_classes = int(y.max()) + 1
+    if z.shape[0] < n_classes:
+        raise ValidationError(
+            f"need at least one sample per class: n={z.shape[0]} < L={n_classes}"
+        )
+    onehot = np.eye(n_classes)[y]
+
+    if init is not None:
+        if init.W1.shape != (z.shape[1], n_classes) or \
+                init.W2.shape != (g.shape[1], n_classes):
+            raise ValidationError("init head dims do not match training data")
+        w1, w2, b = init.W1.copy(), init.W2.copy(), init.b.copy()
+    else:
+        w1 = np.zeros((z.shape[1], n_classes))
+        w2 = np.zeros((g.shape[1], n_classes))
+        b = np.zeros(n_classes)
+
+    def full_objective(w1_, w2_, b_):
+        smooth, *_ = _smooth_objective_and_grads(z, g, onehot, w1_, w2_, b_,
+                                                 cfg.lam, cfg.gamma)
+        return smooth + cfg.lam * cfg.gamma * float(np.sum(np.abs(w1_)))
+
+    obj = full_objective(w1, w2, b)
+    for epoch in range(cfg.epochs):
+        _, g_w1, g_w2, g_b = _smooth_objective_and_grads(
+            z, g, onehot, w1, w2, b, cfg.lam, cfg.gamma)
+        step = cfg.lr
+        accepted = False
+        for _ in range(_MAX_HALVINGS):
+            pre_prox = w1 - step * g_w1
+            w1_new = soft_threshold(pre_prox, step * cfg.lam * cfg.gamma)
+            w2_new = w2 - step * g_w2
+            b_new = b - step * g_b
+            obj_new = full_objective(w1_new, w2_new, b_new)
+            if obj_new <= obj:
+                accepted = True
+                break
+            step /= 2.0
+        if not accepted:
+            # No float-representable step improves the objective; hold still.
+            pre_prox, w1_new, w2_new, b_new, obj_new = w1, w1, w2, b, obj
+            step = 0.0
+        w1, w2, b, obj = w1_new, w2_new, b_new, obj_new
+        if not np.isfinite(obj):
+            raise DivergenceError(f"non-finite head objective at epoch {epoch}",
+                                  epoch=epoch, lr=cfg.lr)
+        if on_epoch is not None:
+            on_epoch(epoch, obj, step, pre_prox, w1)
+    return SparseHead(W1=w1, W2=w2, b=b)
+
+
+def concept_contributions(z: np.ndarray, head: SparseHead, c: int) -> np.ndarray:
+    """Per-concept evidence for class c: z_k * W1[k, c]."""
+    if not 0 <= c < head.n_classes:
+        raise IndexError(f"class {c} out of range [0, {head.n_classes})")
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != (head.W1.shape[0],):
+        raise ValidationError(f"z shape {z.shape} does not match head d_c")
+    return z * head.W1[:, c]
+
+
+def save_head(head: SparseHead, path, format: str = "json",
+              lam: float = 0.0, gamma: float = 0.0, meta: dict | None = None):
+    """Write a head as JSON {W1, W2, b, lambda, gamma} or PCMH binary."""
+    if format == "json":
+        payload = dict(meta or {})
+        payload.update({
+            "W1": head.W1.tolist(), "W2": head.W2.tolist(), "b": head.b.tolist(),
+            "lambda": lam, "gamma": gamma,
+        })
+        with open(path, "w") as fh:
+            json.dump(payload, fh, sort_keys=True)
+    elif format == "pcmh":
+        d_c, n_classes = head.W1.shape
+        d_f = head.W2.shape[0]
+        with open(path, "wb") as fh:
+            fh.write(_HEAD_HEADER.pack(HEAD_MAGIC, 1, d_c, d_f, n_classes,
+                                       lam, gamma))
+            for arr in (head.W1, head.W2, head.b):
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    else:
+        raise ValidationError(f"unknown head format {format!r}")
+
+
+def load_head(path, format: str = "json") -> SparseHead:
+    if format == "json":
+        with open(path) as fh:
+            payload = json.load(fh)
+        return SparseHead(W1=np.array(payload["W1"], dtype=np.float64),
+                          W2=np.array(payload["W2"], dtype=np.float64),
+                          b=np.array(payload["b"], dtype=np.float64))
+    raw = open(path, "rb").read()
+    if len(raw) < _HEAD_HEADER.size:
+        raise FormatError(f"{path}: file shorter than PCMH header")
+    magic, version, d_c, d_f, n_classes, _, _ = _HEAD_HEADER.unpack_from(raw)
+    if magic != HEAD_MAGIC or version != 1:
+        raise FormatError(f"{path}: bad PCMH header")
+    counts = (d_c * n_classes, d_f * n_classes, n_classes)
+    if len(raw) != _HEAD_HEADER.size + 8 * sum(counts):
+        raise ValidationError(f"{path}: payload size mismatch")
+    off = _HEAD_HEADER.size
+    arrays = []
+    for count in counts:
+        arrays.append(np.frombuffer(raw, dtype="<f8", count=count, offset=off).copy())
+        off += 8 * count
+    return SparseHead(W1=arrays[0].reshape(d_c, n_classes),
+                      W2=arrays[1].reshape(d_f, n_classes), b=arrays[2])
+
+
+def load_head_meta(path) -> dict:
+    """Top-level JSON keys other than the weight payload (e.g. config_hash)."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    return {k: v for k, v in payload.items()
+            if k not in ("W1", "W2", "b", "lambda", "gamma")}

@@ -1,0 +1,371 @@
+"""Per-class concept mining: DBSCAN over part-feature bags, centroid books,
+and agglomerative centroid merging.
+
+For every (class j, part p) cell the features of that class's samples at
+that part are clustered with DBSCAN; each cluster's arithmetic mean becomes
+one concept centroid. The flat list of centroids over all cells is the
+concept book of size d_c.
+"""
+
+from __future__ import annotations
+
+import json
+import struct
+from collections import deque
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .dataset import PartFeatureDataset
+from .errors import FormatError, ValidationError
+
+NOISE = -1
+
+BOOK_MAGIC = b"PCMB"
+_BOOK_HEADER = struct.Struct("<4s3I")
+_ENTRY_HEADER = struct.Struct("<4I")
+
+
+@dataclass(frozen=True)
+class DbscanParams:
+    eps: float
+    min_pts: int
+
+    def __post_init__(self):
+        if self.eps <= 0:
+            raise ValidationError(f"eps must be > 0, got {self.eps}")
+        if self.min_pts < 1:
+            raise ValidationError(f"min_pts must be >= 1, got {self.min_pts}")
+
+
+@dataclass
+class ConceptEntry:
+    """One mined concept: the centroid of cluster ``local_id`` of (class, part)."""
+
+    class_id: int
+    part: int
+    local_id: int
+    centroid: np.ndarray  # [d_f] float64
+    member_count: int
+
+
+@dataclass
+class ConceptBook:
+    """Flat list of concept centroids; the entry position is the CAV index."""
+
+    feat_dim: int
+    entries: list[ConceptEntry] = field(default_factory=list)
+
+    @property
+    def d_c(self) -> int:
+        return len(self.entries)
+
+    def validate(self):
+        seen = set()
+        for e in self.entries:
+            key = (e.class_id, e.part, e.local_id)
+            if key in seen:
+                raise ValidationError(f"duplicate concept key {key}")
+            seen.add(key)
+            if e.member_count < 1:
+                raise ValidationError(f"concept {key} has member_count < 1")
+            if e.centroid.shape != (self.feat_dim,):
+                raise ValidationError(
+                    f"concept {key} centroid shape {e.centroid.shape} != ({self.feat_dim},)"
+                )
+            if not np.isfinite(e.centroid).all():
+                raise ValidationError(f"concept {key} centroid is non-finite")
+
+    def centroid_matrix(self) -> np.ndarray:
+        return np.array([e.centroid for e in self.entries], dtype=np.float64)
+
+    def parts(self) -> np.ndarray:
+        return np.array([e.part for e in self.entries], dtype=np.int64)
+
+    def classes(self) -> np.ndarray:
+        return np.array([e.class_id for e in self.entries], dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class MergeConfig:
+    """Dendrogram cut as a percentage of the book-wide max centroid distance.
+
+    Level 1 merges only within a (class, part) cell, level 2 within a class
+    across parts, level 3 across everything.
+    """
+
+    threshold_pct: float
+    level: int = 1
+
+    def __post_init__(self):
+        if not 0 <= self.threshold_pct <= 100:
+            raise ValidationError(f"threshold_pct must be in [0, 100], got {self.threshold_pct}")
+        if self.level not in (1, 2, 3):
+            raise ValidationError(f"level must be 1, 2 or 3, got {self.level}")
+
+
+def dbscan(points: np.ndarray, params: DbscanParams) -> np.ndarray:
+    """Density-based clustering with Euclidean distance.
+
+    A point is core iff at least ``min_pts`` points (itself included) lie
+    within ``eps``. Cluster ids are assigned in first-touch order over
+    ascending point index; unreachable non-core points are labeled NOISE
+    (-1). Expansion is breadth-first with neighbors visited in ascending
+    index, so the labeling is deterministic.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    labels = np.full(n, NOISE, dtype=np.int64)
+    if n == 0:
+        return labels
+
+    sq = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    eps_sq = params.eps * params.eps
+    neighbor_mask = sq <= eps_sq
+    core = neighbor_mask.sum(axis=1) >= params.min_pts
+
+    cluster = 0
+    for i in range(n):
+        if labels[i] != NOISE or not core[i]:
+            continue
+        labels[i] = cluster
+        queue = deque([i])
+        while queue:
+            j = queue.popleft()
+            for nb in np.flatnonzero(neighbor_mask[j]):
+                if labels[nb] == NOISE:
+                    labels[nb] = cluster
+                    if core[nb]:
+                        queue.append(nb)
+        cluster += 1
+    return labels
+
+
+def _adaptive_params(cell: np.ndarray) -> DbscanParams:
+    """Scale-adaptive defaults: eps = median nearest-neighbor distance,
+    min_pts = max(3, cell_size / 20)."""
+    n = cell.shape[0]
+    min_pts = max(3, n // 20)
+    if n < 2:
+        return DbscanParams(eps=1.0, min_pts=min_pts)
+    sq = np.sum((cell[:, None, :] - cell[None, :, :]) ** 2, axis=2)
+    np.fill_diagonal(sq, np.inf)
+    nn = np.sqrt(sq.min(axis=1))
+    eps = float(np.median(nn))
+    return DbscanParams(eps=max(eps, 1e-12), min_pts=min_pts)
+
+
+def mine_concepts(ds: PartFeatureDataset,
+                  params: DbscanParams | None = None) -> ConceptBook:
+    """Cluster every (class, part) cell and collect cluster-mean centroids.
+
+    Noise points contribute to no centroid. A cell whose clustering yields
+    nothing falls back to a single centroid at the cell mean, so every cell
+    contributes at least one concept. With ``params=None`` each cell uses
+    scale-adaptive defaults. Entries are ordered by (class, part, local id).
+    """
+    ds.validate()
+    feats = ds.part_features.astype(np.float64)
+    book = ConceptBook(feat_dim=ds.feat_dim)
+    for j in range(ds.n_classes):
+        in_class = ds.labels == j
+        for p in range(ds.n_parts):
+            cell = feats[in_class, p, :]
+            cell_params = params if params is not None else _adaptive_params(cell)
+            labels = dbscan(cell, cell_params)
+            n_clusters = int(labels.max()) + 1
+            if n_clusters == 0:
+                book.entries.append(ConceptEntry(
+                    class_id=j, part=p, local_id=0,
+                    centroid=cell.mean(axis=0), member_count=cell.shape[0],
+                ))
+                continue
+            for l in range(n_clusters):
+                members = cell[labels == l]
+                book.entries.append(ConceptEntry(
+                    class_id=j, part=p, local_id=l,
+                    centroid=members.mean(axis=0),
+                    member_count=int(members.shape[0]),
+                ))
+    book.validate()
+    return book
+
+
+def _agglomerate(weights, cents, cutoff):
+    """Greedy Ward agglomeration below ``cutoff``; returns clusters as sets
+    of input indices. Ties break on the lexicographically smallest pair."""
+    g = len(weights)
+    members = [{i} for i in range(g)]
+    w = np.asarray(weights, dtype=np.float64).copy()
+    mu = np.asarray(cents, dtype=np.float64).copy()
+    alive = np.ones(g, dtype=bool)
+
+    def ward_row(i):
+        d = np.linalg.norm(mu - mu[i], axis=1)
+        row = np.sqrt(2.0 * w * w[i] / (w + w[i])) * d
+        row[~alive] = np.inf
+        row[i] = np.inf
+        return row
+
+    ward = np.full((g, g), np.inf)
+    for i in range(g):
+        ward[i] = ward_row(i)
+
+    while alive.sum() > 1:
+        flat = int(np.argmin(ward))
+        i, j = divmod(flat, g)  # symmetric matrix: first hit has i < j
+        if not np.isfinite(ward[i, j]) or ward[i, j] >= cutoff:
+            break
+        mu[i] = (w[i] * mu[i] + w[j] * mu[j]) / (w[i] + w[j])
+        w[i] += w[j]
+        members[i] |= members[j]
+        alive[j] = False
+        ward[j, :] = np.inf
+        ward[:, j] = np.inf
+        row = ward_row(i)
+        ward[i, :] = row
+        ward[:, i] = row
+    return [(members[i], w[i], mu[i]) for i in range(g) if alive[i]]
+
+
+def merge_centroids(book: ConceptBook, cfg: MergeConfig) -> ConceptBook:
+    """Agglomerate similar centroids within the scope given by cfg.level.
+
+    Within each scope group, clusters (seeded with single centroids weighted
+    by member_count) are merged greedily by smallest Ward distance while that
+    distance stays below (threshold_pct / 100) x D_max, with D_max the
+    maximum pairwise centroid distance over the whole book. Merged centroids
+    are member-count-weighted means tagged with the class and part of the
+    largest contributing entry. A zero threshold returns the book unchanged.
+    """
+    if book.d_c == 0:
+        raise ValidationError("cannot merge an empty concept book")
+    book.validate()
+
+    def copy_book():
+        return ConceptBook(book.feat_dim, [
+            ConceptEntry(e.class_id, e.part, e.local_id, e.centroid.copy(),
+                         e.member_count) for e in book.entries
+        ])
+
+    if book.d_c == 1:
+        return copy_book()
+
+    cents = book.centroid_matrix()
+    d_max = 0.0
+    for i in range(len(cents) - 1):
+        d_max = max(d_max, float(np.linalg.norm(cents[i + 1:] - cents[i], axis=1).max()))
+    cutoff = cfg.threshold_pct / 100.0 * d_max
+
+    def scope_key(e: ConceptEntry):
+        if cfg.level == 1:
+            return (e.class_id, e.part)
+        if cfg.level == 2:
+            return (e.class_id,)
+        return ()
+
+    groups: dict[tuple, list[int]] = {}
+    for idx, e in enumerate(book.entries):
+        groups.setdefault(scope_key(e), []).append(idx)
+
+    merged_any = False
+    clusters = []  # (member entry indices, weight, centroid)
+    for key in sorted(groups):
+        idxs = groups[key]
+        weights = [book.entries[i].member_count for i in idxs]
+        cents_g = [book.entries[i].centroid for i in idxs]
+        for local_members, weight, centroid in _agglomerate(weights, cents_g,
+                                                            cutoff):
+            entry_idxs = {idxs[l] for l in local_members}
+            if len(entry_idxs) > 1:
+                merged_any = True
+            clusters.append((entry_idxs, weight, centroid))
+
+    if not merged_any:
+        return copy_book()
+
+    tagged = []
+    for entry_idxs, weight, centroid in clusters:
+        # Tag with the class and part of the largest contributing entry.
+        rep = max(entry_idxs,
+                  key=lambda i: (book.entries[i].member_count, -i))
+        e = book.entries[rep]
+        tagged.append((e.class_id, e.part, min(entry_idxs), centroid,
+                       int(round(weight))))
+    tagged.sort(key=lambda t: (t[0], t[1], t[2]))
+
+    out = ConceptBook(feat_dim=book.feat_dim)
+    local_counter: dict[tuple, int] = {}
+    for class_id, part, _, centroid, count in tagged:
+        l = local_counter.get((class_id, part), 0)
+        local_counter[(class_id, part)] = l + 1
+        out.entries.append(ConceptEntry(class_id, part, l, centroid, count))
+    out.validate()
+    return out
+
+
+def save_book(book: ConceptBook, path, format: str = "json",
+              meta: dict | None = None):
+    """Write a concept book as JSON or PCMB binary."""
+    book.validate()
+    if format == "json":
+        payload = dict(meta or {})
+        payload["d_f"] = book.feat_dim
+        payload["entries"] = [
+            {"class": e.class_id, "part": e.part, "local_id": e.local_id,
+             "member_count": e.member_count, "centroid": e.centroid.tolist()}
+            for e in book.entries
+        ]
+        with open(path, "w") as fh:
+            json.dump(payload, fh, sort_keys=True)
+    elif format == "pcmb":
+        with open(path, "wb") as fh:
+            fh.write(_BOOK_HEADER.pack(BOOK_MAGIC, 1, book.feat_dim, book.d_c))
+            for e in book.entries:
+                fh.write(_ENTRY_HEADER.pack(e.class_id, e.part, e.local_id,
+                                            e.member_count))
+                fh.write(np.ascontiguousarray(e.centroid, dtype="<f8").tobytes())
+    else:
+        raise ValidationError(f"unknown book format {format!r}")
+
+
+def load_book(path, format: str = "json") -> ConceptBook:
+    if format == "json":
+        with open(path) as fh:
+            payload = json.load(fh)
+        book = ConceptBook(feat_dim=int(payload["d_f"]))
+        for e in payload["entries"]:
+            book.entries.append(ConceptEntry(
+                class_id=int(e["class"]), part=int(e["part"]),
+                local_id=int(e["local_id"]),
+                centroid=np.array(e["centroid"], dtype=np.float64),
+                member_count=int(e["member_count"]),
+            ))
+        book.validate()
+        return book
+    raw = open(path, "rb").read()
+    if len(raw) < _BOOK_HEADER.size:
+        raise FormatError(f"{path}: file shorter than PCMB header")
+    magic, version, d_f, n = _BOOK_HEADER.unpack_from(raw)
+    if magic != BOOK_MAGIC or version != 1:
+        raise FormatError(f"{path}: bad PCMB header")
+    book = ConceptBook(feat_dim=d_f)
+    off = _BOOK_HEADER.size
+    step = _ENTRY_HEADER.size + 8 * d_f
+    if len(raw) != _BOOK_HEADER.size + n * step:
+        raise ValidationError(f"{path}: payload size mismatch for {n} entries")
+    for _ in range(n):
+        class_id, part, local_id, count = _ENTRY_HEADER.unpack_from(raw, off)
+        centroid = np.frombuffer(raw, dtype="<f8", count=d_f,
+                                 offset=off + _ENTRY_HEADER.size).copy()
+        book.entries.append(ConceptEntry(class_id, part, local_id, centroid, count))
+        off += step
+    book.validate()
+    return book
+
+
+def load_book_meta(path) -> dict:
+    """Top-level JSON keys other than the book payload (e.g. config_hash)."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    return {k: v for k, v in payload.items() if k not in ("d_f", "entries")}

@@ -1,0 +1,151 @@
+"""Feature-level occlusion harness: zero the part vectors behind the most
+activated concepts of a sample's predicted class and measure how accuracy
+and faithfulness F(3) degrade as the occluded fraction grows.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .cav import compute_cav, compute_cav_batch
+from .dataset import PartFeatureDataset
+from .errors import ValidationError
+from .head import SparseHead, concept_contributions, head_forward, predict
+from .mining import ConceptBook
+from .xaimetrics import faithfulness
+
+
+@dataclass
+class OcclusionConfig:
+    fractions: tuple[float, ...] = (0.1, 0.2, 0.3)
+    seed: int = 0  # provenance only; occlusion itself is deterministic
+
+    def __post_init__(self):
+        fr = tuple(float(f) for f in self.fractions)
+        if any(not 0 <= f <= 1 for f in fr):
+            raise ValidationError(f"fractions must lie in [0, 1], got {fr}")
+        if list(fr) != sorted(fr):
+            raise ValidationError(f"fractions must be sorted ascending, got {fr}")
+        self.fractions = fr
+
+
+def occlude_sample(sample_parts: np.ndarray, g: np.ndarray, head: SparseHead,
+                   book: ConceptBook, fraction: float) -> np.ndarray:
+    """Zero the top ceil(fraction * K) parts by maximum concept contribution.
+
+    Parts are ranked by the largest contribution among their concepts for
+    the sample's predicted class (clean response); at least one part is
+    zeroed whenever fraction > 0. Labels and g are never touched.
+    """
+    if not 0 <= fraction <= 1:
+        raise ValidationError(f"fraction must be in [0, 1], got {fraction}")
+    parts = np.array(sample_parts, dtype=np.float64)
+    if fraction == 0:
+        return parts
+    cav = compute_cav(parts, g, book)
+    pred = int(np.argmax(head_forward(cav.z, cav.g, head)))
+    contrib = concept_contributions(cav.z, head, pred)
+
+    k = parts.shape[0]
+    entry_parts = book.parts()
+    scores = np.full(k, -np.inf)
+    for p in range(k):
+        cols = np.flatnonzero(entry_parts == p)
+        if cols.size:
+            scores[p] = contrib[cols].max()
+    n_occ = math.ceil(fraction * k)
+    top = np.argsort(-scores, kind="stable")[:n_occ]
+    parts[top] = 0.0
+    return parts
+
+
+def occlusion_eval(ds: PartFeatureDataset, head: SparseHead, book: ConceptBook,
+                   cfg: OcclusionConfig) -> list[tuple[float, float, float]]:
+    """Curve of (fraction, accuracy, F(3)) including the fraction-0 baseline.
+
+    For each fraction every sample is occluded from its clean response, CAVs
+    are recomputed from the occluded features, and accuracy plus F(3) are
+    re-evaluated on those occluded activations.
+    """
+    fractions = cfg.fractions
+    if not fractions or fractions[0] != 0.0:
+        fractions = (0.0,) + fractions
+
+    labels = ds.labels.astype(np.int64)
+    rows = []
+    for fraction in fractions:
+        if fraction == 0.0:
+            occluded = ds
+        else:
+            parts = np.empty_like(ds.part_features, dtype=np.float64)
+            for i in range(ds.n_samples):
+                parts[i] = occlude_sample(ds.part_features[i],
+                                          ds.nonproto_features[i],
+                                          head, book, fraction)
+            occluded = PartFeatureDataset(parts.astype(np.float32),
+                                          ds.nonproto_features.copy(),
+                                          ds.labels.copy(), ds.n_classes)
+        z, g = compute_cav_batch(occluded, book)
+        acc = 100.0 * float(np.mean(predict(z, g, head) == labels))
+        f3 = faithfulness(z, g, labels, head, book, [3])[3]
+        rows.append((fraction, acc, f3))
+    return rows
+
+
+def save_curve_csv(rows: list[tuple[float, float, float]], path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["fraction", "accuracy", "F3"])
+        for fraction, acc, f3 in rows:
+            writer.writerow([repr(float(fraction)), repr(float(acc)),
+                             repr(float(f3))])
+
+
+def save_curve_svg(rows: list[tuple[float, float, float]], path,
+                   width: int = 480, height: int = 320):
+    """Minimal SVG line chart of accuracy and F(3) against occluded fraction."""
+    pad = 45
+    xs = [r[0] for r in rows]
+    x_max = max(xs) if max(xs) > 0 else 1.0
+
+    def px(f):
+        return pad + (width - 2 * pad) * (f / x_max)
+
+    def py(v):
+        return height - pad - (height - 2 * pad) * (v / 100.0)
+
+    def polyline(idx, color):
+        pts = " ".join(f"{px(r[0]):.1f},{py(r[idx]):.1f}" for r in rows)
+        return (f'<polyline fill="none" stroke="{color}" stroke-width="2" '
+                f'points="{pts}"/>')
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
+        f'y2="{height - pad}" stroke="black"/>',
+        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="black"/>',
+        polyline(1, "#1f77b4"),
+        polyline(2, "#d62728"),
+        f'<text x="{width / 2:.0f}" y="{height - 10}" text-anchor="middle" '
+        f'font-size="12">occluded fraction</text>',
+        f'<text x="15" y="{height / 2:.0f}" font-size="12" '
+        f'transform="rotate(-90 15 {height / 2:.0f})" text-anchor="middle">percent</text>',
+        f'<text x="{width - pad}" y="{pad}" text-anchor="end" font-size="12" '
+        f'fill="#1f77b4">accuracy</text>',
+        f'<text x="{width - pad}" y="{pad + 16}" text-anchor="end" font-size="12" '
+        f'fill="#d62728">F(3)</text>',
+    ]
+    for fraction, *_ in rows:
+        parts.append(f'<text x="{px(fraction):.1f}" y="{height - pad + 14}" '
+                     f'text-anchor="middle" font-size="10">{fraction:g}</text>')
+    for v in (0, 25, 50, 75, 100):
+        parts.append(f'<text x="{pad - 6}" y="{py(v):.1f}" text-anchor="end" '
+                     f'font-size="10">{v}</text>')
+    parts.append("</svg>")
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts))
