@@ -1,6 +1,6 @@
 """Command-line front end: dataset generation, the staged pipeline
-(center fitting, then alternating concept mining and sparse-head training),
-and report/merge/occlusion utilities.
+(center fitting, then one concept-mining pass and one sparse-head training
+run), and report/merge/occlusion utilities.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -10,15 +10,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .cav import compute_cav_batch, export_cav_csv
 from .dataset import (PartFeatureDataset, SyntheticSpec, generate_synthetic,
-                      load_dataset, save_dataset)
-from .errors import CompatibilityError, ConceptMineError, ValidationError
+                      load_dataset, save_dataset, split_kfold)
+from .errors import (CompatibilityError, ConceptMineError, ValidationError,
+                     read_json_object)
 from .head import (HeadTrainConfig, SparseHead, load_head, load_head_meta,
                    predict, save_head, train_head)
 from .mining import (ConceptBook, DbscanParams, load_book, load_book_meta,
@@ -31,70 +32,80 @@ from .xaimetrics import (MetricReport, config_hash, consistency, faithfulness,
 
 @dataclass
 class PipelineConfig:
-    """Module configs plus the staged-training schedule.
-
-    The head is trained in chunks of ``remine_interval`` epochs with a fresh
-    concept-mining pass before each chunk; ``head.beta`` is folded into the
-    head learning rate when the staged objective is composed.
-    """
+    """Module configs plus the mining and metric settings of one run."""
 
     mcm: McmConfig
     head: HeadTrainConfig
     eps: float | None = None  # None -> per-cell adaptive DBSCAN defaults
     min_pts: int | None = None
-    remine_interval: int = 5
     stability_k: int = 10
     faithfulness_ns: tuple[int, ...] = (1, 2, 3, 4, 5)
     seed: int = 0
 
     def __post_init__(self):
-        if self.remine_interval < 1:
-            raise ValidationError(
-                f"remine_interval must be >= 1, got {self.remine_interval}")
-        if self.head.beta <= 0:
-            raise ValidationError("pipeline stage-2 beta must be > 0")
-
-    def mining_params(self) -> DbscanParams | None:
-        if self.eps is None:
-            return None
-        return DbscanParams(eps=self.eps,
-                            min_pts=self.min_pts if self.min_pts else 3)
+        _mining_params(self.eps, self.min_pts)  # checks eps and min_pts
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "mcm": asdict(self.mcm),
             "head": asdict(self.head),
             "mining": {"eps": self.eps, "min_pts": self.min_pts},
-            "remine_interval": self.remine_interval,
             "stability_k": self.stability_k,
             "faithfulness_ns": list(self.faithfulness_ns),
             "seed": self.seed,
         }
-        return d
+
+
+def _mining_params(eps, min_pts) -> DbscanParams | None:
+    """Fixed DBSCAN params (min_pts 3 if unset); None (adaptive) if no eps."""
+    if eps is None:
+        return None
+    return DbscanParams(eps=eps, min_pts=min_pts or 3)
+
+
+# Nested sections of the config dict and the dataclass whose fields they set.
+_SECTIONS = {"mcm": McmConfig, "head": HeadTrainConfig, "mining": DbscanParams}
+
+
+def _config_section(raw: dict, name: str) -> dict:
+    """``raw[name]`` (empty if absent), refusing keys its dataclass lacks."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ValidationError(f"config key {name} must be an object")
+    known = {f.name for f in fields(_SECTIONS[name])}
+    unknown = sorted(set(section) - known)
+    if unknown:
+        raise ValidationError(f"unknown config key {name}.{unknown[0]}")
+    return section
 
 
 def pipeline_config_from_dict(raw: dict) -> PipelineConfig:
-    mcm = McmConfig(**raw.get("mcm", {}))
-    head = HeadTrainConfig(**raw.get("head", {}))
-    mining = raw.get("mining", {})
-    seed = int(raw.get("seed", 0))
-    cfg = PipelineConfig(
-        mcm=replace(mcm, seed=seed),
-        head=replace(head, seed=seed),
-        eps=mining.get("eps"),
-        min_pts=mining.get("min_pts"),
-        remine_interval=int(raw.get("remine_interval", 5)),
-        stability_k=int(raw.get("stability_k", 10)),
-        faithfulness_ns=tuple(raw.get("faithfulness_ns", (1, 2, 3, 4, 5))),
-        seed=seed,
-    )
-    return cfg
+    """Build a config from its :meth:`PipelineConfig.to_dict` form; every
+    key is optional, and a key no config field reads is refused."""
+    known = {f.name for f in fields(PipelineConfig)} - {"eps", "min_pts"}
+    unknown = sorted(set(raw) - known - set(_SECTIONS))
+    if unknown:
+        raise ValidationError(f"unknown config key {unknown[0]}")
+    mining = _config_section(raw, "mining")
+    mcm_raw = _config_section(raw, "mcm")
+    head_raw = _config_section(raw, "head")
+    try:
+        seed = int(raw.get("seed", 0))
+        return PipelineConfig(
+            mcm=McmConfig(**{**mcm_raw, "seed": seed}),
+            head=HeadTrainConfig(**head_raw),
+            eps=mining.get("eps"),
+            min_pts=mining.get("min_pts"),
+            stability_k=int(raw.get("stability_k", 10)),
+            faithfulness_ns=tuple(raw.get("faithfulness_ns", (1, 2, 3, 4, 5))),
+            seed=seed,
+        )
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"bad config value: {e}") from None
 
 
 def _dataset_format(path: Path) -> str:
-    if path.suffix == ".csv":
-        return "csv"
-    return "pfd"
+    return "csv" if path.suffix == ".csv" else "pfd"
 
 
 def _book_format(path: Path) -> str:
@@ -103,6 +114,42 @@ def _book_format(path: Path) -> str:
 
 def _head_format(path: Path) -> str:
     return "pcmh" if path.suffix == ".pcmh" else "json"
+
+
+def _load_data(path) -> PartFeatureDataset:
+    return load_dataset(path, _dataset_format(Path(path)))
+
+
+def _load_book(path) -> tuple[ConceptBook, dict]:
+    """A book by its suffix (.pcmb binary, else JSON) and its JSON meta."""
+    if _book_format(Path(path)) == "pcmb":
+        return load_book(path, "pcmb"), {}
+    return load_book(path, "json"), load_book_meta(path)
+
+
+def _load_head(path) -> tuple[SparseHead, dict]:
+    """A head by its suffix (.pcmh binary, else JSON) and its JSON meta."""
+    if _head_format(Path(path)) == "pcmh":
+        return load_head(path, "pcmh"), {}
+    return load_head(path, "json"), load_head_meta(path)
+
+
+def _load_scored_run(args):
+    """Dataset, book, head and book meta for ``eval``/``occlude``; refuses a
+    d_c mismatch, and a config-hash mismatch unless ``--force`` is given."""
+    ds = _load_data(args.data)
+    book, book_meta = _load_book(args.book)
+    head, head_meta = _load_head(args.head)
+    if head.W1.shape[0] != book.d_c:
+        raise CompatibilityError(
+            f"head expects d_c={head.W1.shape[0]} but book has d_c={book.d_c}")
+    bh = book_meta.get("config_hash")
+    hh = head_meta.get("config_hash")
+    if not args.force and bh and hh and bh != hh:
+        raise CompatibilityError(
+            f"book config hash {bh} != head config hash {hh}; "
+            f"pass --force to evaluate anyway")
+    return ds, book, head, book_meta
 
 
 def _accuracy_breakdown(z, g, labels, head: SparseHead) -> dict:
@@ -119,57 +166,42 @@ def _accuracy_breakdown(z, g, labels, head: SparseHead) -> dict:
             for name, h in variants.items()}
 
 
-def _check_compat(book: ConceptBook, head: SparseHead,
-                  book_meta: dict, head_meta: dict, force: bool):
-    if head.W1.shape[0] != book.d_c:
-        raise CompatibilityError(
-            f"head expects d_c={head.W1.shape[0]} but book has d_c={book.d_c}")
-    bh = book_meta.get("config_hash")
-    hh = head_meta.get("config_hash")
-    if not force and bh and hh and bh != hh:
-        raise CompatibilityError(
-            f"book config hash {bh} != head config hash {hh}; "
-            f"pass --force to evaluate anyway")
-
-
 def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> dict:
-    """Fit centers, alternate mining and head training, evaluate metrics,
-    and write all artifacts to ``outdir``. Returns the manifest dict."""
-    outdir.mkdir(parents=True, exist_ok=True)
+    """Fit centers, mine the concept book, train the head, evaluate metrics,
+    and write all artifacts to ``outdir``. Returns the manifest dict.
+
+    The part features are fixed inputs and mining is a pure function of
+    them, so the book is mined once and the head trained once for all
+    epochs at ``beta * lr``. The stability folds are checked before any
+    costly stage runs or ``outdir`` is created.
+    """
     cfg_dict = cfg.to_dict()
     h = config_hash(cfg_dict)
-    params = cfg.mining_params()
+    params = _mining_params(cfg.eps, cfg.min_pts)
 
-    stage = "fit-centers"
+    stage = "preflight"
     try:
+        split_kfold(ds, cfg.stability_k, cfg.seed)
+        outdir.mkdir(parents=True, exist_ok=True)
+
+        stage = "fit-centers"
         centers = fit_prototype_centers(ds, cfg.mcm)
 
-        stage = "mine-and-train"
+        stage = "mine"
+        book = mine_concepts(ds, params)
+        z, g = compute_cav_batch(ds, book)
+
+        stage = "train"
         objectives = []
 
         def on_epoch(epoch, objective, step, pre_prox, w1):
             objectives.append(objective)
 
-        head = None
-        book = None
-        done = 0
-        mining_passes = 0
-        total = cfg.head.epochs
-        while done < total:
-            book = mine_concepts(ds, params)
-            mining_passes += 1
-            z, g = compute_cav_batch(ds, book)
-            chunk_epochs = min(cfg.remine_interval, total - done)
-            chunk = replace(cfg.head, epochs=chunk_epochs,
-                            lr=cfg.head.beta * cfg.head.lr)
-            if head is not None and head.W1.shape[0] != book.d_c:
-                head = None  # book size changed between passes; restart head
-            head = train_head(z, g, ds.labels, chunk, on_epoch=on_epoch,
-                              init=head)
-            done += chunk_epochs
+        head = train_head(z, g, ds.labels,
+                          replace(cfg.head, lr=cfg.head.beta * cfg.head.lr),
+                          on_epoch)
 
         stage = "metrics"
-        z, g = compute_cav_batch(ds, book)
         labels = ds.labels.astype(np.int64)
         intra, inter = consistency(z, labels)
         report = MetricReport(
@@ -205,7 +237,6 @@ def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> d
             "config": cfg_dict,
             "config_hash": h,
             "d_c": book.d_c,
-            "mining_passes": mining_passes,
             "accuracies": accuracies,
             "artifacts": {
                 "centers": "centers.pcmc",
@@ -252,77 +283,58 @@ def cmd_gen(args) -> int:
 
 
 def _load_pipeline_config(args) -> PipelineConfig:
-    raw = {}
-    if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
+    raw = read_json_object(args.config) if args.config else {}
     if args.seed is not None:
         raw["seed"] = args.seed
-    for key, attr in (("remine_interval", "remine_interval"),
-                      ("stability_k", "k")):
-        val = getattr(args, attr, None)
-        if val is not None:
-            raw[key] = val
-    mining = dict(raw.get("mining", {}))
-    if getattr(args, "eps", None) is not None:
-        mining["eps"] = args.eps
-    if getattr(args, "min_pts", None) is not None:
-        mining["min_pts"] = args.min_pts
-    raw["mining"] = mining
-    head = dict(raw.get("head", {}))
-    for key, attr in (("lam", "lam"), ("gamma", "gamma"), ("beta", "beta"),
-                      ("lr", "lr"), ("epochs", "epochs")):
-        val = getattr(args, attr, None)
-        if val is not None:
-            head[key] = val
-    raw["head"] = head
+    if args.k is not None:
+        raw["stability_k"] = args.k
+    for name, keys in (("mining", ("eps", "min_pts")),
+                       ("head", ("lam", "gamma", "beta", "lr", "epochs"))):
+        section = dict(_config_section(raw, name))
+        for key in keys:
+            if getattr(args, key) is not None:
+                section[key] = getattr(args, key)
+        raw[name] = section
     return pipeline_config_from_dict(raw)
 
 
 def cmd_pipeline(args) -> int:
     cfg = _load_pipeline_config(args)
     try:
-        ds = load_dataset(args.data, _dataset_format(Path(args.data)))
+        ds = _load_data(args.data)
     except (ConceptMineError, OSError) as e:
         raise ValidationError(f"stage load-data: {e}") from e
     manifest = run_pipeline(ds, cfg, Path(args.output))
     acc = manifest["accuracies"]["full"]
     print(f"pipeline done: d_c={manifest['d_c']}, "
-          f"mining_passes={manifest['mining_passes']}, "
           f"train_acc={acc:.2f}%, config_hash={manifest['config_hash']}")
     return 0
 
 
 def cmd_mine(args) -> int:
-    ds = load_dataset(args.data, _dataset_format(Path(args.data)))
-    params = None
-    if args.eps is not None:
-        params = DbscanParams(eps=args.eps, min_pts=args.min_pts or 3)
-    book = mine_concepts(ds, params)
+    ds = _load_data(args.data)
+    book = mine_concepts(ds, _mining_params(args.eps, args.min_pts))
     out = Path(args.output)
     meta = {"config_hash": config_hash({"eps": args.eps, "min_pts": args.min_pts}),
             "eps": args.eps, "min_pts": args.min_pts}
-    save_book(book, out, _book_format(out),
-              meta=meta if _book_format(out) == "json" else None)
+    save_book(book, out, _book_format(out), meta=meta)
     print(f"mined {book.d_c} concepts from {ds.n_samples} samples")
     return 0
 
 
 def cmd_merge(args) -> int:
-    book = load_book(args.book, _book_format(Path(args.book)))
+    book, meta = _load_book(args.book)
     cfg = MergeConfig(threshold_pct=args.threshold, level=args.level)
     merged = merge_centroids(book, cfg)
     out = Path(args.output)
-    meta = load_book_meta(args.book) if _book_format(Path(args.book)) == "json" else {}
-    save_book(merged, out, _book_format(out),
-              meta=meta if _book_format(out) == "json" else None)
+    save_book(merged, out, _book_format(out), meta=meta)
     print(f"d_c before={book.d_c} after={merged.d_c} "
           f"(threshold={args.threshold}%, level={args.level})")
 
     if args.data:
-        ds = load_dataset(args.data, _dataset_format(Path(args.data)))
+        ds = _load_data(args.data)
         head_cfg = HeadTrainConfig(lam=args.lam, gamma=args.gamma,
-                                   epochs=args.epochs, seed=args.seed or 0)
+                                   epochs=args.epochs)
         rows = []
         for tag, pct, b in (("input", 0.0, book),
                             ("merged", args.threshold, merged)):
@@ -343,19 +355,17 @@ def cmd_merge(args) -> int:
 
 
 def cmd_train(args) -> int:
-    ds = load_dataset(args.data, _dataset_format(Path(args.data)))
-    book = load_book(args.book, _book_format(Path(args.book)))
+    ds = _load_data(args.data)
+    book, book_meta = _load_book(args.book)
     z, g = compute_cav_batch(ds, book)
-    cfg = HeadTrainConfig(lam=args.lam, gamma=args.gamma, beta=args.beta,
-                          lr=args.lr, epochs=args.epochs, seed=args.seed or 0)
+    cfg = HeadTrainConfig(lam=args.lam, gamma=args.gamma, lr=args.lr,
+                          epochs=args.epochs)
     head = train_head(z, g, ds.labels, cfg)
     out = Path(args.output)
-    book_meta = load_book_meta(args.book) \
-        if _book_format(Path(args.book)) == "json" else {}
     meta = {"config_hash": book_meta.get("config_hash",
                                          config_hash(asdict(cfg)))}
     save_head(head, out, _head_format(out), lam=cfg.lam, gamma=cfg.gamma,
-              meta=meta if _head_format(out) == "json" else None)
+              meta=meta)
     labels = ds.labels.astype(np.int64)
     acc = 100.0 * float(np.mean(predict(z, g, head) == labels))
     print(f"trained head: train_acc={acc:.2f}%, "
@@ -364,31 +374,21 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ds = load_dataset(args.data, _dataset_format(Path(args.data)))
-    book = load_book(args.book, _book_format(Path(args.book)))
-    head = load_head(args.head, _head_format(Path(args.head)))
-    book_meta = load_book_meta(args.book) \
-        if _book_format(Path(args.book)) == "json" else {}
-    head_meta = load_head_meta(args.head) \
-        if _head_format(Path(args.head)) == "json" else {}
-    _check_compat(book, head, book_meta, head_meta, args.force)
+    ds, book, head, book_meta = _load_scored_run(args)
 
-    params = None
     eps = args.eps if args.eps is not None else book_meta.get("eps")
     min_pts = args.min_pts if args.min_pts is not None else book_meta.get("min_pts")
-    if eps is not None:
-        params = DbscanParams(eps=eps, min_pts=min_pts or 3)
 
     z, g = compute_cav_batch(ds, book)
     labels = ds.labels.astype(np.int64)
-    ns = [int(x) for x in args.ns.split(",")] if args.ns else [1, 2, 3, 4, 5]
     intra, inter = consistency(z, labels)
     report = MetricReport(
-        faithfulness=faithfulness(z, g, labels, head, book, ns),
-        stability=stability(ds, args.k, params, args.seed or 0),
+        faithfulness=faithfulness(z, g, labels, head, book, args.ns),
+        stability=stability(ds, args.k, _mining_params(eps, min_pts),
+                            args.seed or 0),
         consistency_intra=intra, consistency_inter=inter,
         sparseness=sparseness(z),
-        config={"book": book_meta, "k": args.k, "ns": ns,
+        config={"book": book_meta, "k": args.k, "ns": args.ns,
                 "eps": eps, "min_pts": min_pts},
         seed=args.seed or 0,
     )
@@ -407,18 +407,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_occlude(args) -> int:
-    ds = load_dataset(args.data, _dataset_format(Path(args.data)))
-    book = load_book(args.book, _book_format(Path(args.book)))
-    head = load_head(args.head, _head_format(Path(args.head)))
-    book_meta = load_book_meta(args.book) \
-        if _book_format(Path(args.book)) == "json" else {}
-    head_meta = load_head_meta(args.head) \
-        if _head_format(Path(args.head)) == "json" else {}
-    _check_compat(book, head, book_meta, head_meta, args.force)
-
-    fractions = tuple(float(x) for x in args.fractions.split(","))
-    cfg = OcclusionConfig(fractions=fractions, seed=args.seed or 0)
-    rows = occlusion_eval(ds, head, book, cfg)
+    ds, book, head, _ = _load_scored_run(args)
+    rows = occlusion_eval(ds, head, book,
+                          OcclusionConfig(fractions=args.fractions))
     save_curve_csv(rows, args.output)
     if args.svg:
         save_curve_svg(rows, args.svg)
@@ -428,10 +419,10 @@ def cmd_occlude(args) -> int:
 
 
 def cmd_export(args) -> int:
-    ds = load_dataset(args.data, _dataset_format(Path(args.data)))
+    ds = _load_data(args.data)
     out = Path(args.output)
     if args.book:
-        book = load_book(args.book, _book_format(Path(args.book)))
+        book, _ = _load_book(args.book)
         z, g = compute_cav_batch(ds, book)
         export_cav_csv(z, g, ds.labels, out)
         print(f"wrote CAV matrix ({z.shape[0]} x {z.shape[1]}) to {out}")
@@ -439,6 +430,18 @@ def cmd_export(args) -> int:
         save_dataset(ds, out, _dataset_format(out))
         print(f"converted {args.data} -> {out}")
     return 0
+
+
+def _list_of(kind):
+    """argparse ``type`` for a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(x) for x in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__} values, "
+                f"got {text!r}") from None
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -466,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--config", help="JSON pipeline config")
     p.add_argument("--seed", type=int)
-    p.add_argument("--remine-interval", dest="remine_interval", type=int)
     p.add_argument("--k", type=int, help="stability fold count")
     p.add_argument("--eps", type=float)
     p.add_argument("--min-pts", dest="min_pts", type=int)
@@ -482,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--eps", type=float)
     p.add_argument("--min-pts", dest="min_pts", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_mine)
 
@@ -496,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, default=0.007)
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--seed", type=int)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_merge)
 
@@ -505,10 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--book", required=True)
     p.add_argument("--lam", type=float, default=0.007)
     p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--beta", type=float, default=2.0)
     p.add_argument("--lr", type=float, default=1.0)
     p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--seed", type=int)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -517,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--book", required=True)
     p.add_argument("--head", required=True)
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--ns", help="comma-separated faithfulness n list")
+    p.add_argument("--ns", type=_list_of(int), default=[1, 2, 3, 4, 5],
+                   help="comma-separated faithfulness n list")
     p.add_argument("--eps", type=float)
     p.add_argument("--min-pts", dest="min_pts", type=int)
     p.add_argument("--seed", type=int)
@@ -531,9 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--book", required=True)
     p.add_argument("--head", required=True)
-    p.add_argument("--fractions", default="0.1,0.2,0.3")
+    p.add_argument("--fractions", type=_list_of(float), default="0.1,0.2,0.3")
     p.add_argument("--svg", help="also write an SVG chart")
-    p.add_argument("--seed", type=int)
     p.add_argument("--force", action="store_true")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_occlude)
@@ -541,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="export CAV CSV or convert a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--book", help="book for CAV export; omit to convert the dataset")
-    p.add_argument("--seed", type=int)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_export)
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON reader that maps
+unparsable artifact files onto them."""
+
+import json
 
 
 class ConceptMineError(Exception):
@@ -32,3 +35,16 @@ class DivergenceError(ConceptMineError):
 
 class CompatibilityError(ConceptMineError):
     """Artifacts do not belong together (dimension or config-hash mismatch)."""
+
+
+def read_json_object(path) -> dict:
+    """Parse a JSON file whose top level is an object; raise FormatError
+    naming the path when it is not valid UTF-8 JSON or not an object."""
+    with open(path) as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+            raise FormatError(f"{path}: not valid JSON ({e})") from None
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: top level is not a JSON object")
+    return payload

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, FormatError, ValidationError
+from .errors import DivergenceError, FormatError, ValidationError, read_json_object
 
 HEAD_MAGIC = b"PCMH"
 _HEAD_HEADER = struct.Struct("<4s4I2d")
@@ -58,16 +58,14 @@ class HeadTrainConfig:
     beta: float = 2.0  # staged-objective weight; the pipeline folds it into lr
     lr: float = 1.0
     epochs: int = 200
-    batch_size: int = 0  # accepted for interface parity; training is full-batch
-    seed: int = 0
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValidationError(f"lambda must be >= 0, got {self.lam}")
         if not 0 <= self.gamma <= 1:
             raise ValidationError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.lr <= 0 or self.epochs < 1:
-            raise ValidationError("lr must be > 0 and epochs >= 1")
+        if self.lr <= 0 or self.beta <= 0 or self.epochs < 1:
+            raise ValidationError("lr and beta must be > 0 and epochs >= 1")
 
 
 def head_forward(z: np.ndarray, g: np.ndarray, head: SparseHead) -> np.ndarray:
@@ -130,26 +128,14 @@ def _smooth_objective_and_grads(z, g, onehot, W1, W2, b, lam, gamma):
     return ce + l2, g_w1, g_w2, g_b
 
 
-def head_objective(z, g, labels, head: SparseHead, lam: float, gamma: float) -> float:
-    """Full training objective: mean CE + elastic-net penalty on W1."""
-    z = np.asarray(z, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    onehot = np.eye(head.n_classes)[np.asarray(labels, dtype=np.int64)]
-    smooth, *_ = _smooth_objective_and_grads(z, g, onehot, head.W1, head.W2,
-                                             head.b, lam, gamma)
-    return smooth + lam * gamma * float(np.sum(np.abs(head.W1)))
-
-
 def train_head(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,
-               cfg: HeadTrainConfig, on_epoch=None,
-               init: SparseHead | None = None) -> SparseHead:
-    """Fit the sparse head by proximal gradient descent with backtracking.
+               cfg: HeadTrainConfig, on_epoch=None) -> SparseHead:
+    """Fit the sparse head by full-batch proximal gradient descent with
+    backtracking.
 
-    Weights start at zero unless ``init`` is given (the objective is convex,
-    so the run is deterministic; cfg.seed and cfg.batch_size are accepted
-    for interface parity only). ``on_epoch(epoch, objective, step, pre_prox,
-    w1)`` is invoked after every accepted step, exposing the pre-threshold
-    W1 for diagnostics.
+    Weights start at zero and the objective is convex, so the run is
+    deterministic. ``on_epoch(epoch, objective, step, pre_prox, w1)`` is
+    invoked after every epoch, exposing the pre-threshold W1 for diagnostics.
     """
     z = np.asarray(cavs, dtype=np.float64)
     g = np.asarray(gs, dtype=np.float64)
@@ -163,15 +149,9 @@ def train_head(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,
         )
     onehot = np.eye(n_classes)[y]
 
-    if init is not None:
-        if init.W1.shape != (z.shape[1], n_classes) or \
-                init.W2.shape != (g.shape[1], n_classes):
-            raise ValidationError("init head dims do not match training data")
-        w1, w2, b = init.W1.copy(), init.W2.copy(), init.b.copy()
-    else:
-        w1 = np.zeros((z.shape[1], n_classes))
-        w2 = np.zeros((g.shape[1], n_classes))
-        b = np.zeros(n_classes)
+    w1 = np.zeros((z.shape[1], n_classes))
+    w2 = np.zeros((g.shape[1], n_classes))
+    b = np.zeros(n_classes)
 
     def full_objective(w1_, w2_, b_):
         smooth, *_ = _smooth_objective_and_grads(z, g, onehot, w1_, w2_, b_,
@@ -241,12 +221,16 @@ def save_head(head: SparseHead, path, format: str = "json",
 
 
 def load_head(path, format: str = "json") -> SparseHead:
+    """Read a head written by :func:`save_head`; a JSON head with a missing
+    key or a wrongly typed value raises :class:`FormatError`."""
     if format == "json":
-        with open(path) as fh:
-            payload = json.load(fh)
-        return SparseHead(W1=np.array(payload["W1"], dtype=np.float64),
-                          W2=np.array(payload["W2"], dtype=np.float64),
-                          b=np.array(payload["b"], dtype=np.float64))
+        payload = read_json_object(path)
+        try:
+            weights = {k: np.array(payload[k], dtype=np.float64)
+                       for k in ("W1", "W2", "b")}
+        except (KeyError, TypeError, ValueError) as e:
+            raise FormatError(f"{path}: malformed head JSON ({e!r})") from None
+        return SparseHead(**weights)
     raw = open(path, "rb").read()
     if len(raw) < _HEAD_HEADER.size:
         raise FormatError(f"{path}: file shorter than PCMH header")
@@ -267,7 +251,5 @@ def load_head(path, format: str = "json") -> SparseHead:
 
 def load_head_meta(path) -> dict:
     """Top-level JSON keys other than the weight payload (e.g. config_hash)."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    return {k: v for k, v in payload.items()
+    return {k: v for k, v in read_json_object(path).items()
             if k not in ("W1", "W2", "b", "lambda", "gamma")}

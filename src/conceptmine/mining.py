@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import PartFeatureDataset
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, read_json_object
 
 NOISE = -1
 
@@ -330,17 +330,21 @@ def save_book(book: ConceptBook, path, format: str = "json",
 
 
 def load_book(path, format: str = "json") -> ConceptBook:
+    """Read a book written by :func:`save_book`; a JSON book with a missing
+    key or a wrongly typed value raises :class:`FormatError`."""
     if format == "json":
-        with open(path) as fh:
-            payload = json.load(fh)
-        book = ConceptBook(feat_dim=int(payload["d_f"]))
-        for e in payload["entries"]:
-            book.entries.append(ConceptEntry(
-                class_id=int(e["class"]), part=int(e["part"]),
-                local_id=int(e["local_id"]),
-                centroid=np.array(e["centroid"], dtype=np.float64),
-                member_count=int(e["member_count"]),
-            ))
+        payload = read_json_object(path)
+        try:
+            book = ConceptBook(feat_dim=int(payload["d_f"]))
+            for e in payload["entries"]:
+                book.entries.append(ConceptEntry(
+                    class_id=int(e["class"]), part=int(e["part"]),
+                    local_id=int(e["local_id"]),
+                    centroid=np.array(e["centroid"], dtype=np.float64),
+                    member_count=int(e["member_count"]),
+                ))
+        except (KeyError, TypeError, ValueError) as e:
+            raise FormatError(f"{path}: malformed book JSON ({e!r})") from None
         book.validate()
         return book
     raw = open(path, "rb").read()
@@ -366,6 +370,5 @@ def load_book(path, format: str = "json") -> ConceptBook:
 
 def load_book_meta(path) -> dict:
     """Top-level JSON keys other than the book payload (e.g. config_hash)."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    return {k: v for k, v in payload.items() if k not in ("d_f", "entries")}
+    return {k: v for k, v in read_json_object(path).items()
+            if k not in ("d_f", "entries")}

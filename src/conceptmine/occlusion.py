@@ -22,7 +22,6 @@ from .xaimetrics import faithfulness
 @dataclass
 class OcclusionConfig:
     fractions: tuple[float, ...] = (0.1, 0.2, 0.3)
-    seed: int = 0  # provenance only; occlusion itself is deterministic
 
     def __post_init__(self):
         fr = tuple(float(f) for f in self.fractions)

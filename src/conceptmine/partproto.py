@@ -28,11 +28,10 @@ _CENTERS_HEADER = struct.Struct("<4s3I")
 
 @dataclass
 class McmConfig:
-    """Margins, loss weight, and optimizer settings for center fitting."""
+    """Margins and optimizer settings for center fitting."""
 
     m1: float = 0.3
     m2: float = 1.5
-    alpha: float = 1.5  # scales the reported loss only; does not move the argmin
     lr: float = 0.05
     epochs: int = 50
     batch_size: int = 32
@@ -156,8 +155,7 @@ def fit_prototype_centers(ds: PartFeatureDataset, cfg: McmConfig,
                 f"non-finite MCC loss at epoch {epoch} (lr={cfg.lr})",
                 epoch=epoch, lr=cfg.lr,
             )
-        log.debug("epoch %d: mcc loss %.6g (alpha-weighted %.6g)",
-                  epoch, loss, cfg.alpha * loss)
+        log.debug("epoch %d: mcc loss %.6g", epoch, loss)
         if loss < best_loss:
             best_loss = loss
             best = c.copy()

@@ -1,11 +1,15 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conceptmine.cav import compute_cav_batch
 from conceptmine.cli import main
 from conceptmine.dataset import load_dataset
+from conceptmine.head import HeadTrainConfig, save_head, train_head
+from conceptmine.mining import DbscanParams, mine_concepts, save_book
 
 
 def run(*argv):
@@ -68,18 +72,32 @@ class TestPipeline:
         assert {"centers.pcmc", "book.json", "book.pcmb", "head.json",
                 "head.pcmh", "metrics.json", "metrics.csv", "manifest.json",
                 "training_log.csv"} <= names
-        manifest = json.load(open(artifacts / "manifest.json"))
-        assert manifest["mining_passes"] == 6  # 30 epochs / remine every 5
         metrics = json.load(open(artifacts / "metrics.json"))
         assert set(metrics["accuracies"]) == {"full", "prototypical_only",
                                               "nonprototypical_only"}
 
-    def test_remine_interval_above_budget_single_pass(self, tmp_path, ds_path):
-        out = tmp_path / "one"
-        run("pipeline", "--data", ds_path, "--seed", 7, "--epochs", 10,
-            "--remine-interval", 50, "--k", 4, "--eps", "0.3", "-o", out)
-        manifest = json.load(open(out / "manifest.json"))
-        assert manifest["mining_passes"] == 1
+    def test_artifacts_equal_one_mine_and_one_training_run(self, tmp_path,
+                                                            ds_path, artifacts):
+        ds = load_dataset(ds_path)
+        cfg = HeadTrainConfig(epochs=30)
+        book = mine_concepts(ds, DbscanParams(eps=0.3, min_pts=3))
+        z, g = compute_cav_batch(ds, book)
+        head = train_head(z, g, ds.labels,
+                          replace(cfg, lr=cfg.beta * cfg.lr))
+        save_book(book, tmp_path / "book.pcmb", "pcmb")
+        save_head(head, tmp_path / "head.pcmh", "pcmh", lam=cfg.lam,
+                  gamma=cfg.gamma)
+        for name in ("book.pcmb", "head.pcmh"):
+            assert (artifacts / name).read_bytes() == \
+                (tmp_path / name).read_bytes(), name
+
+    def test_fold_check_runs_before_any_stage(self, tmp_path, ds_path,
+                                              capsys):
+        out = tmp_path / "nofolds"
+        rc = run("pipeline", "--data", ds_path, "--k", 50, "-o", out)
+        assert rc == 1
+        assert "stage preflight" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_byte_identical(self, tmp_path, ds_path, artifacts):
         out2 = tmp_path / "run_again"
@@ -91,7 +109,7 @@ class TestPipeline:
     def test_config_file_with_flag_override(self, tmp_path, ds_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
-            "seed": 1, "remine_interval": 3,
+            "seed": 1,
             "head": {"epochs": 12, "lam": 0.001},
             "mining": {"eps": 0.3, "min_pts": 3},
             "stability_k": 4,
@@ -102,7 +120,6 @@ class TestPipeline:
         manifest = json.load(open(out / "manifest.json"))
         assert manifest["config"]["seed"] == 9  # flag wins
         assert manifest["config"]["head"]["epochs"] == 12
-        assert manifest["mining_passes"] == 4  # ceil(12 / 3)
 
     def test_missing_data_runtime_error(self, tmp_path, capsys):
         rc = run("pipeline", "--data", tmp_path / "nope.pfd", "-o",
@@ -247,3 +264,63 @@ class TestExport:
         b = load_dataset(back)
         np.testing.assert_array_equal(a.part_features, b.part_features)
         np.testing.assert_array_equal(a.labels, b.labels)
+
+
+# Command lines for the exit-code table; {ds} is a valid dataset and {tmp}
+# the test's directory, where the case's files are written first.
+DATA_BOOK = ["--data", "{ds}", "--book", "{tmp}/b.json"]
+BOOK_HEAD = [*DATA_BOOK, "--head", "{tmp}/h.json"]
+PIPELINE_CFG = ["pipeline", "--data", "{ds}", "--config", "{tmp}/cfg.json",
+                "-o", "{tmp}/run"]
+TRUNCATED_BOOK = '{"d_f": 16, "entries": [{"class": 0, "part": 0, "centr'
+
+
+@pytest.mark.parametrize("argv, files, code", [
+    # flags removed together with the options they set
+    pytest.param(["mine", "--data", "{ds}", "--seed", 1, "-o", "{tmp}/b.json"],
+                 {}, 2, id="mine-seed"),
+    pytest.param(["train", *DATA_BOOK, "--seed", 1, "-o", "{tmp}/h.json"],
+                 {}, 2, id="train-seed"),
+    pytest.param(["train", *DATA_BOOK, "--beta", 99, "-o", "{tmp}/h.json"],
+                 {}, 2, id="train-beta"),
+    pytest.param(["merge", "--book", "{tmp}/b.json", "--threshold", 5,
+                  "--seed", 1, "-o", "{tmp}/m.json"], {}, 2, id="merge-seed"),
+    pytest.param(["occlude", *BOOK_HEAD, "--seed", 1, "-o", "{tmp}/c.csv"],
+                 {}, 2, id="occlude-seed"),
+    pytest.param(["export", "--data", "{ds}", "--seed", 1, "-o", "{tmp}/d.csv"],
+                 {}, 2, id="export-seed"),
+    pytest.param(["pipeline", "--data", "{ds}", "--remine-interval", 5,
+                  "-o", "{tmp}/run"], {}, 2, id="pipeline-remine-interval"),
+    # malformed list flags
+    pytest.param(["eval", *BOOK_HEAD, "--ns", "1,x", "-o", "{tmp}/r.json"],
+                 {}, 2, id="eval-bad-ns"),
+    pytest.param(["occlude", *BOOK_HEAD, "--fractions", "0.1,x",
+                  "-o", "{tmp}/c.csv"], {}, 2, id="occlude-bad-fractions"),
+    # config keys that no config field reads
+    pytest.param(PIPELINE_CFG, {"cfg.json": '{"head": {"lamda": 0.1}}'},
+                 1, id="config-head-typo"),
+    pytest.param(PIPELINE_CFG, {"cfg.json": '{"bogus": 1, "remine_interval": 7}'},
+                 1, id="config-removed-top-key"),
+    pytest.param(PIPELINE_CFG, {"cfg.json": '{"mcm": {"alpha": 1.5}}'},
+                 1, id="config-removed-mcm-alpha"),
+    # malformed book JSON
+    pytest.param(["eval", *BOOK_HEAD, "-o", "{tmp}/r.json"],
+                 {"b.json": '{"d_f": 16}'}, 1, id="book-without-entries"),
+    pytest.param(["merge", "--book", "{tmp}/b.json", "--threshold", 5,
+                  "-o", "{tmp}/m.json"], {"b.json": TRUNCATED_BOOK},
+                 1, id="truncated-book"),
+])
+def test_exit_codes(tmp_path, ds_path, capsys, argv, files, code):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(a).format(ds=ds_path, tmp=tmp_path) for a in argv]
+    try:
+        rc = main(argv)
+    except SystemExit as e:  # argparse usage errors
+        rc = e.code
+    err = capsys.readouterr().err
+    assert rc == code
+    assert "error:" in err
+    assert "Traceback" not in err
+    if code == 2:
+        assert "usage:" in err

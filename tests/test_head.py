@@ -6,7 +6,7 @@ from conceptmine.dataset import SyntheticSpec, generate_synthetic
 from conceptmine.errors import ValidationError
 from conceptmine.head import (HeadTrainConfig, SparseHead, _smooth_objective_and_grads,
                               concept_contributions, elastic_net_penalty,
-                              head_forward, head_objective, load_head, predict,
+                              head_forward, load_head, predict,
                               save_head, soft_threshold, train_head)
 from conceptmine.mining import DbscanParams, mine_concepts
 from oracles import central_difference_grad, gd_softmax_oracle
@@ -189,15 +189,6 @@ class TestTraining:
             numeric = central_difference_grad(fd(name), x)
             rel = np.abs(analytic - numeric).max() / max(np.abs(numeric).max(), 1e-12)
             assert rel <= 1e-4, name
-
-    def test_warm_start_continues(self):
-        z, g, y = separable_cavs(seed=7)
-        cfg_a = HeadTrainConfig(lam=0.01, gamma=0.5, epochs=40)
-        half = train_head(z, g, y, cfg_a)
-        obj_half = head_objective(z, g, y, half, cfg_a.lam, cfg_a.gamma)
-        more = train_head(z, g, y, cfg_a, init=half)
-        obj_more = head_objective(z, g, y, more, cfg_a.lam, cfg_a.gamma)
-        assert obj_more <= obj_half
 
     def test_too_few_samples(self):
         with pytest.raises(ValidationError):
