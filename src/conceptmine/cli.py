@@ -44,6 +44,11 @@ class PipelineConfig:
 
     def __post_init__(self):
         _mining_params(self.eps, self.min_pts)  # checks eps and min_pts
+        bad = [n for n in self.faithfulness_ns
+               if isinstance(n, bool) or not isinstance(n, int) or n < 0]
+        if bad:
+            raise ValidationError(
+                f"faithfulness_ns entries must be ints >= 0, got {bad[0]!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -91,6 +96,10 @@ def pipeline_config_from_dict(raw: dict) -> PipelineConfig:
     head_raw = _config_section(raw, "head")
     try:
         seed = int(raw.get("seed", 0))
+        if mcm_raw.get("seed", seed) != seed:
+            raise ValidationError(
+                f"config key mcm.seed ({mcm_raw['seed']!r}) must equal "
+                f"seed ({seed}); the top-level seed seeds center fitting")
         return PipelineConfig(
             mcm=McmConfig(**{**mcm_raw, "seed": seed}),
             head=HeadTrainConfig(**head_raw),
@@ -286,6 +295,8 @@ def _load_pipeline_config(args) -> PipelineConfig:
     raw = read_json_object(args.config) if args.config else {}
     if args.seed is not None:
         raw["seed"] = args.seed
+        if "seed" in _config_section(raw, "mcm"):
+            raw["mcm"] = {**raw["mcm"], "seed": args.seed}
     if args.k is not None:
         raw["stability_k"] = args.k
     for name, keys in (("mining", ("eps", "min_pts")),
@@ -432,15 +443,20 @@ def cmd_export(args) -> int:
     return 0
 
 
-def _list_of(kind):
-    """argparse ``type`` for a comma-separated list of ``kind`` values."""
+def _list_of(kind, minimum=None):
+    """argparse ``type`` for a comma-separated list of ``kind`` values,
+    each at least ``minimum`` when one is given."""
     def parse(text: str) -> list:
         try:
-            return [kind(x) for x in text.split(",")]
+            values = [kind(x) for x in text.split(",")]
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected comma-separated {kind.__name__} values, "
                 f"got {text!r}") from None
+        if minimum is not None and min(values) < minimum:
+            raise argparse.ArgumentTypeError(
+                f"values must be >= {minimum}, got {text!r}")
+        return values
     return parse
 
 
@@ -515,7 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--book", required=True)
     p.add_argument("--head", required=True)
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--ns", type=_list_of(int), default=[1, 2, 3, 4, 5],
+    p.add_argument("--ns", type=_list_of(int, minimum=0),
+                   default=[1, 2, 3, 4, 5],
                    help="comma-separated faithfulness n list")
     p.add_argument("--eps", type=float)
     p.add_argument("--min-pts", dest="min_pts", type=int)

@@ -10,14 +10,16 @@ concept book of size d_c.
 from __future__ import annotations
 
 import json
+import logging
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import PartFeatureDataset
 from .errors import FormatError, ValidationError, read_json_object
+
+log = logging.getLogger(__name__)
 
 NOISE = -1
 
@@ -104,14 +106,52 @@ class MergeConfig:
             raise ValidationError(f"level must be 1, 2 or 3, got {self.level}")
 
 
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_BLOCK_ENTRIES = 1 << 19  # matrix entries per row block of the kernels below
+
+
+def _sq_dist_blocks(x: np.ndarray):
+    """Row blocks ``(lo, gram, band)`` of the squared-distance matrix of x.
+
+    ``gram[r, j] = |x_i|^2 + |x_j|^2 - 2 x_i . x_j`` (i = lo + r) lies within
+    ``band`` of the direct sum ``sum((x_i - x_j) ** 2)``: the dot-product
+    error bound gives ``|gram - exact| <= (2d + 3) u S`` and
+    ``|direct - exact| <= (2d + 4) u S`` to first order, with
+    ``S = |x_i|^2 + |x_j|^2`` and unit roundoff u. ``band = 4 (d + 3) u S``
+    keeps 5uS to spare for the second-order terms, the computed norms and
+    the comparisons against the band (no underflow or overflow assumed).
+    A comparison inside the band is decided by :func:`_exact_sq_dists`.
+    """
+    n, d = x.shape
+    sq = np.einsum("ij,ij->i", x, x)
+    scale = 4.0 * (d + 3) * _UNIT_ROUNDOFF
+    step = max(1, _BLOCK_ENTRIES // max(n, 1))
+    for lo in range(0, n, step):
+        rows = slice(lo, min(lo + step, n))
+        norms = sq[rows, None] + sq[None, :]
+        yield lo, norms - 2.0 * (x[rows] @ x.T), scale * norms
+
+
+def _exact_sq_dists(x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``sum((x[i] - x[j]) ** 2)`` per pair, bit for bit as the
+    ``n x n x d`` broadcast sums it, in chunks of bounded size."""
+    out = np.empty(len(i))
+    step = max(1, _BLOCK_ENTRIES // max(x.shape[1], 1))
+    for lo in range(0, len(i), step):
+        out[lo:lo + step] = np.sum((x[i[lo:lo + step]] - x[j[lo:lo + step]]) ** 2,
+                                   axis=1)
+    return out
+
+
 def dbscan(points: np.ndarray, params: DbscanParams) -> np.ndarray:
     """Density-based clustering with Euclidean distance.
 
     A point is core iff at least ``min_pts`` points (itself included) lie
     within ``eps``. Cluster ids are assigned in first-touch order over
     ascending point index; unreachable non-core points are labeled NOISE
-    (-1). Expansion is breadth-first with neighbors visited in ascending
-    index, so the labeling is deterministic.
+    (-1) and a border point joins the first cluster that reaches it, so the
+    labeling is deterministic. Clusters grow by whole frontiers over the
+    boolean neighbor mask.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -119,24 +159,26 @@ def dbscan(points: np.ndarray, params: DbscanParams) -> np.ndarray:
     if n == 0:
         return labels
 
-    sq = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
     eps_sq = params.eps * params.eps
-    neighbor_mask = sq <= eps_sq
+    neighbor_mask = np.empty((n, n), dtype=bool)
+    for lo, gram, band in _sq_dist_blocks(points):
+        diff = gram - eps_sq
+        within = diff <= 0.0
+        r, c = np.nonzero(np.abs(diff) <= band)
+        within[r, c] = _exact_sq_dists(points, lo + r, c) <= eps_sq
+        neighbor_mask[lo:lo + len(within)] = within
     core = neighbor_mask.sum(axis=1) >= params.min_pts
 
     cluster = 0
-    for i in range(n):
-        if labels[i] != NOISE or not core[i]:
+    for i in np.flatnonzero(core):
+        if labels[i] != NOISE:
             continue
         labels[i] = cluster
-        queue = deque([i])
-        while queue:
-            j = queue.popleft()
-            for nb in np.flatnonzero(neighbor_mask[j]):
-                if labels[nb] == NOISE:
-                    labels[nb] = cluster
-                    if core[nb]:
-                        queue.append(nb)
+        frontier = np.array([i])
+        while frontier.size:
+            reached = neighbor_mask[frontier].any(axis=0) & (labels == NOISE)
+            labels[reached] = cluster
+            frontier = np.flatnonzero(reached & core)
         cluster += 1
     return labels
 
@@ -148,10 +190,19 @@ def _adaptive_params(cell: np.ndarray) -> DbscanParams:
     min_pts = max(3, n // 20)
     if n < 2:
         return DbscanParams(eps=1.0, min_pts=min_pts)
-    sq = np.sum((cell[:, None, :] - cell[None, :, :]) ** 2, axis=2)
-    np.fill_diagonal(sq, np.inf)
-    nn = np.sqrt(sq.min(axis=1))
-    eps = float(np.median(nn))
+    cell = np.asarray(cell, dtype=np.float64)
+    nn_sq = np.empty(n)
+    for lo, gram, band in _sq_dist_blocks(cell):
+        rows = np.arange(len(gram))
+        gram[rows, lo + rows] = np.inf  # a point is not its own neighbor
+        upper = (gram + band).min(axis=1)
+        # Every pair whose lower bound reaches the row's smallest upper
+        # bound may hold the row minimum; decide it on the exact values.
+        r, c = np.nonzero(gram - band <= upper[:, None])
+        starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+        nn_sq[lo:lo + len(gram)] = np.minimum.reduceat(
+            _exact_sq_dists(cell, lo + r, c), starts)
+    eps = float(np.median(np.sqrt(nn_sq)))
     return DbscanParams(eps=max(eps, 1e-12), min_pts=min_pts)
 
 
@@ -174,6 +225,10 @@ def mine_concepts(ds: PartFeatureDataset,
             cell_params = params if params is not None else _adaptive_params(cell)
             labels = dbscan(cell, cell_params)
             n_clusters = int(labels.max()) + 1
+            log.debug("cell class=%d part=%d n=%d eps=%.6g min_pts=%d "
+                      "clusters=%d noise=%d", j, p, cell.shape[0],
+                      cell_params.eps, cell_params.min_pts, n_clusters,
+                      np.count_nonzero(labels == NOISE))
             if n_clusters == 0:
                 book.entries.append(ConceptEntry(
                     class_id=j, part=p, local_id=0,

@@ -14,7 +14,7 @@ import numpy as np
 from .cav import compute_cav, compute_cav_batch
 from .dataset import PartFeatureDataset
 from .errors import ValidationError
-from .head import SparseHead, concept_contributions, head_forward, predict
+from .head import SparseHead, predict
 from .mining import ConceptBook
 from .xaimetrics import faithfulness
 
@@ -32,6 +32,33 @@ class OcclusionConfig:
         self.fractions = fr
 
 
+def _occlusion_order(z: np.ndarray, g: np.ndarray, head: SparseHead,
+                     book: ConceptBook, n_parts: int) -> np.ndarray:
+    """Per sample, its parts from most to least occlusion-worthy [n, K].
+
+    A part scores the largest contribution ``z * W1[:, pred]`` among its
+    concepts for the sample's clean predicted class; a part without
+    concepts scores -inf. Ties keep part order.
+    """
+    contrib = z * head.W1[:, predict(z, g, head)].T  # [n, d_c]
+    entry_parts = book.parts()
+    scores = np.full((z.shape[0], n_parts), -np.inf)
+    for p in range(n_parts):
+        cols = np.flatnonzero(entry_parts == p)
+        if cols.size:
+            scores[:, p] = contrib[:, cols].max(axis=1)
+    return np.argsort(-scores, axis=1, kind="stable")
+
+
+def _occlude(parts: np.ndarray, order: np.ndarray, fraction: float) -> np.ndarray:
+    """Copy of ``parts`` [n, K, d_f] with each sample's top
+    ceil(fraction * K) parts of ``order`` zeroed."""
+    out = parts.copy()
+    n_occ = math.ceil(fraction * out.shape[1])
+    out[np.arange(out.shape[0])[:, None], order[:, :n_occ]] = 0.0
+    return out
+
+
 def occlude_sample(sample_parts: np.ndarray, g: np.ndarray, head: SparseHead,
                    book: ConceptBook, fraction: float) -> np.ndarray:
     """Zero the top ceil(fraction * K) parts by maximum concept contribution.
@@ -46,20 +73,9 @@ def occlude_sample(sample_parts: np.ndarray, g: np.ndarray, head: SparseHead,
     if fraction == 0:
         return parts
     cav = compute_cav(parts, g, book)
-    pred = int(np.argmax(head_forward(cav.z, cav.g, head)))
-    contrib = concept_contributions(cav.z, head, pred)
-
-    k = parts.shape[0]
-    entry_parts = book.parts()
-    scores = np.full(k, -np.inf)
-    for p in range(k):
-        cols = np.flatnonzero(entry_parts == p)
-        if cols.size:
-            scores[p] = contrib[cols].max()
-    n_occ = math.ceil(fraction * k)
-    top = np.argsort(-scores, kind="stable")[:n_occ]
-    parts[top] = 0.0
-    return parts
+    order = _occlusion_order(cav.z[None], cav.g[None], head, book,
+                             parts.shape[0])
+    return _occlude(parts[None], order, fraction)[0]
 
 
 def occlusion_eval(ds: PartFeatureDataset, head: SparseHead, book: ConceptBook,
@@ -68,27 +84,24 @@ def occlusion_eval(ds: PartFeatureDataset, head: SparseHead, book: ConceptBook,
 
     For each fraction every sample is occluded from its clean response, CAVs
     are recomputed from the occluded features, and accuracy plus F(3) are
-    re-evaluated on those occluded activations.
+    re-evaluated on those occluded activations. The part ranking of every
+    sample comes from one clean CAV batch.
     """
     fractions = cfg.fractions
     if not fractions or fractions[0] != 0.0:
         fractions = (0.0,) + fractions
 
     labels = ds.labels.astype(np.int64)
+    clean_z, g = compute_cav_batch(ds, book)
+    order = _occlusion_order(clean_z, g, head, book, ds.n_parts)
     rows = []
     for fraction in fractions:
-        if fraction == 0.0:
-            occluded = ds
-        else:
-            parts = np.empty_like(ds.part_features, dtype=np.float64)
-            for i in range(ds.n_samples):
-                parts[i] = occlude_sample(ds.part_features[i],
-                                          ds.nonproto_features[i],
-                                          head, book, fraction)
-            occluded = PartFeatureDataset(parts.astype(np.float32),
-                                          ds.nonproto_features.copy(),
-                                          ds.labels.copy(), ds.n_classes)
-        z, g = compute_cav_batch(occluded, book)
+        z = clean_z
+        if fraction > 0.0:
+            occluded = PartFeatureDataset(
+                _occlude(ds.part_features, order, fraction),
+                ds.nonproto_features, ds.labels, ds.n_classes)
+            z, _ = compute_cav_batch(occluded, book)
         acc = 100.0 * float(np.mean(predict(z, g, head) == labels))
         f3 = faithfulness(z, g, labels, head, book, [3])[3]
         rows.append((fraction, acc, f3))

@@ -7,12 +7,14 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cav import _unit_rows
 from .dataset import PartFeatureDataset, split_kfold, subset
 from .errors import ValidationError
 from .head import SparseHead, predict
@@ -41,29 +43,35 @@ def config_hash(config: dict) -> str:
 
 
 def _assignment_min_cost(cost: np.ndarray) -> float:
-    """Minimum total cost of a perfect row-column assignment (O(n^3))."""
+    """Minimum total cost of a perfect row-column assignment (O(n^3)).
+
+    Runs on Python lists: up to n ~ 100 this beats both numpy scalar
+    indexing and per-row numpy calls."""
     n = cost.shape[0]
     if n == 0:
         return 0.0
+    rows = np.asarray(cost, dtype=np.float64).tolist()
     inf = float("inf")
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    match = np.zeros(n + 1, dtype=np.int64)  # match[j] = row assigned to col j
-    way = np.zeros(n + 1, dtype=np.int64)
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    match = [0] * (n + 1)  # match[j] = row assigned to col j
+    way = [0] * (n + 1)
     for i in range(1, n + 1):
         match[0] = i
         j0 = 0
-        minv = np.full(n + 1, inf)
-        used = np.zeros(n + 1, dtype=bool)
+        minv = [inf] * (n + 1)
+        used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = match[j0]
+            row = rows[i0 - 1]
+            u0 = u[i0]
             delta = inf
             j1 = -1
             for j in range(1, n + 1):
                 if used[j]:
                     continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                cur = row[j - 1] - u0 - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
@@ -85,8 +93,8 @@ def _assignment_min_cost(cost: np.ndarray) -> float:
             j0 = j1
     total = 0.0
     for j in range(1, n + 1):
-        total += cost[match[j] - 1, j - 1]
-    return float(total)
+        total += rows[match[j] - 1][j - 1]
+    return total
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
@@ -167,14 +175,13 @@ def faithfulness(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,
     return drops
 
 
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    if np.array_equal(u, v):
-        return 1.0  # identical centroids must score exactly 1
-    return float(np.clip(u @ v / (nu * nv), -1.0, 1.0))
+def _cells(book: ConceptBook) -> dict[tuple[int, int], tuple]:
+    """Per (class, part) cell: its centroid matrix and their unit rows."""
+    cells: dict[tuple[int, int], list] = {}
+    for e in book.entries:
+        cells.setdefault((e.class_id, e.part), []).append(e.centroid)
+    return {key: (np.array(c), _unit_rows(np.array(c)))
+            for key, c in cells.items()}
 
 
 def stability(ds: PartFeatureDataset, k: int, params: DbscanParams | None,
@@ -186,33 +193,26 @@ def stability(ds: PartFeatureDataset, k: int, params: DbscanParams | None,
     assignment on (1 - cosine), padding unequal counts with unmatched
     penalty 1 (similarity 0). Matched similarities are clamped at 0 so the
     score lies in [0, 100]. 100 means all folds mine identical books.
+    As every cost is 1 - sim, the m matched similarities of a cell sum to
+    m - min_cost: only the optimal cost is needed, not the assignment.
     """
     folds = split_kfold(ds, k, seed)
-    books = [mine_concepts(subset(ds, f), params) for f in folds]
-
-    def cell_centroids(book, j, p):
-        return [e.centroid for e in book.entries
-                if e.class_id == j and e.part == p]
-
-    sims = []
-    for f1 in range(k):
-        for f2 in range(f1 + 1, k):
-            for j in range(ds.n_classes):
-                for p in range(ds.n_parts):
-                    a = cell_centroids(books[f1], j, p)
-                    b = cell_centroids(books[f2], j, p)
-                    m = max(len(a), len(b))
-                    cost = np.ones((m, m))
-                    sim = np.zeros((m, m))
-                    for ia in range(len(a)):
-                        for ib in range(len(b)):
-                            s = max(_cosine(a[ia], b[ib]), 0.0)
-                            sim[ia, ib] = s
-                            cost[ia, ib] = 1.0 - s
-                    perm = hungarian(cost)
-                    for ia in range(m):
-                        sims.append(sim[ia, perm[ia]])
-    return 100.0 * float(np.mean(sims))
+    books = [_cells(mine_concepts(subset(ds, f), params)) for f in folds]
+    matched = 0.0
+    slots = 0
+    for cells_a, cells_b in itertools.combinations(books, 2):
+        for key, (ca, ua) in cells_a.items():
+            cb, ub = cells_b[key]
+            sim = np.clip(ua @ ub.T, 0.0, 1.0)
+            # Identical nonzero centroids must score exactly 1.
+            same = (ca[:, None] == cb[None]).all(axis=2)
+            sim[same & ua.any(axis=1)[:, None]] = 1.0
+            m = max(sim.shape)
+            cost = np.ones((m, m))
+            cost[:sim.shape[0], :sim.shape[1]] -= sim
+            matched += m - _assignment_min_cost(cost)
+            slots += m
+    return 100.0 * matched / slots
 
 
 def consistency(cavs: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
@@ -224,8 +224,7 @@ def consistency(cavs: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     if len(classes) < 2:
         raise ValidationError("consistency needs at least 2 classes")
 
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    unit = np.where(norms > 0, z / np.where(norms > 0, norms, 1.0), 0.0)
+    unit = _unit_rows(z)
     gram = unit @ unit.T
 
     intra_vals = []

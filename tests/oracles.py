@@ -1,15 +1,24 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately use different machinery than the production code:
-DBSCAN via union-find over core points instead of BFS expansion, assignment
-via exhaustive permutation search, the MCC loss as straight-line scalar
-loops, and head training as plain constant-step gradient descent.
+DBSCAN via union-find over core points instead of frontier expansion,
+squared distances via the direct n x n x d broadcast instead of the Gram
+form, assignment via exhaustive permutation search, stability via the
+lexicographic assignment of every cell, occlusion one sample at a time,
+the MCC loss as straight-line scalar loops, and head training as plain
+constant-step gradient descent.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from conceptmine.cav import compute_cav, compute_cav_batch
+from conceptmine.dataset import PartFeatureDataset, split_kfold, subset
+from conceptmine.head import concept_contributions, head_forward, predict
+from conceptmine.mining import mine_concepts
+from conceptmine.xaimetrics import faithfulness, hungarian
 
 
 def brute_force_dbscan(points, eps, min_pts):
@@ -59,6 +68,14 @@ def brute_force_dbscan(points, eps, min_pts):
         if neighbor_clusters:
             labels[i] = min(neighbor_clusters)
     return labels
+
+
+def broadcast_adaptive_eps(cell):
+    """Median nearest-neighbor distance from the full n x n x d broadcast."""
+    cell = np.asarray(cell, dtype=np.float64)
+    sq = np.sum((cell[:, None, :] - cell[None, :, :]) ** 2, axis=2)
+    np.fill_diagonal(sq, np.inf)
+    return float(np.median(np.sqrt(sq.min(axis=1))))
 
 
 def canonical_labels(labels):
@@ -169,3 +186,72 @@ def gd_softmax_oracle(z, g, labels, lr=0.5, iters=20000):
     logp = o - np.log(np.exp(o).sum(axis=1, keepdims=True))
     objective = -float((onehot * logp).sum()) / n
     return w1, w2, b, objective
+
+
+def _cosine(u, v):
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    if np.array_equal(u, v):
+        return 1.0
+    return float(np.clip(u @ v / (nu * nv), -1.0, 1.0))
+
+
+def lexicographic_stability(ds, k, params, seed):
+    """Stability as the mean of every matched similarity, with each cell
+    aligned by the lexicographically smallest optimal assignment."""
+    books = [mine_concepts(subset(ds, f), params)
+             for f in split_kfold(ds, k, seed)]
+
+    def cell(book, j, p):
+        return [e.centroid for e in book.entries
+                if e.class_id == j and e.part == p]
+
+    sims = []
+    for f1 in range(k):
+        for f2 in range(f1 + 1, k):
+            for j in range(ds.n_classes):
+                for p in range(ds.n_parts):
+                    a = cell(books[f1], j, p)
+                    b = cell(books[f2], j, p)
+                    m = max(len(a), len(b))
+                    sim = np.zeros((m, m))
+                    for ia in range(len(a)):
+                        for ib in range(len(b)):
+                            sim[ia, ib] = max(_cosine(a[ia], b[ib]), 0.0)
+                    perm = hungarian(1.0 - sim)
+                    sims.extend(sim[np.arange(m), perm])
+    return 100.0 * float(np.mean(sims))
+
+
+def per_sample_occlusion(ds, head, book, fraction):
+    """Occluded part features [n, K, d_f], ranking one sample at a time."""
+    out = ds.part_features.astype(np.float64)
+    if fraction == 0:
+        return out
+    entry_parts = book.parts()
+    k = ds.n_parts
+    for i in range(ds.n_samples):
+        cav = compute_cav(out[i], ds.nonproto_features[i], book)
+        pred = int(np.argmax(head_forward(cav.z, cav.g, head)))
+        contrib = concept_contributions(cav.z, head, pred)
+        scores = [max(contrib[entry_parts == p], default=-np.inf)
+                  for p in range(k)]
+        top = sorted(range(k), key=lambda p: -scores[p])
+        out[i, top[:math.ceil(fraction * k)]] = 0.0
+    return out
+
+
+def per_sample_occlusion_curve(ds, head, book, fractions):
+    """(fraction, accuracy, F(3)) rows from :func:`per_sample_occlusion`."""
+    labels = ds.labels.astype(np.int64)
+    rows = []
+    for fraction in (0.0,) + tuple(f for f in fractions if f != 0.0):
+        occluded = PartFeatureDataset(
+            per_sample_occlusion(ds, head, book, fraction).astype(np.float32),
+            ds.nonproto_features, ds.labels, ds.n_classes)
+        z, g = compute_cav_batch(occluded, book)
+        acc = 100.0 * float(np.mean(predict(z, g, head) == labels))
+        rows.append((fraction, acc, faithfulness(z, g, labels, head, book, [3])[3]))
+    return rows

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conceptmine.cav import compute_cav_batch
-from conceptmine.cli import main
+from conceptmine.cli import PipelineConfig, main, pipeline_config_from_dict
+from conceptmine.errors import ValidationError
 from conceptmine.dataset import load_dataset
 from conceptmine.head import HeadTrainConfig, save_head, train_head
 from conceptmine.mining import DbscanParams, mine_concepts, save_book
@@ -120,6 +121,32 @@ class TestPipeline:
         manifest = json.load(open(out / "manifest.json"))
         assert manifest["config"]["seed"] == 9  # flag wins
         assert manifest["config"]["head"]["epochs"] == 12
+
+    def test_mcm_seed_must_equal_seed(self):
+        with pytest.raises(ValidationError, match="mcm.seed"):
+            pipeline_config_from_dict({"seed": 3, "mcm": {"seed": 5}})
+        with pytest.raises(ValidationError, match="mcm.seed"):
+            pipeline_config_from_dict({"mcm": {"seed": 1}})
+
+    def test_config_dict_round_trips(self):
+        cfg = pipeline_config_from_dict({"seed": 4, "stability_k": 3,
+                                         "faithfulness_ns": [0, 2]})
+        assert cfg.to_dict()["mcm"]["seed"] == 4
+        again = pipeline_config_from_dict(cfg.to_dict())
+        assert isinstance(again, PipelineConfig)
+        assert again.to_dict() == cfg.to_dict()
+
+    def test_seed_flag_overrides_mcm_seed_of_saved_config(self, tmp_path,
+                                                          ds_path):
+        cfg = pipeline_config_from_dict({"seed": 1, "stability_k": 4,
+                                         "head": {"epochs": 5}})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        out = tmp_path / "reseeded"
+        assert run("pipeline", "--data", ds_path, "--config", cfg_path,
+                   "--seed", 9, "-o", out) == 0
+        config = json.load(open(out / "manifest.json"))["config"]
+        assert config["seed"] == config["mcm"]["seed"] == 9
 
     def test_missing_data_runtime_error(self, tmp_path, capsys):
         rc = run("pipeline", "--data", tmp_path / "nope.pfd", "-o",
@@ -296,6 +323,8 @@ TRUNCATED_BOOK = '{"d_f": 16, "entries": [{"class": 0, "part": 0, "centr'
                  {}, 2, id="eval-bad-ns"),
     pytest.param(["occlude", *BOOK_HEAD, "--fractions", "0.1,x",
                   "-o", "{tmp}/c.csv"], {}, 2, id="occlude-bad-fractions"),
+    pytest.param(["eval", *BOOK_HEAD, "--ns=-1", "-o", "{tmp}/r.json"],
+                 {}, 2, id="eval-negative-ns"),
     # config keys that no config field reads
     pytest.param(PIPELINE_CFG, {"cfg.json": '{"head": {"lamda": 0.1}}'},
                  1, id="config-head-typo"),
@@ -303,6 +332,13 @@ TRUNCATED_BOOK = '{"d_f": 16, "entries": [{"class": 0, "part": 0, "centr'
                  1, id="config-removed-top-key"),
     pytest.param(PIPELINE_CFG, {"cfg.json": '{"mcm": {"alpha": 1.5}}'},
                  1, id="config-removed-mcm-alpha"),
+    # config values checked before any stage runs
+    pytest.param(PIPELINE_CFG, {"cfg.json": '{"faithfulness_ns": ["a"]}'},
+                 1, id="config-faithfulness-ns-not-int"),
+    pytest.param(PIPELINE_CFG, {"cfg.json": '{"faithfulness_ns": [1, -2]}'},
+                 1, id="config-faithfulness-ns-negative"),
+    pytest.param(PIPELINE_CFG, {"cfg.json": '{"seed": 3, "mcm": {"seed": 5}}'},
+                 1, id="config-mcm-seed-differs"),
     # malformed book JSON
     pytest.param(["eval", *BOOK_HEAD, "-o", "{tmp}/r.json"],
                  {"b.json": '{"d_f": 16}'}, 1, id="book-without-entries"),
@@ -322,5 +358,6 @@ def test_exit_codes(tmp_path, ds_path, capsys, argv, files, code):
     assert rc == code
     assert "error:" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
     if code == 2:
         assert "usage:" in err

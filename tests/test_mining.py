@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conceptmine.dataset import PartFeatureDataset, SyntheticSpec, generate_synthetic
 from conceptmine.errors import ValidationError
 from conceptmine.mining import (ConceptBook, ConceptEntry, DbscanParams,
-                                MergeConfig, NOISE, dbscan, load_book,
-                                merge_centroids, mine_concepts, save_book)
-from oracles import brute_force_dbscan, canonical_labels
+                                MergeConfig, NOISE, _adaptive_params, dbscan,
+                                load_book, merge_centroids, mine_concepts,
+                                save_book)
+from oracles import (broadcast_adaptive_eps, brute_force_dbscan,
+                     canonical_labels)
 
 
 class TestDbscan:
@@ -78,6 +82,66 @@ class TestDbscan:
         for i in np.flatnonzero(labels >= 0):
             same = (labels == labels[i]) & core
             assert (dist[i, same] <= params.eps).any()
+
+
+def planted_cells(seed, feat_dim=16):
+    """Every (class, part) cell of a planted dataset, as float64 [n, d]."""
+    ds, _ = generate_synthetic(SyntheticSpec(
+        n_classes=2, n_parts=2, feat_dim=feat_dim, samples_per_class=60,
+        concepts_per_cell=3, noise_sigma=0.02, min_separation=1.0, seed=seed))
+    feats = ds.part_features.astype(np.float64)
+    return [feats[ds.labels == j, p] for j in range(2) for p in range(2)]
+
+
+class TestDistanceKernel:
+    """The Gram-form distances must decide every comparison exactly as the
+    direct n x n x d broadcast does, including inside the rounding band."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_adaptive_eps_bit_identical_to_broadcast(self, offset):
+        for seed in range(3):
+            for cell in planted_cells(seed):
+                got = _adaptive_params(cell + offset).eps
+                assert got == broadcast_adaptive_eps(cell + offset)
+
+    def test_adaptive_eps_with_duplicate_points(self):
+        cell = np.repeat(planted_cells(5)[0][:20], 2, axis=0)
+        assert _adaptive_params(cell).eps == 1e-12  # every NN distance is 0
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6 + 0.3])
+    def test_dbscan_on_lattice_at_exactly_eps(self, offset):
+        # Integer lattice: every axis neighbor lies at exactly eps = 1, and
+        # the 3-4-5 pair at exactly eps = 5. The offset keeps coordinate
+        # differences exact but makes the Gram form round.
+        grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3), -1).reshape(-1, 3)
+        pts = np.vstack([grid, [[10.0, 0, 0], [13.0, 4, 0]]]) + offset
+        for eps, min_pts in ((1.0, 3), (1.0, 7), (5.0, 2), (2.0, 5)):
+            got = dbscan(pts, DbscanParams(eps=eps, min_pts=min_pts))
+            np.testing.assert_array_equal(
+                got, brute_force_dbscan(pts, eps, min_pts))
+
+    def test_dbscan_on_offset_cells(self):
+        for seed in range(3):
+            for cell in planted_cells(seed):
+                shifted = cell + 1e6
+                eps = broadcast_adaptive_eps(shifted)
+                for min_pts in (3, 6):
+                    np.testing.assert_array_equal(
+                        dbscan(shifted, DbscanParams(eps=eps, min_pts=min_pts)),
+                        brute_force_dbscan(shifted, eps, min_pts))
+
+    def test_one_large_cell_memory_bounded(self):
+        # The n x n x d broadcast needed 2 x 355 MB here.
+        rng = np.random.default_rng(0)
+        means = rng.normal(size=(4, 128))
+        cell = means[rng.integers(0, 4, 600)] + 0.02 * rng.normal(size=(600, 128))
+        tracemalloc.start()
+        try:
+            dbscan(cell, _adaptive_params(cell))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
 
 class TestMineConcepts:

@@ -9,9 +9,11 @@ from conceptmine.dataset import PartFeatureDataset, SyntheticSpec, generate_synt
 from conceptmine.errors import ValidationError
 from conceptmine.head import HeadTrainConfig, train_head
 from conceptmine.mining import DbscanParams, mine_concepts
-from conceptmine.occlusion import (OcclusionConfig, occlude_sample,
+from conceptmine.occlusion import (OcclusionConfig, _occlude,
+                                   _occlusion_order, occlude_sample,
                                    occlusion_eval, save_curve_csv,
                                    save_curve_svg)
+from oracles import per_sample_occlusion, per_sample_occlusion_curve
 
 
 def fitted(n_parts=4, seed=0, scrub_g=False):
@@ -85,6 +87,24 @@ class TestOccludeSample:
 
 
 class TestOcclusionEval:
+    @pytest.mark.parametrize("n_parts, seed", [(4, 11), (7, 12), (1, 13)])
+    def test_batch_equals_per_sample_reference(self, n_parts, seed):
+        ds, book, head = fitted(n_parts=n_parts, seed=seed)
+        fractions = (0.1, 0.3, 0.5, 1.0)
+        z, g = compute_cav_batch(ds, book)
+        order = _occlusion_order(z, g, head, book, ds.n_parts)
+        for f in fractions:
+            want = per_sample_occlusion(ds, head, book, f)
+            np.testing.assert_array_equal(
+                _occlude(ds.part_features, order, f), want)
+            for i in (0, ds.n_samples - 1):
+                np.testing.assert_array_equal(
+                    occlude_sample(ds.part_features[i],
+                                   ds.nonproto_features[i], head, book, f),
+                    want[i])
+        assert (occlusion_eval(ds, head, book, OcclusionConfig(fractions))
+                == per_sample_occlusion_curve(ds, head, book, fractions))
+
     def test_fraction_zero_only_equals_clean(self):
         ds, book, head = fitted(seed=7)
         rows = occlusion_eval(ds, head, book, OcclusionConfig(fractions=(0.0,)))

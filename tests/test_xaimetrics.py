@@ -9,7 +9,7 @@ from conceptmine.mining import DbscanParams, mine_concepts
 from conceptmine.xaimetrics import (MetricReport, config_hash, consistency,
                                     faithfulness, hungarian, save_report,
                                     save_report_csv, sparseness, stability)
-from oracles import exhaustive_assignment
+from oracles import exhaustive_assignment, lexicographic_stability
 
 
 def orthogonal_concept_setup(n_classes=4, per_class=10, d_f=32, seed=0):
@@ -157,6 +157,19 @@ class TestStability:
                              noise_sigma=0.01, min_separation=1.0, seed=1)
         ds, _ = generate_synthetic(spec)
         assert stability(ds, 5, DbscanParams(eps=0.12, min_pts=3), seed=0) >= 99.0
+
+    @pytest.mark.parametrize("concepts, k, eps", [(2, 5, 0.12), (8, 3, 0.3)])
+    def test_matches_lexicographic_assignment(self, concepts, k, eps):
+        # Planted (2 concepts per cell) and dense (8 per cell) datasets.
+        spec = SyntheticSpec(n_classes=2, n_parts=2, feat_dim=16,
+                             samples_per_class=120,
+                             concepts_per_cell=concepts, noise_sigma=0.02,
+                             min_separation=1.0, seed=concepts)
+        ds, _ = generate_synthetic(spec)
+        for params in (DbscanParams(eps=eps, min_pts=3), None):
+            got = stability(ds, k, params, seed=1)
+            want = lexicographic_stability(ds, k, params, seed=1)
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_random_unit_features_unstable(self):
         vals = []
