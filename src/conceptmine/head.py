@@ -10,6 +10,8 @@ increase, so the recorded objective is non-increasing by construction.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -60,6 +62,11 @@ class HeadTrainConfig:
     epochs: int = 200
 
     def __post_init__(self):
+        for name in ("lam", "lr", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+        if not isinstance(self.epochs, numbers.Integral):
+            raise ValidationError(f"epochs must be an integer, got {self.epochs!r}")
         if self.lam < 0:
             raise ValidationError(f"lambda must be >= 0, got {self.lam}")
         if not 0 <= self.gamma <= 1:
@@ -153,32 +160,30 @@ def train_head(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,
     w2 = np.zeros((g.shape[1], n_classes))
     b = np.zeros(n_classes)
 
-    def full_objective(w1_, w2_, b_):
-        smooth, *_ = _smooth_objective_and_grads(z, g, onehot, w1_, w2_, b_,
-                                                 cfg.lam, cfg.gamma)
-        return smooth + cfg.lam * cfg.gamma * float(np.sum(np.abs(w1_)))
+    def objective_and_grads(w1_, w2_, b_):
+        smooth, *grads = _smooth_objective_and_grads(z, g, onehot, w1_, w2_, b_,
+                                                     cfg.lam, cfg.gamma)
+        return smooth + cfg.lam * cfg.gamma * float(np.sum(np.abs(w1_))), grads
 
-    obj = full_objective(w1, w2, b)
+    # The accepted trial's gradients are the next epoch's: one forward pass
+    # per trial point, none repeated.
+    obj, (g_w1, g_w2, g_b) = objective_and_grads(w1, w2, b)
     for epoch in range(cfg.epochs):
-        _, g_w1, g_w2, g_b = _smooth_objective_and_grads(
-            z, g, onehot, w1, w2, b, cfg.lam, cfg.gamma)
         step = cfg.lr
-        accepted = False
         for _ in range(_MAX_HALVINGS):
             pre_prox = w1 - step * g_w1
             w1_new = soft_threshold(pre_prox, step * cfg.lam * cfg.gamma)
             w2_new = w2 - step * g_w2
             b_new = b - step * g_b
-            obj_new = full_objective(w1_new, w2_new, b_new)
+            obj_new, grads_new = objective_and_grads(w1_new, w2_new, b_new)
             if obj_new <= obj:
-                accepted = True
+                w1, w2, b, obj = w1_new, w2_new, b_new, obj_new
+                g_w1, g_w2, g_b = grads_new
                 break
             step /= 2.0
-        if not accepted:
+        else:
             # No float-representable step improves the objective; hold still.
-            pre_prox, w1_new, w2_new, b_new, obj_new = w1, w1, w2, b, obj
-            step = 0.0
-        w1, w2, b, obj = w1_new, w2_new, b_new, obj_new
+            pre_prox, step = w1, 0.0
         if not np.isfinite(obj):
             raise DivergenceError(f"non-finite head objective at epoch {epoch}",
                                   epoch=epoch, lr=cfg.lr)

@@ -217,30 +217,32 @@ def stability(ds: PartFeatureDataset, k: int, params: DbscanParams | None,
 
 def consistency(cavs: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """Mean pairwise CAV cosine within classes (averaged over classes) and
-    across distinct classes, both scaled to [-100, 100]."""
+    across distinct classes, both scaled to [-100, 100].
+
+    Pair sums come from per-class sums s_c of the unit rows u_i: the pairs
+    inside class c sum to ||s_c||^2 - sum_i ||u_i||^2, and the cross-class
+    pairs to ||sum_c s_c||^2 - sum_c ||s_c||^2. Time and memory are O(n d_c);
+    no n x n matrix is formed."""
     z = np.asarray(cavs, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    classes = np.unique(y)
+    classes, inverse, sizes = np.unique(y, return_inverse=True, return_counts=True)
     if len(classes) < 2:
         raise ValidationError("consistency needs at least 2 classes")
+    if (sizes < 2).all():
+        raise ValidationError("every class is a singleton; intra undefined")
 
     unit = _unit_rows(z)
-    gram = unit @ unit.T
+    sums = np.zeros((len(classes), unit.shape[1]))
+    np.add.at(sums, inverse, unit)
+    self_sq = np.bincount(inverse, weights=(unit * unit).sum(axis=1))
+    class_sq = (sums * sums).sum(axis=1)
 
-    intra_vals = []
-    for c in classes:
-        idx = np.flatnonzero(y == c)
-        msize = len(idx)
-        if msize < 2:
-            continue
-        sub = gram[np.ix_(idx, idx)]
-        intra_vals.append((sub.sum() - np.trace(sub)) / (msize * (msize - 1)))
-    if not intra_vals:
-        raise ValidationError("every class is a singleton; intra undefined")
-    intra = 100.0 * float(np.mean(intra_vals))
-
-    cross = y[:, None] != y[None, :]
-    inter = 100.0 * float(gram[cross].mean())
+    multi = sizes >= 2
+    m = sizes[multi]
+    intra = 100.0 * float(np.mean((class_sq[multi] - self_sq[multi]) / (m * (m - 1))))
+    total = sums.sum(axis=0)
+    cross_pairs = len(y) ** 2 - int(np.sum(sizes ** 2))
+    inter = 100.0 * float(total @ total - class_sq.sum()) / cross_pairs
     return intra, inter
 
 

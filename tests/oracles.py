@@ -5,8 +5,12 @@ DBSCAN via union-find over core points instead of frontier expansion,
 squared distances via the direct n x n x d broadcast instead of the Gram
 form, assignment via exhaustive permutation search, stability via the
 lexicographic assignment of every cell, occlusion one sample at a time,
-the MCC loss as straight-line scalar loops, and head training as plain
-constant-step gradient descent.
+the MCC loss as straight-line scalar loops, head training as plain
+constant-step gradient descent, and consistency from the full n x n Gram
+matrix. The ``reference_*`` loops are the straightforward forms of the fast
+training loops (np.linalg.norm, every hinge term applied, the loss over one
+full residual, every gradient recomputed); the fast loops must reproduce
+them bit for bit.
 """
 
 import itertools
@@ -14,9 +18,11 @@ import math
 
 import numpy as np
 
-from conceptmine.cav import compute_cav, compute_cav_batch
+from conceptmine.cav import _unit_rows, compute_cav, compute_cav_batch
 from conceptmine.dataset import PartFeatureDataset, split_kfold, subset
-from conceptmine.head import concept_contributions, head_forward, predict
+from conceptmine.head import (_MAX_HALVINGS, SparseHead, _smooth_objective_and_grads,
+                              concept_contributions, head_forward, predict,
+                              soft_threshold)
 from conceptmine.mining import mine_concepts
 from conceptmine.xaimetrics import faithfulness, hungarian
 
@@ -255,3 +261,123 @@ def per_sample_occlusion_curve(ds, head, book, fractions):
         acc = 100.0 * float(np.mean(predict(z, g, head) == labels))
         rows.append((fraction, acc, faithfulness(z, g, labels, head, book, [3])[3]))
     return rows
+
+
+def pairwise_consistency(cavs, labels):
+    """(intra, inter) consistency from the full n x n cosine Gram matrix."""
+    z = np.asarray(cavs, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    unit = _unit_rows(z)
+    gram = unit @ unit.T
+    intra_vals = []
+    for c in np.unique(y):
+        idx = np.flatnonzero(y == c)
+        m = len(idx)
+        if m < 2:
+            continue
+        sub = gram[np.ix_(idx, idx)]
+        intra_vals.append((sub.sum() - np.trace(sub)) / (m * (m - 1)))
+    cross = y[:, None] != y[None, :]
+    return 100.0 * float(np.mean(intra_vals)), 100.0 * float(gram[cross].mean())
+
+
+def _reference_pair_hinges(c, m2):
+    diff = c[:, None, :] - c[None, :, :]
+    dist = np.linalg.norm(diff, axis=2)
+    active = dist < m2
+    np.fill_diagonal(active, False)
+    return diff, dist, active
+
+
+def unblocked_mcc_loss(batch, c, m1, m2):
+    """MCC loss computed over one [n, K, d_f] residual."""
+    intra_dist = np.linalg.norm(batch - c[None, :, :], axis=2)
+    intra = np.maximum(intra_dist - m1, 0.0).sum(axis=1).mean()
+    _, dist, _ = _reference_pair_hinges(c, m2)
+    pair_h = np.maximum(m2 - dist, 0.0)
+    np.fill_diagonal(pair_h, 0.0)
+    return float(intra + pair_h.sum() / c.shape[0])
+
+
+def _reference_mcc_gradients(batch, c, m1, m2):
+    """MCC gradient with the activity mask and the pair term always applied."""
+    k = c.shape[0]
+    resid = batch - c[None, :, :]
+    dist = np.linalg.norm(resid, axis=2)
+    active = dist > m1
+    safe = np.where(dist > 0, dist, 1.0)
+    unit = resid / safe[:, :, None]
+    grad = -(unit * active[:, :, None]).sum(axis=0) / batch.shape[0]
+    diff, pdist, pactive = _reference_pair_hinges(c, m2)
+    psafe = np.where(pdist > 0, pdist, 1.0)
+    punit = np.where(pactive[:, :, None] & (pdist[:, :, None] > 0),
+                     diff / psafe[:, :, None], 0.0)
+    grad += -(2.0 / k) * punit.sum(axis=1)
+    return grad
+
+
+def reference_fit_prototype_centers(ds, cfg, init=None):
+    """Center fitting with the activity mask and the pair term applied at
+    every step, scoring each epoch on the full [n, K, d_f] residual."""
+    feats = ds.part_features.astype(np.float64)
+    rng = np.random.default_rng(cfg.seed)
+    if init is not None:
+        c = np.asarray(init, dtype=np.float64).copy()
+    else:
+        c = feats.mean(axis=0) + 0.01 * rng.standard_normal((ds.n_parts, ds.feat_dim))
+    best = c.copy()
+    best_loss = unblocked_mcc_loss(feats, c, cfg.m1, cfg.m2)
+    n = ds.n_samples
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            c = c - cfg.lr * _reference_mcc_gradients(feats[idx], c, cfg.m1, cfg.m2)
+        loss = unblocked_mcc_loss(feats, c, cfg.m1, cfg.m2)
+        if loss < best_loss:
+            best_loss = loss
+            best = c.copy()
+    return best
+
+
+def reference_train_head(cavs, gs, labels, cfg, on_epoch=None):
+    """Proximal gradient head training that evaluates the gradient at the
+    current point at the start of every epoch, apart from the trial that
+    accepted it: two forward passes per epoch."""
+    z = np.asarray(cavs, dtype=np.float64)
+    g = np.asarray(gs, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    n_classes = int(y.max()) + 1
+    onehot = np.eye(n_classes)[y]
+    w1 = np.zeros((z.shape[1], n_classes))
+    w2 = np.zeros((g.shape[1], n_classes))
+    b = np.zeros(n_classes)
+
+    def full_objective(w1_, w2_, b_):
+        smooth, *_ = _smooth_objective_and_grads(z, g, onehot, w1_, w2_, b_,
+                                                 cfg.lam, cfg.gamma)
+        return smooth + cfg.lam * cfg.gamma * float(np.sum(np.abs(w1_)))
+
+    obj = full_objective(w1, w2, b)
+    for epoch in range(cfg.epochs):
+        _, g_w1, g_w2, g_b = _smooth_objective_and_grads(
+            z, g, onehot, w1, w2, b, cfg.lam, cfg.gamma)
+        step = cfg.lr
+        accepted = False
+        for _ in range(_MAX_HALVINGS):
+            pre_prox = w1 - step * g_w1
+            w1_new = soft_threshold(pre_prox, step * cfg.lam * cfg.gamma)
+            w2_new = w2 - step * g_w2
+            b_new = b - step * g_b
+            obj_new = full_objective(w1_new, w2_new, b_new)
+            if obj_new <= obj:
+                accepted = True
+                break
+            step /= 2.0
+        if not accepted:
+            pre_prox, w1_new, w2_new, b_new, obj_new = w1, w1, w2, b, obj
+            step = 0.0
+        w1, w2, b, obj = w1_new, w2_new, b_new, obj_new
+        if on_epoch is not None:
+            on_epoch(epoch, obj, step, pre_prox, w1)
+    return SparseHead(W1=w1, W2=w2, b=b)

@@ -339,6 +339,22 @@ TRUNCATED_BOOK = '{"d_f": 16, "entries": [{"class": 0, "part": 0, "centr'
                  1, id="config-faithfulness-ns-negative"),
     pytest.param(PIPELINE_CFG, {"cfg.json": '{"seed": 3, "mcm": {"seed": 5}}'},
                  1, id="config-mcm-seed-differs"),
+    pytest.param(PIPELINE_CFG, {"cfg.json": '{"mcm": {"batch_size": 0}}'},
+                 1, id="config-mcm-batch-size-zero"),
+    pytest.param(PIPELINE_CFG, {"cfg.json": '{"mcm": {"batch_size": -5}}'},
+                 1, id="config-mcm-batch-size-negative"),
+    pytest.param(PIPELINE_CFG, {"cfg.json": '{"mcm": {"epochs": -3}}'},
+                 1, id="config-mcm-epochs-negative"),
+    pytest.param(PIPELINE_CFG, {"cfg.json": '{"mcm": {"batch_size": 2.5}}'},
+                 1, id="config-mcm-batch-size-not-int"),
+    pytest.param(PIPELINE_CFG, {"cfg.json": '{"head": {"epochs": 2.5}}'},
+                 1, id="config-head-epochs-not-int"),
+    pytest.param(PIPELINE_CFG, {"cfg.json": '{"mcm": {"m1": NaN}}'},
+                 1, id="config-mcm-m1-nan"),
+    pytest.param(PIPELINE_CFG, {"cfg.json": '{"seed": -1}'},
+                 1, id="config-seed-negative"),
+    pytest.param(PIPELINE_CFG, {"cfg.json": '{"head": {"lr": Infinity}}'},
+                 1, id="config-head-lr-infinite"),
     # malformed book JSON
     pytest.param(["eval", *BOOK_HEAD, "-o", "{tmp}/r.json"],
                  {"b.json": '{"d_f": 16}'}, 1, id="book-without-entries"),

@@ -9,7 +9,7 @@ from conceptmine.head import (HeadTrainConfig, SparseHead, _smooth_objective_and
                               head_forward, load_head, predict,
                               save_head, soft_threshold, train_head)
 from conceptmine.mining import DbscanParams, mine_concepts
-from oracles import central_difference_grad, gd_softmax_oracle
+from oracles import central_difference_grad, gd_softmax_oracle, reference_train_head
 
 
 def separable_cavs(seed=0):
@@ -190,10 +190,41 @@ class TestTraining:
             rel = np.abs(analytic - numeric).max() / max(np.abs(numeric).max(), 1e-12)
             assert rel <= 1e-4, name
 
+    @pytest.mark.parametrize("field", ["lam", "lr", "beta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_config_refused(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            HeadTrainConfig(**{field: value})
+
+    def test_fractional_epochs_refused(self):
+        with pytest.raises(ValidationError, match="epochs"):
+            HeadTrainConfig(epochs=2.5)
+
     def test_too_few_samples(self):
         with pytest.raises(ValidationError):
             train_head(np.zeros((2, 3)), np.zeros((2, 2)), np.array([0, 2]),
                        HeadTrainConfig(epochs=1))
+
+
+class TestTrainingMatchesReference:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("lr, lam", [(1.0, 0.007), (512.0, 0.05)],
+                             ids=["no-halvings", "halvings"])
+    def test_bit_identical(self, seed, lr, lam):
+        z, g, y = separable_cavs(seed)
+        cfg = HeadTrainConfig(lr=lr, lam=lam, epochs=30)
+        runs = []
+        for train in (train_head, reference_train_head):
+            epochs = []
+            head = train(z, g, y, cfg, on_epoch=lambda e, obj, step, pre, w1:
+                         epochs.append((e, obj, step, pre.tobytes(), w1.tobytes())))
+            runs.append((head, epochs))
+        (fast, fast_epochs), (ref, ref_epochs) = runs
+        for name in ("W1", "W2", "b"):
+            assert getattr(fast, name).tobytes() == getattr(ref, name).tobytes()
+        assert fast_epochs == ref_epochs
+        halvings = sum(step < lr for _, _, step, _, _ in fast_epochs)
+        assert (halvings > 0) == (lr > 1.0)
 
 
 class TestContributions:

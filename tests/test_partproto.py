@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conceptmine.dataset import PartFeatureDataset, SyntheticSpec, generate_synthetic
-from conceptmine.errors import ValidationError
+from conceptmine.errors import FormatError, ValidationError
 from conceptmine.partproto import (McmConfig, PrototypeCenters,
                                    fit_prototype_centers, load_centers,
                                    mcc_gradients, mcc_loss, save_centers)
 from oracles import (central_difference_grad, mcc_instance_away_from_kinks,
-                     mcc_loss_reference)
+                     mcc_loss_reference, reference_fit_prototype_centers,
+                     unblocked_mcc_loss)
 
 random_instance = mcc_instance_away_from_kinks
 
@@ -39,6 +42,22 @@ class TestMccLoss:
             mcc_loss(np.zeros((0, 2, 3)), PrototypeCenters(np.zeros((2, 3))),
                      0.3, 1.5)
 
+    def test_full_data_loss_is_computed_in_blocks(self):
+        # pipeline-M size: n=2000, K=6, d_f=64. One [n, K, d_f] float64
+        # residual is 6.1 MB, and the norm squares it into a second one.
+        rng = np.random.default_rng(0)
+        feats = rng.normal(size=(2000, 6, 64))
+        centers = PrototypeCenters(rng.normal(size=(6, 64)))
+        residual_bytes = feats.nbytes
+        tracemalloc.start()
+        try:
+            loss = mcc_loss(feats, centers, 0.3, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < residual_bytes / 2
+        assert loss == unblocked_mcc_loss(feats, centers.centers, 0.3, 1.5)
+
     def test_zero_iff_margins_satisfied(self):
         rng = np.random.default_rng(1)
         # Distant centers, features within m1 of their center.
@@ -51,6 +70,12 @@ class TestMccLoss:
 
 
 class TestMccGradients:
+    def test_shape_mismatch_refused(self):
+        # [2, 1, 4] would broadcast against [3, 4] centers.
+        with pytest.raises(ValidationError, match="does not match"):
+            mcc_gradients(np.zeros((2, 1, 4)), PrototypeCenters(np.ones((3, 4))),
+                          0.3, 1.5)
+
     def test_zero_when_hinges_inactive(self):
         rng = np.random.default_rng(2)
         centers = np.eye(2) * 5.0
@@ -147,6 +172,52 @@ class TestFit:
         with pytest.raises(ValidationError):
             McmConfig(lr=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("epochs", -3), ("epochs", 2.5),
+        ("batch_size", 0), ("batch_size", -5), ("batch_size", 2.5),
+        ("seed", -1), ("seed", 2.5)])
+    def test_counts_and_seed_are_bounded_integers(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            McmConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["lr", "m1", "m2"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_refused(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            McmConfig(**{field: value})
+
+
+# Regimes of the fast loop on planted(seed) data (90 samples, K=2), at 6
+# epochs. "default": the pair hinge is active in some steps only, and 32
+# does not divide 90. "intra-partly-inactive": no step has every intra hinge
+# active. "pairs-always-active": every step has an active pair hinge.
+FIT_REGIMES = {
+    "default": {},
+    "intra-partly-inactive": {"m1": 1.0},
+    "pairs-always-active": {"m2": 50.0},
+    "batch-7": {"batch_size": 7},
+}
+
+
+class TestFitMatchesReference:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("regime", sorted(FIT_REGIMES))
+    def test_bit_identical(self, planted, seed, regime):
+        ds, _ = planted(seed=seed)
+        cfg = McmConfig(epochs=6, seed=seed, **FIT_REGIMES[regime])
+        got = fit_prototype_centers(ds, cfg)
+        assert got.centers.tobytes() == \
+            reference_fit_prototype_centers(ds, cfg).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bit_identical_from_init(self, planted, seed):
+        ds, _ = planted(seed=seed, n_parts=4)
+        init = np.random.default_rng(seed).normal(size=(ds.n_parts, ds.feat_dim))
+        cfg = McmConfig(epochs=6, batch_size=20, seed=seed)
+        got = fit_prototype_centers(ds, cfg, init=PrototypeCenters(init))
+        assert got.centers.tobytes() == \
+            reference_fit_prototype_centers(ds, cfg, init=init).tobytes()
+
 
 class TestCentersIo:
     def test_binary_round_trip(self, tmp_path):
@@ -162,3 +233,18 @@ class TestCentersIo:
         save_centers(pc, path, "json")
         out = load_centers(path, "json")
         np.testing.assert_array_equal(out.centers, pc.centers)
+
+    def test_truncated_binary(self, tmp_path):
+        path = tmp_path / "c.pcmc"
+        save_centers(PrototypeCenters(np.ones((2, 3))), path, "pcmc")
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(FormatError, match="c.pcmc"):
+            load_centers(path, "pcmc")
+
+    @pytest.mark.parametrize("text", ["[[1.0, 2.0], [3.0", "[[1.0, 2.0], [3.0]]"],
+                             ids=["malformed", "ragged"])
+    def test_bad_json(self, tmp_path, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="c.json"):
+            load_centers(path, "json")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from conceptmine.mining import DbscanParams, mine_concepts
 from conceptmine.xaimetrics import (MetricReport, config_hash, consistency,
                                     faithfulness, hungarian, save_report,
                                     save_report_csv, sparseness, stability)
-from oracles import exhaustive_assignment, lexicographic_stability
+from oracles import (exhaustive_assignment, lexicographic_stability,
+                     pairwise_consistency)
 
 
 def orthogonal_concept_setup(n_classes=4, per_class=10, d_f=32, seed=0):
@@ -230,6 +233,35 @@ class TestConsistency:
         z = np.array([[1.0, 0], [1.0, 0], [0, 1.0]])
         intra, inter = consistency(z, np.array([0, 0, 1]))
         assert intra == 100.0  # class 1 is a singleton and is skipped
+
+    @pytest.mark.parametrize("concepts", [2, 8], ids=["planted", "dense"])
+    def test_matches_pairwise_gram(self, concepts):
+        spec = SyntheticSpec(n_classes=4, n_parts=3, feat_dim=16,
+                             samples_per_class=40, concepts_per_cell=concepts,
+                             noise_sigma=0.02, seed=3)
+        ds, _ = generate_synthetic(spec)
+        z, _ = compute_cav_batch(ds, mine_concepts(ds, DbscanParams(0.3, 3)))
+        y = ds.labels.astype(np.int64)
+        z[::7] = 0.0  # all-zero CAV rows have cosine 0 with everything
+        y_single = y.copy()
+        y_single[[5, 50]] = [ds.n_classes, ds.n_classes + 1]  # two singletons
+        for labels in (y, y_single):
+            got = consistency(z, labels)
+            want = pairwise_consistency(z, labels)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_memory_linear_in_n(self):
+        # The n x n float64 Gram matrix at n = 6000 alone is 288 MB.
+        rng = np.random.default_rng(0)
+        z = np.maximum(rng.normal(size=(6000, 40)), 0.0)
+        y = np.arange(6000) % 12
+        tracemalloc.start()
+        try:
+            consistency(z, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestSparseness:
