@@ -9,14 +9,14 @@ from .dataset import (GroundTruth, PartFeatureDataset, SyntheticSpec,
 from .errors import (CompatibilityError, ConceptMineError, DivergenceError,
                      FormatError, GenerationError, StratificationError,
                      ValidationError)
-from .head import (HeadTrainConfig, SparseHead, concept_contributions,
+from .head import (HeadTrainConfig, SparseHead, accuracy, concept_contributions,
                    elastic_net_penalty, head_forward, predict, train_head)
 from .mining import (ConceptBook, ConceptEntry, DbscanParams, MergeConfig,
                      dbscan, merge_centroids, mine_concepts)
 from .occlusion import OcclusionConfig, occlude_sample, occlusion_eval
 from .partproto import (McmConfig, PrototypeCenters, fit_prototype_centers,
                         mcc_gradients, mcc_loss)
-from .xaimetrics import (MetricReport, consistency, faithfulness, hungarian,
+from .xaimetrics import (consistency, faithfulness, hungarian, metric_report,
                          sparseness, stability)
 
 __version__ = "0.1.0"

@@ -19,15 +19,15 @@ from .cav import compute_cav_batch, export_cav_csv
 from .dataset import (PartFeatureDataset, SyntheticSpec, generate_synthetic,
                       load_dataset, save_dataset, split_kfold)
 from .errors import (CompatibilityError, ConceptMineError, ValidationError,
-                     read_json_object)
-from .head import (HeadTrainConfig, SparseHead, load_head, load_head_meta,
-                   predict, save_head, train_head)
+                     check_int, read_json_object)
+from .head import (HeadTrainConfig, SparseHead, accuracy, load_head,
+                   load_head_meta, save_head, train_head)
 from .mining import (ConceptBook, DbscanParams, load_book, load_book_meta,
                      merge_centroids, MergeConfig, mine_concepts, save_book)
 from .occlusion import OcclusionConfig, occlusion_eval, save_curve_csv, save_curve_svg
 from .partproto import McmConfig, fit_prototype_centers, save_centers
-from .xaimetrics import (MetricReport, config_hash, consistency, faithfulness,
-                         report_to_dict, save_report_csv, sparseness, stability)
+from .xaimetrics import (config_hash, faithfulness, metric_report, save_report,
+                         save_report_csv)
 
 
 @dataclass
@@ -44,11 +44,10 @@ class PipelineConfig:
 
     def __post_init__(self):
         _mining_params(self.eps, self.min_pts)  # checks eps and min_pts
-        bad = [n for n in self.faithfulness_ns
-               if isinstance(n, bool) or not isinstance(n, int) or n < 0]
-        if bad:
-            raise ValidationError(
-                f"faithfulness_ns entries must be ints >= 0, got {bad[0]!r}")
+        check_int("seed", self.seed, 0)
+        check_int("stability_k", self.stability_k, 2)
+        for n in self.faithfulness_ns:
+            check_int("faithfulness_ns entry", n, 0)
 
     def to_dict(self) -> dict:
         return {
@@ -62,10 +61,15 @@ class PipelineConfig:
 
 
 def _mining_params(eps, min_pts) -> DbscanParams | None:
-    """Fixed DBSCAN params (min_pts 3 if unset); None (adaptive) if no eps."""
+    """Fixed DBSCAN params (min_pts 3 if unset); None (adaptive) if no eps.
+    A min_pts without eps is refused: adaptive mining sets its own."""
     if eps is None:
+        if min_pts is not None:
+            raise ValidationError(
+                f"min_pts={min_pts!r} needs eps; without eps mining is "
+                f"adaptive and sets its own min_pts per cell")
         return None
-    return DbscanParams(eps=eps, min_pts=min_pts or 3)
+    return DbscanParams(eps=eps, min_pts=3 if min_pts is None else min_pts)
 
 
 # Nested sections of the config dict and the dataclass whose fields they set.
@@ -95,7 +99,7 @@ def pipeline_config_from_dict(raw: dict) -> PipelineConfig:
     mcm_raw = _config_section(raw, "mcm")
     head_raw = _config_section(raw, "head")
     try:
-        seed = int(raw.get("seed", 0))
+        seed = raw.get("seed", 0)
         if mcm_raw.get("seed", seed) != seed:
             raise ValidationError(
                 f"config key mcm.seed ({mcm_raw['seed']!r}) must equal "
@@ -105,7 +109,7 @@ def pipeline_config_from_dict(raw: dict) -> PipelineConfig:
             head=HeadTrainConfig(**head_raw),
             eps=mining.get("eps"),
             min_pts=mining.get("min_pts"),
-            stability_k=int(raw.get("stability_k", 10)),
+            stability_k=raw.get("stability_k", 10),
             faithfulness_ns=tuple(raw.get("faithfulness_ns", (1, 2, 3, 4, 5))),
             seed=seed,
         )
@@ -161,20 +165,6 @@ def _load_scored_run(args):
     return ds, book, head, book_meta
 
 
-def _accuracy_breakdown(z, g, labels, head: SparseHead) -> dict:
-    """Full, W1-only (prototypical) and W2-only (non-prototypical) accuracy."""
-    zeros_w1 = np.zeros_like(head.W1)
-    zeros_w2 = np.zeros_like(head.W2)
-    variants = {
-        "full": head,
-        "prototypical_only": SparseHead(head.W1, zeros_w2, head.b),
-        "nonprototypical_only": SparseHead(zeros_w1, head.W2, head.b),
-    }
-    y = np.asarray(labels, dtype=np.int64)
-    return {name: 100.0 * float(np.mean(predict(z, g, h) == y))
-            for name, h in variants.items()}
-
-
 def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> dict:
     """Fit centers, mine the concept book, train the head, evaluate metrics,
     and write all artifacts to ``outdir``. Returns the manifest dict.
@@ -211,17 +201,8 @@ def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> d
                           on_epoch)
 
         stage = "metrics"
-        labels = ds.labels.astype(np.int64)
-        intra, inter = consistency(z, labels)
-        report = MetricReport(
-            faithfulness=faithfulness(z, g, labels, head, book,
-                                      list(cfg.faithfulness_ns)),
-            stability=stability(ds, cfg.stability_k, params, cfg.seed),
-            consistency_intra=intra, consistency_inter=inter,
-            sparseness=sparseness(z),
-            config=cfg_dict, seed=cfg.seed,
-        )
-        accuracies = _accuracy_breakdown(z, g, labels, head)
+        report = metric_report(ds, z, g, book, head, cfg.stability_k, params,
+                               cfg.seed, list(cfg.faithfulness_ns), cfg_dict)
 
         stage = "write-artifacts"
         meta = {"config_hash": h, "eps": cfg.eps, "min_pts": cfg.min_pts}
@@ -232,10 +213,7 @@ def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> d
                   gamma=cfg.head.gamma, meta={"config_hash": h})
         save_head(head, outdir / "head.pcmh", "pcmh", lam=cfg.head.lam,
                   gamma=cfg.head.gamma)
-        with open(outdir / "metrics.json", "w") as fh:
-            payload = report_to_dict(report)
-            payload["accuracies"] = accuracies
-            json.dump(payload, fh, sort_keys=True, indent=2)
+        save_report(report, outdir / "metrics.json")
         save_report_csv(report, outdir / "metrics.csv")
         with open(outdir / "training_log.csv", "w") as fh:
             fh.write("epoch,objective\n")
@@ -246,7 +224,7 @@ def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> d
             "config": cfg_dict,
             "config_hash": h,
             "d_c": book.d_c,
-            "accuracies": accuracies,
+            "accuracies": report["accuracies"],
             "artifacts": {
                 "centers": "centers.pcmc",
                 "book": "book.json",
@@ -351,9 +329,8 @@ def cmd_merge(args) -> int:
                             ("merged", args.threshold, merged)):
             z, g = compute_cav_batch(ds, b)
             head = train_head(z, g, ds.labels, head_cfg)
-            labels = ds.labels.astype(np.int64)
-            acc = 100.0 * float(np.mean(predict(z, g, head) == labels))
-            f3 = faithfulness(z, g, labels, head, b, [3])[3]
+            acc = accuracy(z, g, ds.labels, head)
+            f3 = faithfulness(z, g, ds.labels, head, b, [3])[3]
             rows.append((tag, pct, args.level, b.d_c, acc, f3))
         csv_path = args.csv or (str(out) + ".table.csv")
         with open(csv_path, "w") as fh:
@@ -377,8 +354,7 @@ def cmd_train(args) -> int:
                                          config_hash(asdict(cfg)))}
     save_head(head, out, _head_format(out), lam=cfg.lam, gamma=cfg.gamma,
               meta=meta)
-    labels = ds.labels.astype(np.int64)
-    acc = 100.0 * float(np.mean(predict(z, g, head) == labels))
+    acc = accuracy(z, g, ds.labels, head)
     print(f"trained head: train_acc={acc:.2f}%, "
           f"W1 zeros={float(np.mean(head.W1 == 0)):.2%}")
     return 0
@@ -389,31 +365,21 @@ def cmd_eval(args) -> int:
 
     eps = args.eps if args.eps is not None else book_meta.get("eps")
     min_pts = args.min_pts if args.min_pts is not None else book_meta.get("min_pts")
+    params = _mining_params(eps, min_pts)
 
     z, g = compute_cav_batch(ds, book)
-    labels = ds.labels.astype(np.int64)
-    intra, inter = consistency(z, labels)
-    report = MetricReport(
-        faithfulness=faithfulness(z, g, labels, head, book, args.ns),
-        stability=stability(ds, args.k, _mining_params(eps, min_pts),
-                            args.seed or 0),
-        consistency_intra=intra, consistency_inter=inter,
-        sparseness=sparseness(z),
-        config={"book": book_meta, "k": args.k, "ns": args.ns,
-                "eps": eps, "min_pts": min_pts},
-        seed=args.seed or 0,
-    )
-
-    payload = report_to_dict(report)
-    payload["accuracies"] = _accuracy_breakdown(z, g, labels, head)
-    with open(args.output, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+    report = metric_report(
+        ds, z, g, book, head, args.k, params, args.seed or 0, args.ns,
+        {"book": book_meta, "k": args.k, "ns": args.ns,
+         "eps": eps, "min_pts": min_pts})
+    save_report(report, args.output)
     if args.csv:
         save_report_csv(report, args.csv)
     print(f"metrics written to {args.output}: "
-          f"acc={payload['accuracies']['full']:.2f}% "
-          f"intra={report.consistency_intra:.2f} inter={report.consistency_inter:.2f} "
-          f"Sp={report.sparseness:.2f} stability={report.stability:.2f}")
+          f"acc={report['accuracies']['full']:.2f}% "
+          f"intra={report['consistency_intra']:.2f} "
+          f"inter={report['consistency_inter']:.2f} "
+          f"Sp={report['sparseness']:.2f} stability={report['stability']:.2f}")
     return 0
 
 

@@ -15,13 +15,15 @@ The CSV alternative has a header row and one sample per row with columns
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, GenerationError, StratificationError, ValidationError
+from .errors import (FormatError, GenerationError, StratificationError,
+                     ValidationError, check_int)
 
 MAGIC = b"PCMF"
 VERSION = 1
@@ -89,9 +91,13 @@ class PartFeatureDataset:
                 f"label {int(self.labels[idx])} at sample {idx} "
                 f">= n_classes={self.n_classes}"
             )
-        counts = np.bincount(self.labels.astype(np.int64), minlength=self.n_classes)
-        if (counts == 0).any():
-            missing = int(np.argmin(counts))
+        # Labels lie in [0, n_classes), so the classes are all present iff
+        # there are n_classes distinct labels. Nothing of size n_classes is
+        # allocated: a corrupt header may claim 2**32 - 1 classes.
+        present = sorted(set(self.labels.tolist()))
+        if len(present) < self.n_classes:
+            missing = next((i for i, c in enumerate(present) if i != c),
+                           len(present))
             raise ValidationError(f"class {missing} has no samples")
 
 
@@ -116,10 +122,12 @@ class SyntheticSpec:
     def __post_init__(self):
         for name in ("n_classes", "n_parts", "feat_dim", "samples_per_class",
                      "concepts_per_cell"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1")
-        if self.noise_sigma < 0 or self.min_separation < 0:
-            raise ValidationError("noise_sigma and min_separation must be >= 0")
+            check_int(name, getattr(self, name), 1)
+        check_int("seed", self.seed, 0)
+        for name in ("noise_sigma", "min_separation"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass
@@ -309,8 +317,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[PartFeatureDataset, GroundT
 
 def split_kfold(ds: PartFeatureDataset, k: int, seed: int) -> list[np.ndarray]:
     """Stratified k-fold split; returns k disjoint sorted index arrays."""
-    if k < 2:
-        raise ValidationError(f"k must be >= 2, got {k}")
+    check_int("k", k, 2)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(k)]
     for c in range(ds.n_classes):

@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the JSON reader that maps
-unparsable artifact files onto them."""
+"""Exception types shared across the package, the integer check every
+config uses, and the JSON reader that maps unparsable artifact files onto
+them."""
 
 import json
+import numbers
 
 
 class ConceptMineError(Exception):
@@ -35,6 +37,13 @@ class DivergenceError(ConceptMineError):
 
 class CompatibilityError(ConceptMineError):
     """Artifacts do not belong together (dimension or config-hash mismatch)."""
+
+
+def check_int(name: str, value, low: int):
+    """Refuse ``value`` unless it is an integer (not a bool) >= ``low``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < low):
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def read_json_object(path) -> dict:

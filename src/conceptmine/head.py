@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, FormatError, ValidationError, read_json_object
+from .errors import (DivergenceError, FormatError, ValidationError, check_int,
+                     read_json_object)
 
 HEAD_MAGIC = b"PCMH"
 _HEAD_HEADER = struct.Struct("<4s4I2d")
@@ -65,14 +65,13 @@ class HeadTrainConfig:
         for name in ("lam", "lr", "beta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
-        if not isinstance(self.epochs, numbers.Integral):
-            raise ValidationError(f"epochs must be an integer, got {self.epochs!r}")
+        check_int("epochs", self.epochs, 1)
         if self.lam < 0:
             raise ValidationError(f"lambda must be >= 0, got {self.lam}")
         if not 0 <= self.gamma <= 1:
             raise ValidationError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.lr <= 0 or self.beta <= 0 or self.epochs < 1:
-            raise ValidationError("lr and beta must be > 0 and epochs >= 1")
+        if self.lr <= 0 or self.beta <= 0:
+            raise ValidationError("lr and beta must be > 0")
 
 
 def head_forward(z: np.ndarray, g: np.ndarray, head: SparseHead) -> np.ndarray:
@@ -97,6 +96,13 @@ def forward_batch(z: np.ndarray, g: np.ndarray, head: SparseHead) -> np.ndarray:
 
 def predict(z: np.ndarray, g: np.ndarray, head: SparseHead) -> np.ndarray:
     return np.argmax(forward_batch(z, g, head), axis=1)
+
+
+def accuracy(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,
+             head: SparseHead) -> float:
+    """Percent of samples whose predicted class equals their label."""
+    y = np.asarray(labels, dtype=np.int64)
+    return 100.0 * float(np.mean(predict(cavs, gs, head) == y))
 
 
 def elastic_net_penalty(W1: np.ndarray, lam: float, gamma: float) -> float:

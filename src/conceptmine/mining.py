@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import PartFeatureDataset
-from .errors import FormatError, ValidationError, read_json_object
+from .errors import FormatError, ValidationError, check_int, read_json_object
 
 log = logging.getLogger(__name__)
 
@@ -34,10 +35,9 @@ class DbscanParams:
     min_pts: int
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValidationError(f"eps must be > 0, got {self.eps}")
-        if self.min_pts < 1:
-            raise ValidationError(f"min_pts must be >= 1, got {self.min_pts}")
+        if not math.isfinite(self.eps) or self.eps <= 0:
+            raise ValidationError(f"eps must be finite and > 0, got {self.eps}")
+        check_int("min_pts", self.min_pts, 1)
 
 
 @dataclass

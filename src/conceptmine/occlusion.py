@@ -14,7 +14,7 @@ import numpy as np
 from .cav import compute_cav, compute_cav_batch
 from .dataset import PartFeatureDataset
 from .errors import ValidationError
-from .head import SparseHead, predict
+from .head import SparseHead, accuracy, predict
 from .mining import ConceptBook
 from .xaimetrics import faithfulness
 
@@ -102,7 +102,7 @@ def occlusion_eval(ds: PartFeatureDataset, head: SparseHead, book: ConceptBook,
                 _occlude(ds.part_features, order, fraction),
                 ds.nonproto_features, ds.labels, ds.n_classes)
             z, _ = compute_cav_batch(occluded, book)
-        acc = 100.0 * float(np.mean(predict(z, g, head) == labels))
+        acc = accuracy(z, g, labels, head)
         f3 = faithfulness(z, g, labels, head, book, [3])[3]
         rows.append((fraction, acc, f3))
     return rows

@@ -13,14 +13,13 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import PartFeatureDataset
-from .errors import DivergenceError, FormatError, ValidationError
+from .errors import DivergenceError, FormatError, ValidationError, check_int
 
 log = logging.getLogger(__name__)
 
@@ -49,9 +48,7 @@ class McmConfig:
         if self.m1 < 0 or self.m2 < 0:
             raise ValidationError("margins must be >= 0")
         for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < low:
-                raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+            check_int(name, getattr(self, name), low)
         if self.m2 <= self.m1:
             log.warning("m2=%g <= m1=%g: collapsed-margin regime", self.m2, self.m1)
 

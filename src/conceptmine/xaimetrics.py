@@ -10,30 +10,17 @@ import hashlib
 import itertools
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import replace
 
 import numpy as np
 
 from .cav import _unit_rows
 from .dataset import PartFeatureDataset, split_kfold, subset
 from .errors import ValidationError
-from .head import SparseHead, predict
+from .head import SparseHead, accuracy, predict
 from .mining import ConceptBook, DbscanParams, mine_concepts
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class MetricReport:
-    """All metric values for one run, with configuration provenance."""
-
-    faithfulness: dict[int, float]
-    stability: float
-    consistency_intra: float
-    consistency_inter: float
-    sparseness: float
-    config: dict = field(default_factory=dict)
-    seed: int = 0
 
 
 def config_hash(config: dict) -> str:
@@ -153,10 +140,8 @@ def faithfulness(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,
             f"CAV width {z.shape[1]} does not match book d_c={book.d_c} "
             f"and head d_c={head.W1.shape[0]}"
         )
-    preds = predict(z, g, head)
-    base_acc = 100.0 * float(np.mean(preds == y))
-
-    contrib = z * head.W1[:, preds].T  # [n, d_c]
+    base_acc = accuracy(z, g, y, head)
+    contrib = z * head.W1[:, predict(z, g, head)].T  # [n, d_c]
     order = np.argsort(-contrib, axis=1, kind="stable")
 
     drops: dict[int, float] = {}
@@ -170,8 +155,7 @@ def faithfulness(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,
             n = book.d_c
         z_mod = z.copy()
         np.put_along_axis(z_mod, order[:, :n], 0.0, axis=1)
-        acc = 100.0 * float(np.mean(predict(z_mod, g, head) == y))
-        drops[n_req] = base_acc - acc
+        drops[n_req] = base_acc - accuracy(z_mod, g, y, head)
     return drops
 
 
@@ -261,33 +245,53 @@ def sparseness(cavs: np.ndarray) -> float:
     return 100.0 * float(np.mean(score))
 
 
-def report_to_dict(report: MetricReport) -> dict:
+def metric_report(ds: PartFeatureDataset, cavs: np.ndarray, gs: np.ndarray,
+                  book: ConceptBook, head: SparseHead, k: int,
+                  params: DbscanParams | None, seed: int, n_list: list[int],
+                  config: dict) -> dict:
+    """The metric report of a scored run, as written to JSON and CSV.
+
+    Holds ``config`` and its hash, the seed, F(n) for each n of ``n_list``
+    (string keys, ascending), stability over ``k`` folds, consistency,
+    sparseness, and the accuracy of the full head, of its concept weights
+    W1 alone and of its non-prototypical weights W2 alone."""
+    labels = ds.labels.astype(np.int64)
+    intra, inter = consistency(cavs, labels)
+    faith = faithfulness(cavs, gs, labels, head, book, n_list)
+    w1_only = replace(head, W2=np.zeros_like(head.W2))
+    w2_only = replace(head, W1=np.zeros_like(head.W1))
     return {
-        "config": report.config,
-        "config_hash": config_hash(report.config),
-        "seed": report.seed,
-        "faithfulness": {str(n): v for n, v in sorted(report.faithfulness.items())},
-        "stability": report.stability,
-        "consistency_intra": report.consistency_intra,
-        "consistency_inter": report.consistency_inter,
-        "sparseness": report.sparseness,
+        "config": config,
+        "config_hash": config_hash(config),
+        "seed": seed,
+        "faithfulness": {str(n): v for n, v in sorted(faith.items())},
+        "stability": stability(ds, k, params, seed),
+        "consistency_intra": intra,
+        "consistency_inter": inter,
+        "sparseness": sparseness(cavs),
+        "accuracies": {
+            "full": accuracy(cavs, gs, labels, head),
+            "prototypical_only": accuracy(cavs, gs, labels, w1_only),
+            "nonprototypical_only": accuracy(cavs, gs, labels, w2_only),
+        },
     }
 
 
-def save_report(report: MetricReport, path):
+def save_report(report: dict, path):
+    """A :func:`metric_report` as indented JSON with sorted keys."""
     with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, sort_keys=True, indent=2)
+        json.dump(report, fh, sort_keys=True, indent=2)
 
 
-def save_report_csv(report: MetricReport, path):
+def save_report_csv(report: dict, path):
     """One CSV row keyed by config hash, for cross-run comparison tables."""
-    ns = sorted(report.faithfulness)
+    ns = sorted(report["faithfulness"], key=int)
     header = (["config_hash", "seed", "consistency_intra", "consistency_inter"]
               + [f"F({n})" for n in ns] + ["sparseness", "stability"])
-    row = ([config_hash(report.config), report.seed,
-            report.consistency_intra, report.consistency_inter]
-           + [report.faithfulness[n] for n in ns]
-           + [report.sparseness, report.stability])
+    row = ([report["config_hash"], report["seed"],
+            report["consistency_intra"], report["consistency_inter"]]
+           + [report["faithfulness"][n] for n in ns]
+           + [report["sparseness"], report["stability"]])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

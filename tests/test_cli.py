@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -225,6 +226,27 @@ class TestEval:
         }
         jsonschema.validate(json.load(open(report)), schema)
 
+    @pytest.mark.parametrize("mining", [["--eps", "0.3", "--min-pts", 3], []],
+                             ids=["fixed-eps", "adaptive-eps"])
+    def test_reproduces_pipeline_metrics(self, tmp_path, ds_path, mining):
+        out = tmp_path / "run"
+        assert run("pipeline", "--data", ds_path, "--seed", 7, "--epochs", 30,
+                   "--k", 4, *mining, "-o", out) == 0
+        report, row = tmp_path / "r.json", tmp_path / "r.csv"
+        assert run("eval", "--data", ds_path, "--book", out / "book.json",
+                   "--head", out / "head.json", "--k", 4, "--seed", 7,
+                   "--csv", row, "-o", report) == 0
+        want = json.load(open(out / "metrics.json"))
+        got = json.load(open(report))
+        assert got["config"]["eps"] == want["config"]["mining"]["eps"]
+        for payload in (want, got):  # the configs differ in shape only
+            del payload["config"], payload["config_hash"]
+        assert got == want
+        want_rows = list(csv.reader(open(out / "metrics.csv")))
+        got_rows = list(csv.reader(open(row)))
+        assert got_rows[0] == want_rows[0]
+        assert got_rows[1][1:] == want_rows[1][1:]
+
     def test_hash_mismatch_refused_without_force(self, tmp_path, ds_path,
                                                  artifacts, capsys):
         # Re-mine with different params: different config hash, same d_c not
@@ -293,13 +315,20 @@ class TestExport:
         np.testing.assert_array_equal(a.labels, b.labels)
 
 
-# Command lines for the exit-code table; {ds} is a valid dataset and {tmp}
-# the test's directory, where the case's files are written first.
+# Command lines for the exit-code table; {ds} is a valid dataset, {tmp}
+# the test's directory, where the case's files are written first, and {art}
+# a directory holding an adaptively mined book and a head trained on it.
 DATA_BOOK = ["--data", "{ds}", "--book", "{tmp}/b.json"]
 BOOK_HEAD = [*DATA_BOOK, "--head", "{tmp}/h.json"]
+MINED_BOOK_HEAD = ["--data", "{ds}", "--book", "{art}/b.json",
+                   "--head", "{art}/h.json"]
 PIPELINE_CFG = ["pipeline", "--data", "{ds}", "--config", "{tmp}/cfg.json",
                 "-o", "{tmp}/run"]
 TRUNCATED_BOOK = '{"d_f": 16, "entries": [{"class": 0, "part": 0, "centr'
+# A one-sample PFD whose header claims L = 2**30 + 3 classes, as flipping
+# bit 6 of byte 19 of a three-class file does.
+HUGE_L_PFD = (struct.pack("<4s5I", b"PCMF", 1, 1, 1, 2**30 + 3, 1)
+              + struct.pack("<2fI", 0.5, 0.5, 0))
 
 
 @pytest.mark.parametrize("argv, files, code", [
@@ -355,6 +384,39 @@ TRUNCATED_BOOK = '{"d_f": 16, "entries": [{"class": 0, "part": 0, "centr'
                  1, id="config-seed-negative"),
     pytest.param(PIPELINE_CFG, {"cfg.json": '{"head": {"lr": Infinity}}'},
                  1, id="config-head-lr-infinite"),
+    # seeds and fold counts must be integers >= 0 (>= 2 for folds)
+    pytest.param(["gen", "--classes", 2, "--seed", -1, "-o", "{tmp}/g.pfd"],
+                 {}, 1, id="gen-seed-negative"),
+    pytest.param(["eval", *MINED_BOOK_HEAD, "--k", 2, "--seed", -1,
+                  "-o", "{tmp}/r.json"], {}, 1, id="eval-seed-negative"),
+    pytest.param(PIPELINE_CFG, {"cfg.json": '{"seed": 2.5}'},
+                 1, id="config-seed-fractional"),
+    pytest.param(PIPELINE_CFG, {"cfg.json": '{"stability_k": 2.5}'},
+                 1, id="config-stability-k-fractional"),
+    # min_pts is a fixed-eps setting; adaptive mining sets its own
+    pytest.param(["mine", "--data", "{ds}", "--min-pts", 50,
+                  "-o", "{tmp}/b.json"], {}, 1, id="mine-min-pts-without-eps"),
+    pytest.param(["pipeline", "--data", "{ds}", "--min-pts", 5,
+                  "-o", "{tmp}/run"], {}, 1, id="pipeline-min-pts-without-eps"),
+    pytest.param(["eval", *MINED_BOOK_HEAD, "--min-pts", 5,
+                  "-o", "{tmp}/r.json"], {}, 1, id="eval-min-pts-without-eps"),
+    pytest.param(PIPELINE_CFG, {"cfg.json": '{"mining": {"min_pts": 5}}'},
+                 1, id="config-min-pts-without-eps"),
+    pytest.param(PIPELINE_CFG,
+                 {"cfg.json": '{"mining": {"eps": 0.3, "min_pts": 0}}'},
+                 1, id="config-min-pts-zero"),
+    # non-finite eps, noise and separation
+    pytest.param(["pipeline", "--data", "{ds}", "--eps", "nan",
+                  "-o", "{tmp}/run"], {}, 1, id="pipeline-eps-nan"),
+    pytest.param(["mine", "--data", "{ds}", "--eps", "inf",
+                  "-o", "{tmp}/b.json"], {}, 1, id="mine-eps-infinite"),
+    pytest.param(["gen", "--noise", "nan", "-o", "{tmp}/g.pfd"],
+                 {}, 1, id="gen-noise-nan"),
+    pytest.param(["gen", "--min-sep", "inf", "-o", "{tmp}/g.pfd"],
+                 {}, 1, id="gen-min-sep-infinite"),
+    # a corrupt PFD header claiming 2**30 + 3 classes
+    pytest.param(["pipeline", "--data", "{tmp}/huge.pfd", "-o", "{tmp}/run"],
+                 {"huge.pfd": HUGE_L_PFD}, 1, id="pfd-header-huge-class-count"),
     # malformed book JSON
     pytest.param(["eval", *BOOK_HEAD, "-o", "{tmp}/r.json"],
                  {"b.json": '{"d_f": 16}'}, 1, id="book-without-entries"),
@@ -363,9 +425,18 @@ TRUNCATED_BOOK = '{"d_f": 16, "entries": [{"class": 0, "part": 0, "centr'
                  1, id="truncated-book"),
 ])
 def test_exit_codes(tmp_path, ds_path, capsys, argv, files, code):
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
-    argv = [str(a).format(ds=ds_path, tmp=tmp_path) for a in argv]
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content)
+    art = tmp_path / "art"
+    if any("{art}" in str(a) for a in argv):
+        art.mkdir()
+        assert run("mine", "--data", ds_path, "-o", art / "b.json") == 0
+        assert run("train", "--data", ds_path, "--book", art / "b.json",
+                   "--epochs", 5, "-o", art / "h.json") == 0
+    argv = [str(a).format(ds=ds_path, tmp=tmp_path, art=art) for a in argv]
     try:
         rc = main(argv)
     except SystemExit as e:  # argparse usage errors

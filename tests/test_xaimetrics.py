@@ -6,10 +6,10 @@ import pytest
 from conceptmine.cav import compute_cav_batch
 from conceptmine.dataset import PartFeatureDataset, SyntheticSpec, generate_synthetic
 from conceptmine.errors import ValidationError
-from conceptmine.head import SparseHead
+from conceptmine.head import HeadTrainConfig, SparseHead, train_head
 from conceptmine.mining import DbscanParams, mine_concepts
-from conceptmine.xaimetrics import (MetricReport, config_hash, consistency,
-                                    faithfulness, hungarian, save_report,
+from conceptmine.xaimetrics import (config_hash, consistency, faithfulness,
+                                    hungarian, metric_report, save_report,
                                     save_report_csv, sparseness, stability)
 from oracles import (exhaustive_assignment, lexicographic_stability,
                      pairwise_consistency)
@@ -294,33 +294,44 @@ class TestSparseness:
 
 
 class TestReport:
-    def make_report(self):
-        return MetricReport(
-            faithfulness={1: 10.0, 3: 20.0}, stability=95.0,
-            consistency_intra=80.0, consistency_inter=5.0, sparseness=60.0,
-            config={"eps": 0.1, "k": 5}, seed=7,
-        )
+    @pytest.fixture
+    def report(self, planted):
+        ds, _ = planted(samples_per_class=12, seed=2)
+        book = mine_concepts(ds, DbscanParams(eps=0.3, min_pts=3))
+        z, g = compute_cav_batch(ds, book)
+        head = train_head(z, g, ds.labels, HeadTrainConfig(epochs=20))
+        return metric_report(ds, z, g, book, head, 3, None, 7, [3, 1, 10],
+                             {"eps": 0.1, "k": 3})
 
-    def test_json_round_shape(self, tmp_path):
+    def test_json_round_shape(self, tmp_path, report):
         import json
-        report = self.make_report()
         path = tmp_path / "r.json"
         save_report(report, path)
         payload = json.load(open(path))
-        assert payload["faithfulness"] == {"1": 10.0, "3": 20.0}
-        assert payload["config_hash"] == config_hash(report.config)
+        assert payload == report
+        assert set(payload) == {
+            "config", "config_hash", "seed", "faithfulness", "stability",
+            "consistency_intra", "consistency_inter", "sparseness",
+            "accuracies"}
+        assert list(report["faithfulness"]) == ["1", "3", "10"]
+        assert payload["config_hash"] == config_hash({"eps": 0.1, "k": 3})
         assert payload["seed"] == 7
+        assert set(payload["accuracies"]) == {
+            "full", "prototypical_only", "nonprototypical_only"}
 
-    def test_csv_row(self, tmp_path):
+    def test_csv_row(self, tmp_path, report):
         import csv
-        report = self.make_report()
         path = tmp_path / "r.csv"
         save_report_csv(report, path)
         rows = list(csv.reader(open(path)))
         assert rows[0] == ["config_hash", "seed", "consistency_intra",
-                           "consistency_inter", "F(1)", "F(3)", "sparseness",
-                           "stability"]
-        assert rows[1][0] == config_hash(report.config)
+                           "consistency_inter", "F(1)", "F(3)", "F(10)",
+                           "sparseness", "stability"]
+        f = report["faithfulness"]
+        assert rows[1] == [str(v) for v in (
+            report["config_hash"], 7, report["consistency_intra"],
+            report["consistency_inter"], f["1"], f["3"], f["10"],
+            report["sparseness"], report["stability"])]
 
     def test_hash_stable_and_order_free(self):
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
