@@ -20,10 +20,9 @@ from .dataset import (PartFeatureDataset, SyntheticSpec, generate_synthetic,
                       load_dataset, save_dataset, split_kfold)
 from .errors import (CompatibilityError, ConceptMineError, ValidationError,
                      check_int, read_json_object)
-from .head import (HeadTrainConfig, SparseHead, accuracy, load_head,
-                   load_head_meta, save_head, train_head)
-from .mining import (ConceptBook, DbscanParams, load_book, load_book_meta,
-                     merge_centroids, MergeConfig, mine_concepts, save_book)
+from .head import HeadTrainConfig, accuracy, load_head, save_head, train_head
+from .mining import (DbscanParams, load_book, merge_centroids, MergeConfig,
+                     mine_concepts, save_book)
 from .occlusion import OcclusionConfig, occlusion_eval, save_curve_csv, save_curve_svg
 from .partproto import McmConfig, fit_prototype_centers, save_centers
 from .xaimetrics import (config_hash, faithfulness, metric_report, save_report,
@@ -121,48 +120,40 @@ def _dataset_format(path: Path) -> str:
     return "csv" if path.suffix == ".csv" else "pfd"
 
 
-def _book_format(path: Path) -> str:
-    return "pcmb" if path.suffix == ".pcmb" else "json"
+def _book_format(path) -> str:
+    return "pcmb" if Path(path).suffix == ".pcmb" else "json"
 
 
-def _head_format(path: Path) -> str:
-    return "pcmh" if path.suffix == ".pcmh" else "json"
+def _head_format(path) -> str:
+    return "pcmh" if Path(path).suffix == ".pcmh" else "json"
 
 
 def _load_data(path) -> PartFeatureDataset:
     return load_dataset(path, _dataset_format(Path(path)))
 
 
-def _load_book(path) -> tuple[ConceptBook, dict]:
-    """A book by its suffix (.pcmb binary, else JSON) and its JSON meta."""
-    if _book_format(Path(path)) == "pcmb":
-        return load_book(path, "pcmb"), {}
-    return load_book(path, "json"), load_book_meta(path)
-
-
-def _load_head(path) -> tuple[SparseHead, dict]:
-    """A head by its suffix (.pcmh binary, else JSON) and its JSON meta."""
-    if _head_format(Path(path)) == "pcmh":
-        return load_head(path, "pcmh"), {}
-    return load_head(path, "json"), load_head_meta(path)
-
-
 def _load_scored_run(args):
-    """Dataset, book, head and book meta for ``eval``/``occlude``; refuses a
-    d_c mismatch, and a config-hash mismatch unless ``--force`` is given."""
+    """Dataset, book and head for ``eval``/``occlude``; refuses a d_c
+    mismatch, and a config-hash mismatch unless ``--force`` is given."""
     ds = _load_data(args.data)
-    book, book_meta = _load_book(args.book)
-    head, head_meta = _load_head(args.head)
+    book = load_book(args.book, _book_format(args.book))
+    head = load_head(args.head, _head_format(args.head))
     if head.W1.shape[0] != book.d_c:
         raise CompatibilityError(
             f"head expects d_c={head.W1.shape[0]} but book has d_c={book.d_c}")
-    bh = book_meta.get("config_hash")
-    hh = head_meta.get("config_hash")
+    bh = book.meta.get("config_hash")
+    hh = head.meta.get("config_hash")
     if not args.force and bh and hh and bh != hh:
         raise CompatibilityError(
             f"book config hash {bh} != head config hash {hh}; "
             f"pass --force to evaluate anyway")
-    return ds, book, head, book_meta
+    return ds, book, head
+
+
+def _head_config(args) -> HeadTrainConfig:
+    """The head config from the flags given; the rest keep their defaults."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(HeadTrainConfig)}
+    return HeadTrainConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> dict:
@@ -180,6 +171,9 @@ def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> d
 
     stage = "preflight"
     try:
+        if ds.n_classes < 2:
+            raise ValidationError(
+                f"consistency needs at least 2 classes, got {ds.n_classes}")
         split_kfold(ds, cfg.stability_k, cfg.seed)
         outdir.mkdir(parents=True, exist_ok=True)
 
@@ -207,12 +201,11 @@ def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> d
         stage = "write-artifacts"
         meta = {"config_hash": h, "eps": cfg.eps, "min_pts": cfg.min_pts}
         save_centers(centers, outdir / "centers.pcmc", "pcmc")
-        save_book(book, outdir / "book.json", "json", meta=meta)
-        save_book(book, outdir / "book.pcmb", "pcmb")
-        save_head(head, outdir / "head.json", "json", lam=cfg.head.lam,
-                  gamma=cfg.head.gamma, meta={"config_hash": h})
-        save_head(head, outdir / "head.pcmh", "pcmh", lam=cfg.head.lam,
-                  gamma=cfg.head.gamma)
+        for fmt in ("json", "pcmb"):
+            save_book(book, outdir / f"book.{fmt}", fmt, meta=meta)
+        for fmt in ("json", "pcmh"):
+            save_head(head, outdir / f"head.{fmt}", fmt, lam=cfg.head.lam,
+                      gamma=cfg.head.gamma, meta={"config_hash": h})
         save_report(report, outdir / "metrics.json")
         save_report_csv(report, outdir / "metrics.csv")
         with open(outdir / "training_log.csv", "w") as fh:
@@ -312,18 +305,17 @@ def cmd_mine(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    book, meta = _load_book(args.book)
+    book = load_book(args.book, _book_format(args.book))
     cfg = MergeConfig(threshold_pct=args.threshold, level=args.level)
     merged = merge_centroids(book, cfg)
     out = Path(args.output)
-    save_book(merged, out, _book_format(out), meta=meta)
+    save_book(merged, out, _book_format(out), meta=book.meta)
     print(f"d_c before={book.d_c} after={merged.d_c} "
           f"(threshold={args.threshold}%, level={args.level})")
 
     if args.data:
         ds = _load_data(args.data)
-        head_cfg = HeadTrainConfig(lam=args.lam, gamma=args.gamma,
-                                   epochs=args.epochs)
+        head_cfg = _head_config(args)
         rows = []
         for tag, pct, b in (("input", 0.0, book),
                             ("merged", args.threshold, merged)):
@@ -344,13 +336,12 @@ def cmd_merge(args) -> int:
 
 def cmd_train(args) -> int:
     ds = _load_data(args.data)
-    book, book_meta = _load_book(args.book)
+    book = load_book(args.book, _book_format(args.book))
     z, g = compute_cav_batch(ds, book)
-    cfg = HeadTrainConfig(lam=args.lam, gamma=args.gamma, lr=args.lr,
-                          epochs=args.epochs)
+    cfg = _head_config(args)
     head = train_head(z, g, ds.labels, cfg)
     out = Path(args.output)
-    meta = {"config_hash": book_meta.get("config_hash",
+    meta = {"config_hash": book.meta.get("config_hash",
                                          config_hash(asdict(cfg)))}
     save_head(head, out, _head_format(out), lam=cfg.lam, gamma=cfg.gamma,
               meta=meta)
@@ -361,16 +352,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ds, book, head, book_meta = _load_scored_run(args)
+    ds, book, head = _load_scored_run(args)
 
-    eps = args.eps if args.eps is not None else book_meta.get("eps")
-    min_pts = args.min_pts if args.min_pts is not None else book_meta.get("min_pts")
+    eps = args.eps if args.eps is not None else book.meta.get("eps")
+    min_pts = args.min_pts if args.min_pts is not None else book.meta.get("min_pts")
     params = _mining_params(eps, min_pts)
 
     z, g = compute_cav_batch(ds, book)
     report = metric_report(
         ds, z, g, book, head, args.k, params, args.seed or 0, args.ns,
-        {"book": book_meta, "k": args.k, "ns": args.ns,
+        {"book": book.meta, "k": args.k, "ns": args.ns,
          "eps": eps, "min_pts": min_pts})
     save_report(report, args.output)
     if args.csv:
@@ -384,7 +375,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_occlude(args) -> int:
-    ds, book, head, _ = _load_scored_run(args)
+    ds, book, head = _load_scored_run(args)
     rows = occlusion_eval(ds, head, book,
                           OcclusionConfig(fractions=args.fractions))
     save_curve_csv(rows, args.output)
@@ -399,7 +390,7 @@ def cmd_export(args) -> int:
     ds = _load_data(args.data)
     out = Path(args.output)
     if args.book:
-        book, _ = _load_book(args.book)
+        book = load_book(args.book, _book_format(args.book))
         z, g = compute_cav_batch(ds, book)
         export_cav_csv(z, g, ds.labels, out)
         print(f"wrote CAV matrix ({z.shape[0]} x {z.shape[1]}) to {out}")
@@ -476,19 +467,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, choices=(1, 2, 3), default=1)
     p.add_argument("--data", help="dataset for the accuracy/F(3) table")
     p.add_argument("--csv", help="path of the Table-style CSV report")
-    p.add_argument("--lam", type=float, default=0.007)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=200)
+    p.add_argument("--lam", type=float)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--epochs", type=int)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_merge)
 
     p = sub.add_parser("train", help="train the sparse head on a book's CAVs")
     p.add_argument("--data", required=True)
     p.add_argument("--book", required=True)
-    p.add_argument("--lam", type=float, default=0.007)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--lr", type=float, default=1.0)
-    p.add_argument("--epochs", type=int, default=200)
+    p.add_argument("--lam", type=float)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--epochs", type=int)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -1,9 +1,13 @@
 """Exception types shared across the package, the integer check every
-config uses, and the JSON reader that maps unparsable artifact files onto
-them."""
+config uses, and the JSON and binary-container readers that map unparsable
+artifact files onto them."""
 
 import json
+import math
 import numbers
+import struct
+
+import numpy as np
 
 
 class ConceptMineError(Exception):
@@ -46,14 +50,76 @@ def check_int(name: str, value, low: int):
         raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
-def read_json_object(path) -> dict:
-    """Parse a JSON file whose top level is an object; raise FormatError
-    naming the path when it is not valid UTF-8 JSON or not an object."""
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
-            raise FormatError(f"{path}: not valid JSON ({e})") from None
+def _json_object(raw: bytes, path) -> dict:
+    try:
+        payload = json.loads(raw.decode("utf-8"))
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise FormatError(f"{path}: not valid JSON ({e})") from None
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: top level is not a JSON object")
     return payload
+
+
+def read_json_object(path) -> dict:
+    """Parse a JSON file whose top level is an object; raise FormatError
+    naming the path when it is not valid UTF-8 JSON or not an object."""
+    with open(path, "rb") as fh:
+        return _json_object(fh.read(), path)
+
+
+# The binary artifact container (books, heads, centers):
+#   magic | u32 version | u32 n | n bytes of UTF-8 JSON | little-endian f64 arrays
+# The JSON holds the keys of the artifact's JSON twin other than its float
+# arrays, plus "shapes", the shape of each array that follows.
+CONTAINER_VERSION = 2
+_PREFIX = struct.Struct("<4s2I")
+
+
+def write_container(path, magic: bytes, header: dict, arrays) -> None:
+    """Write ``header`` and ``arrays`` in the binary container layout."""
+    arrays = [np.ascontiguousarray(a, dtype="<f8") for a in arrays]
+    text = json.dumps({**header, "shapes": [list(a.shape) for a in arrays]},
+                      sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(_PREFIX.pack(magic, CONTAINER_VERSION, len(text)))
+        fh.write(text)
+        for a in arrays:
+            fh.write(a.tobytes())
+
+
+def read_container(path, magic: bytes, count: int) -> tuple[dict, list]:
+    """The JSON header (without "shapes") and the ``count`` float64 arrays of
+    a container file; FormatError naming the path for a wrong magic or
+    version, a malformed header or shape list, or a wrong total length."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    kind = magic.decode("ascii")
+    if len(raw) < _PREFIX.size:
+        raise FormatError(f"{path}: file shorter than the {kind} header")
+    got, version, n = _PREFIX.unpack_from(raw)
+    if got != magic:
+        raise FormatError(f"{path}: not a {kind} file (magic {got!r})")
+    if version != CONTAINER_VERSION:
+        raise FormatError(f"{path}: {kind} version {version} is not supported; "
+                          f"this package reads version {CONTAINER_VERSION}")
+    header = _json_object(raw[_PREFIX.size:_PREFIX.size + n], path)
+    shapes = header.pop("shapes", None)
+    if not (isinstance(shapes, list) and len(shapes) == count and all(
+            isinstance(s, list) and all(type(d) is int and d >= 0 for d in s)
+            for s in shapes)):
+        raise FormatError(f"{path}: header needs \"shapes\", a list of "
+                          f"{count} shapes, got {shapes!r}")
+    sizes = [math.prod(s) for s in shapes]
+    expected = _PREFIX.size + n + 8 * sum(sizes)
+    if len(raw) != expected:
+        raise FormatError(f"{path}: file is {len(raw)} bytes, its header "
+                          f"declares {expected}")
+    arrays, off = [], _PREFIX.size + n
+    for shape, size in zip(shapes, sizes):
+        flat = np.frombuffer(raw, dtype="<f8", count=size, offset=off)
+        try:
+            arrays.append(flat.reshape(shape).astype(np.float64))
+        except ValueError as e:  # an empty array with a dimension numpy refuses
+            raise FormatError(f"{path}: bad shape {shape} ({e})") from None
+        off += 8 * size
+    return header, arrays

@@ -11,27 +11,28 @@ from __future__ import annotations
 
 import json
 import math
-import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (DivergenceError, FormatError, ValidationError, check_int,
-                     read_json_object)
+                     read_container, read_json_object, write_container)
 
 HEAD_MAGIC = b"PCMH"
-_HEAD_HEADER = struct.Struct("<4s4I2d")
 
 _MAX_HALVINGS = 60
 
 
 @dataclass
 class SparseHead:
-    """Classification weights: logits = W1^T z + W2^T g + b."""
+    """Classification weights: logits = W1^T z + W2^T g + b. ``meta`` holds
+    the other top-level keys of the file the head was read from
+    (config_hash, lambda, gamma); it is empty for a trained head."""
 
     W1: np.ndarray  # [d_c, L]
     W2: np.ndarray  # [d_f, L]
     b: np.ndarray  # [L]
+    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.W1 = np.asarray(self.W1, dtype=np.float64)
@@ -210,57 +211,31 @@ def concept_contributions(z: np.ndarray, head: SparseHead, c: int) -> np.ndarray
 
 def save_head(head: SparseHead, path, format: str = "json",
               lam: float = 0.0, gamma: float = 0.0, meta: dict | None = None):
-    """Write a head as JSON {W1, W2, b, lambda, gamma} or PCMH binary."""
+    """Write a head as JSON {W1, W2, b, lambda, gamma} plus the keys ``meta``,
+    or as a PCMH container whose W1, W2 and b follow the JSON header."""
+    payload = {**(meta or {}), "lambda": lam, "gamma": gamma}
     if format == "json":
-        payload = dict(meta or {})
-        payload.update({
-            "W1": head.W1.tolist(), "W2": head.W2.tolist(), "b": head.b.tolist(),
-            "lambda": lam, "gamma": gamma,
-        })
+        payload.update({"W1": head.W1.tolist(), "W2": head.W2.tolist(),
+                        "b": head.b.tolist()})
         with open(path, "w") as fh:
             json.dump(payload, fh, sort_keys=True)
     elif format == "pcmh":
-        d_c, n_classes = head.W1.shape
-        d_f = head.W2.shape[0]
-        with open(path, "wb") as fh:
-            fh.write(_HEAD_HEADER.pack(HEAD_MAGIC, 1, d_c, d_f, n_classes,
-                                       lam, gamma))
-            for arr in (head.W1, head.W2, head.b):
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        write_container(path, HEAD_MAGIC, payload, [head.W1, head.W2, head.b])
     else:
         raise ValidationError(f"unknown head format {format!r}")
 
 
 def load_head(path, format: str = "json") -> SparseHead:
-    """Read a head written by :func:`save_head`; a JSON head with a missing
-    key or a wrongly typed value raises :class:`FormatError`."""
-    if format == "json":
-        payload = read_json_object(path)
-        try:
-            weights = {k: np.array(payload[k], dtype=np.float64)
-                       for k in ("W1", "W2", "b")}
-        except (KeyError, TypeError, ValueError) as e:
-            raise FormatError(f"{path}: malformed head JSON ({e!r})") from None
-        return SparseHead(**weights)
-    raw = open(path, "rb").read()
-    if len(raw) < _HEAD_HEADER.size:
-        raise FormatError(f"{path}: file shorter than PCMH header")
-    magic, version, d_c, d_f, n_classes, _, _ = _HEAD_HEADER.unpack_from(raw)
-    if magic != HEAD_MAGIC or version != 1:
-        raise FormatError(f"{path}: bad PCMH header")
-    counts = (d_c * n_classes, d_f * n_classes, n_classes)
-    if len(raw) != _HEAD_HEADER.size + 8 * sum(counts):
-        raise ValidationError(f"{path}: payload size mismatch")
-    off = _HEAD_HEADER.size
-    arrays = []
-    for count in counts:
-        arrays.append(np.frombuffer(raw, dtype="<f8", count=count, offset=off).copy())
-        off += 8 * count
-    return SparseHead(W1=arrays[0].reshape(d_c, n_classes),
-                      W2=arrays[1].reshape(d_f, n_classes), b=arrays[2])
-
-
-def load_head_meta(path) -> dict:
-    """Top-level JSON keys other than the weight payload (e.g. config_hash)."""
-    return {k: v for k, v in read_json_object(path).items()
-            if k not in ("W1", "W2", "b", "lambda", "gamma")}
+    """Read a head written by :func:`save_head`, with its other top-level
+    keys as ``meta``; a JSON head with a missing key or a wrongly typed value
+    raises :class:`FormatError`."""
+    if format != "json":
+        meta, (W1, W2, b) = read_container(path, HEAD_MAGIC, 3)
+        return SparseHead(W1, W2, b, meta)
+    payload = read_json_object(path)
+    try:
+        weights = [np.array(payload.pop(k), dtype=np.float64)
+                   for k in ("W1", "W2", "b")]
+    except (KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"{path}: malformed head JSON ({e!r})") from None
+    return SparseHead(*weights, payload)

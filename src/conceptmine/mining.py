@@ -12,21 +12,20 @@ from __future__ import annotations
 import json
 import logging
 import math
-import struct
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import PartFeatureDataset
-from .errors import FormatError, ValidationError, check_int, read_json_object
+from .errors import (FormatError, ValidationError, check_int, read_container,
+                     read_json_object, write_container)
 
 log = logging.getLogger(__name__)
 
 NOISE = -1
 
 BOOK_MAGIC = b"PCMB"
-_BOOK_HEADER = struct.Struct("<4s3I")
-_ENTRY_HEADER = struct.Struct("<4I")
 
 
 @dataclass(frozen=True)
@@ -35,8 +34,9 @@ class DbscanParams:
     min_pts: int
 
     def __post_init__(self):
-        if not math.isfinite(self.eps) or self.eps <= 0:
-            raise ValidationError(f"eps must be finite and > 0, got {self.eps}")
+        if (isinstance(self.eps, bool) or not isinstance(self.eps, numbers.Real)
+                or not math.isfinite(self.eps) or self.eps <= 0):
+            raise ValidationError(f"eps must be a finite number > 0, got {self.eps!r}")
         check_int("min_pts", self.min_pts, 1)
 
 
@@ -53,10 +53,13 @@ class ConceptEntry:
 
 @dataclass
 class ConceptBook:
-    """Flat list of concept centroids; the entry position is the CAV index."""
+    """Flat list of concept centroids; the entry position is the CAV index.
+    ``meta`` holds the other top-level keys of the file the book was read
+    from (config_hash, eps, min_pts); it is empty for a mined book."""
 
     feat_dim: int
     entries: list[ConceptEntry] = field(default_factory=list)
+    meta: dict = field(default_factory=dict)
 
     @property
     def d_c(self) -> int:
@@ -79,7 +82,8 @@ class ConceptBook:
                 raise ValidationError(f"concept {key} centroid is non-finite")
 
     def centroid_matrix(self) -> np.ndarray:
-        return np.array([e.centroid for e in self.entries], dtype=np.float64)
+        return np.array([e.centroid for e in self.entries],
+                        dtype=np.float64).reshape(self.d_c, self.feat_dim)
 
     def parts(self) -> np.ndarray:
         return np.array([e.part for e in self.entries], dtype=np.int64)
@@ -361,69 +365,45 @@ def merge_centroids(book: ConceptBook, cfg: MergeConfig) -> ConceptBook:
 
 def save_book(book: ConceptBook, path, format: str = "json",
               meta: dict | None = None):
-    """Write a concept book as JSON or PCMB binary."""
+    """Write a concept book with the top-level keys ``meta`` as JSON, or as a
+    PCMB container whose centroids follow the JSON header as one matrix."""
     book.validate()
+    entries = [{"class": e.class_id, "part": e.part, "local_id": e.local_id,
+                "member_count": e.member_count} for e in book.entries]
+    payload = {**(meta or {}), "d_f": book.feat_dim, "entries": entries}
     if format == "json":
-        payload = dict(meta or {})
-        payload["d_f"] = book.feat_dim
-        payload["entries"] = [
-            {"class": e.class_id, "part": e.part, "local_id": e.local_id,
-             "member_count": e.member_count, "centroid": e.centroid.tolist()}
-            for e in book.entries
-        ]
+        for entry, e in zip(entries, book.entries):
+            entry["centroid"] = e.centroid.tolist()
         with open(path, "w") as fh:
             json.dump(payload, fh, sort_keys=True)
     elif format == "pcmb":
-        with open(path, "wb") as fh:
-            fh.write(_BOOK_HEADER.pack(BOOK_MAGIC, 1, book.feat_dim, book.d_c))
-            for e in book.entries:
-                fh.write(_ENTRY_HEADER.pack(e.class_id, e.part, e.local_id,
-                                            e.member_count))
-                fh.write(np.ascontiguousarray(e.centroid, dtype="<f8").tobytes())
+        write_container(path, BOOK_MAGIC, payload, [book.centroid_matrix()])
     else:
         raise ValidationError(f"unknown book format {format!r}")
 
 
 def load_book(path, format: str = "json") -> ConceptBook:
-    """Read a book written by :func:`save_book`; a JSON book with a missing
-    key or a wrongly typed value raises :class:`FormatError`."""
+    """Read a book written by :func:`save_book`, with its other top-level
+    keys as ``meta``; a missing key or a wrongly typed value raises
+    :class:`FormatError`."""
     if format == "json":
         payload = read_json_object(path)
-        try:
-            book = ConceptBook(feat_dim=int(payload["d_f"]))
-            for e in payload["entries"]:
-                book.entries.append(ConceptEntry(
-                    class_id=int(e["class"]), part=int(e["part"]),
-                    local_id=int(e["local_id"]),
-                    centroid=np.array(e["centroid"], dtype=np.float64),
-                    member_count=int(e["member_count"]),
-                ))
-        except (KeyError, TypeError, ValueError) as e:
-            raise FormatError(f"{path}: malformed book JSON ({e!r})") from None
-        book.validate()
-        return book
-    raw = open(path, "rb").read()
-    if len(raw) < _BOOK_HEADER.size:
-        raise FormatError(f"{path}: file shorter than PCMB header")
-    magic, version, d_f, n = _BOOK_HEADER.unpack_from(raw)
-    if magic != BOOK_MAGIC or version != 1:
-        raise FormatError(f"{path}: bad PCMB header")
-    book = ConceptBook(feat_dim=d_f)
-    off = _BOOK_HEADER.size
-    step = _ENTRY_HEADER.size + 8 * d_f
-    if len(raw) != _BOOK_HEADER.size + n * step:
-        raise ValidationError(f"{path}: payload size mismatch for {n} entries")
-    for _ in range(n):
-        class_id, part, local_id, count = _ENTRY_HEADER.unpack_from(raw, off)
-        centroid = np.frombuffer(raw, dtype="<f8", count=d_f,
-                                 offset=off + _ENTRY_HEADER.size).copy()
-        book.entries.append(ConceptEntry(class_id, part, local_id, centroid, count))
-        off += step
+    else:
+        payload, (centroids,) = read_container(path, BOOK_MAGIC, 1)
+    try:
+        entries = payload["entries"]
+        if format == "json":
+            centroids = [e["centroid"] for e in entries]
+        book = ConceptBook(feat_dim=int(payload["d_f"]), meta={
+            k: v for k, v in payload.items() if k not in ("d_f", "entries")})
+        for e, centroid in zip(entries, centroids, strict=True):
+            book.entries.append(ConceptEntry(
+                class_id=int(e["class"]), part=int(e["part"]),
+                local_id=int(e["local_id"]),
+                centroid=np.array(centroid, dtype=np.float64),
+                member_count=int(e["member_count"]),
+            ))
+    except (KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"{path}: malformed book ({e!r})") from None
     book.validate()
     return book
-
-
-def load_book_meta(path) -> dict:
-    """Top-level JSON keys other than the book payload (e.g. config_hash)."""
-    return {k: v for k, v in read_json_object(path).items()
-            if k not in ("d_f", "entries")}

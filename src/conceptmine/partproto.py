@@ -13,18 +13,17 @@ from __future__ import annotations
 import json
 import logging
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import PartFeatureDataset
-from .errors import DivergenceError, FormatError, ValidationError, check_int
+from .errors import (DivergenceError, FormatError, ValidationError, check_int,
+                     read_container, write_container)
 
 log = logging.getLogger(__name__)
 
 CENTERS_MAGIC = b"PCMC"
-_CENTERS_HEADER = struct.Struct("<4s3I")
 _LOSS_ROWS = 256  # samples per block of the full-data loss
 
 
@@ -196,12 +195,9 @@ def fit_prototype_centers(ds: PartFeatureDataset, cfg: McmConfig,
 
 
 def save_centers(pc: PrototypeCenters, path, format: str = "pcmc"):
-    """Write centers as PCMC binary or a JSON array-of-arrays."""
+    """Write centers as a PCMC container or a JSON array-of-arrays."""
     if format == "pcmc":
-        k, d_f = pc.centers.shape
-        with open(path, "wb") as fh:
-            fh.write(_CENTERS_HEADER.pack(CENTERS_MAGIC, 1, k, d_f))
-            fh.write(np.ascontiguousarray(pc.centers, dtype="<f8").tobytes())
+        write_container(path, CENTERS_MAGIC, {}, [pc.centers])
     elif format == "json":
         with open(path, "w") as fh:
             json.dump(pc.centers.tolist(), fh)
@@ -210,7 +206,7 @@ def save_centers(pc: PrototypeCenters, path, format: str = "pcmc"):
 
 
 def load_centers(path, format: str = "pcmc") -> PrototypeCenters:
-    """Read centers written by :func:`save_centers`. A truncated PCMC file, or
+    """Read centers written by :func:`save_centers`. A malformed PCMC file, or
     JSON that is not a numeric array of equal-length rows, raises
     :class:`FormatError` naming the path."""
     if format == "json":
@@ -220,15 +216,5 @@ def load_centers(path, format: str = "pcmc") -> PrototypeCenters:
             except (TypeError, ValueError) as e:  # bad JSON, ragged or non-numeric
                 raise FormatError(f"{path}: malformed centers JSON ({e})") from None
         return PrototypeCenters(centers)
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _CENTERS_HEADER.size:
-        raise FormatError(f"{path}: file shorter than PCMC header")
-    magic, version, k, d_f = _CENTERS_HEADER.unpack_from(raw)
-    if magic != CENTERS_MAGIC or version != 1:
-        raise FormatError(f"{path}: bad PCMC header")
-    expected = _CENTERS_HEADER.size + 8 * k * d_f
-    if len(raw) != expected:
-        raise FormatError(f"{path}: payload size {len(raw)} != {expected}")
-    centers = np.frombuffer(raw, dtype="<f8", offset=_CENTERS_HEADER.size)
-    return PrototypeCenters(centers.reshape(k, d_f).copy())
+    _, (centers,) = read_container(path, CENTERS_MAGIC, 1)
+    return PrototypeCenters(centers)

@@ -10,11 +10,14 @@ constant-step gradient descent, and consistency from the full n x n Gram
 matrix. The ``reference_*`` loops are the straightforward forms of the fast
 training loops (np.linalg.norm, every hinge term applied, the loss over one
 full residual, every gradient recomputed); the fast loops must reproduce
-them bit for bit.
+them bit for bit. ``pack_container`` builds the binary artifact container
+field by field from its documented layout.
 """
 
 import itertools
+import json
 import math
+import struct
 
 import numpy as np
 
@@ -381,3 +384,13 @@ def reference_train_head(cavs, gs, labels, cfg, on_epoch=None):
         if on_epoch is not None:
             on_epoch(epoch, obj, step, pre_prox, w1)
     return SparseHead(W1=w1, W2=w2, b=b)
+
+
+def pack_container(magic, header, *arrays, version=2):
+    """``magic | u32 version | u32 n | n bytes of UTF-8 JSON | f64 arrays``,
+    with the arrays' shapes added to the JSON header as "shapes"."""
+    arrays = [np.asarray(a, dtype="<f8") for a in arrays]
+    text = json.dumps({**header, "shapes": [list(a.shape) for a in arrays]},
+                      sort_keys=True).encode("utf-8")
+    return (struct.pack("<4sII", magic, version, len(text)) + text
+            + b"".join(a.tobytes() for a in arrays))

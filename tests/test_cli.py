@@ -11,7 +11,10 @@ from conceptmine.cli import PipelineConfig, main, pipeline_config_from_dict
 from conceptmine.errors import ValidationError
 from conceptmine.dataset import load_dataset
 from conceptmine.head import HeadTrainConfig, save_head, train_head
-from conceptmine.mining import DbscanParams, mine_concepts, save_book
+from conceptmine.mining import (DbscanParams, load_book, mine_concepts,
+                                save_book)
+
+from oracles import pack_container
 
 
 def run(*argv):
@@ -86,9 +89,11 @@ class TestPipeline:
         z, g = compute_cav_batch(ds, book)
         head = train_head(z, g, ds.labels,
                           replace(cfg, lr=cfg.beta * cfg.lr))
-        save_book(book, tmp_path / "book.pcmb", "pcmb")
+        h = json.load(open(artifacts / "manifest.json"))["config_hash"]
+        save_book(book, tmp_path / "book.pcmb", "pcmb",
+                  meta={"config_hash": h, "eps": 0.3, "min_pts": 3})
         save_head(head, tmp_path / "head.pcmh", "pcmh", lam=cfg.lam,
-                  gamma=cfg.gamma)
+                  gamma=cfg.gamma, meta={"config_hash": h})
         for name in ("book.pcmb", "head.pcmh"):
             assert (artifacts / name).read_bytes() == \
                 (tmp_path / name).read_bytes(), name
@@ -265,6 +270,34 @@ class TestEval:
                  "-o", report)
         assert rc == 0
 
+    @pytest.mark.parametrize("mining", [["--eps", "0.3", "--min-pts", 3], []],
+                             ids=["fixed-eps", "adaptive-eps"])
+    def test_binary_twins_score_alike(self, tmp_path, ds_path, mining):
+        out = tmp_path / "run"
+        assert run("pipeline", "--data", ds_path, "--seed", 7, "--epochs", 30,
+                   "--k", 4, *mining, "-o", out) == 0
+        written = {}
+        for book, head in (("book.json", "head.json"), ("book.pcmb", "head.pcmh")):
+            pair = ["--data", ds_path, "--book", out / book, "--head", out / head]
+            assert run("eval", *pair, "--k", 4, "--seed", 7,
+                       "-o", tmp_path / "r") == 0
+            assert run("occlude", *pair, "-o", tmp_path / "c") == 0
+            written[book] = [(tmp_path / n).read_bytes() for n in ("r", "c")]
+        assert written["book.pcmb"] == written["book.json"]
+
+    def test_binary_hash_mismatch_refused_without_force(self, tmp_path, ds_path,
+                                                        artifacts, capsys):
+        book = load_book(artifacts / "book.pcmb", "pcmb")
+        book2 = tmp_path / "book2.pcmb"
+        save_book(book, book2, "pcmb",
+                  meta={**book.meta, "config_hash": "deadbeef0000"})
+        argv = ["eval", "--data", ds_path, "--book", book2,
+                "--head", artifacts / "head.pcmh", "--k", 4,
+                "-o", tmp_path / "r.json"]
+        assert run(*argv) == 1
+        assert "hash" in capsys.readouterr().err
+        assert run(*argv, "--force") == 0
+
     def test_dc_mismatch_always_refused(self, tmp_path, ds_path, artifacts,
                                         capsys):
         book2 = tmp_path / "small.json"
@@ -329,6 +362,30 @@ TRUNCATED_BOOK = '{"d_f": 16, "entries": [{"class": 0, "part": 0, "centr'
 # bit 6 of byte 19 of a three-class file does.
 HUGE_L_PFD = (struct.pack("<4s5I", b"PCMF", 1, 1, 1, 2**30 + 3, 1)
               + struct.pack("<2fI", 0.5, 0.5, 0))
+# Four samples of one class (K = 1, d_f = 2): enough for two folds.
+ONE_CLASS_PFD = (struct.pack("<4s5I", b"PCMF", 1, 4, 1, 1, 2)
+                 + np.arange(16, dtype="<f4").tobytes() + bytes(16))
+# A two-concept book for the fixture dataset (d_f = 16, L = 3) and a head
+# that fits it, to carry a given book meta in either format.
+ENTRIES = [{"class": c, "part": 0, "local_id": 0, "member_count": 1}
+           for c in (0, 1)]
+CENTROIDS = np.eye(2, 16)
+HEAD_JSON = json.dumps({"W1": [[0.0] * 3] * 2, "W2": [[0.0] * 3] * 16,
+                        "b": [0.0] * 3})
+
+
+def book_json(**meta):
+    return json.dumps({**meta, "d_f": 16, "entries": [
+        {**e, "centroid": c.tolist()} for e, c in zip(ENTRIES, CENTROIDS)]})
+
+
+def book_pcmb(**meta):
+    return pack_container(b"PCMB", {**meta, "d_f": 16, "entries": ENTRIES},
+                          CENTROIDS)
+
+
+EVAL_BOOK = ["eval", "--data", "{ds}", "--head", "{tmp}/h.json", "--k", 2,
+             "-o", "{tmp}/r.json", "--book"]
 
 
 @pytest.mark.parametrize("argv, files, code", [
@@ -417,6 +474,29 @@ HUGE_L_PFD = (struct.pack("<4s5I", b"PCMF", 1, 1, 1, 2**30 + 3, 1)
     # a corrupt PFD header claiming 2**30 + 3 classes
     pytest.param(["pipeline", "--data", "{tmp}/huge.pfd", "-o", "{tmp}/run"],
                  {"huge.pfd": HUGE_L_PFD}, 1, id="pfd-header-huge-class-count"),
+    # consistency needs two classes; refused before any stage runs
+    pytest.param(["pipeline", "--data", "{tmp}/one.pfd", "--k", 2,
+                  "-o", "{tmp}/run"], {"one.pfd": ONE_CLASS_PFD},
+                 1, id="pipeline-one-class"),
+    # a book's eps must be a number, in the JSON and the binary book alike
+    pytest.param([*EVAL_BOOK, "{tmp}/b.json"],
+                 {"b.json": book_json(eps="abc"), "h.json": HEAD_JSON},
+                 1, id="book-json-eps-string"),
+    pytest.param([*EVAL_BOOK, "{tmp}/b.json"],
+                 {"b.json": book_json(eps=[1]), "h.json": HEAD_JSON},
+                 1, id="book-json-eps-list"),
+    pytest.param([*EVAL_BOOK, "{tmp}/b.json"],
+                 {"b.json": book_json(eps=True), "h.json": HEAD_JSON},
+                 1, id="book-json-eps-bool"),
+    pytest.param([*EVAL_BOOK, "{tmp}/b.pcmb"],
+                 {"b.pcmb": book_pcmb(eps="abc"), "h.json": HEAD_JSON},
+                 1, id="book-pcmb-eps-string"),
+    # a version-1 binary book carries no meta
+    pytest.param([*EVAL_BOOK, "{tmp}/b.pcmb"],
+                 {"b.pcmb": struct.pack("<4s3I", b"PCMB", 1, 16, 2) + b"".join(
+                     struct.pack("<4I", c, 0, 0, 1) + CENTROIDS[c].tobytes()
+                     for c in (0, 1)), "h.json": HEAD_JSON},
+                 1, id="book-pcmb-version-1"),
     # malformed book JSON
     pytest.param(["eval", *BOOK_HEAD, "-o", "{tmp}/r.json"],
                  {"b.json": '{"d_f": 16}'}, 1, id="book-without-entries"),

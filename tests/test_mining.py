@@ -31,6 +31,11 @@ class TestDbscan:
         labels = dbscan(np.zeros((0, 2)), DbscanParams(eps=0.5, min_pts=2))
         assert labels.shape == (0,)
 
+    @pytest.mark.parametrize("eps", ["abc", [1], True, None, float("nan"), 0])
+    def test_params_refuse_bad_eps(self, eps):
+        with pytest.raises(ValidationError, match="eps"):
+            DbscanParams(eps=eps, min_pts=3)
+
     def test_noise_detected(self):
         pts = np.array([[0.0, 0], [0.1, 0], [0.2, 0], [50.0, 50]])
         labels = dbscan(pts, DbscanParams(eps=0.3, min_pts=2))
