@@ -12,7 +12,7 @@ from .errors import (CompatibilityError, ConceptMineError, DivergenceError,
 from .head import (HeadTrainConfig, SparseHead, accuracy, concept_contributions,
                    elastic_net_penalty, head_forward, predict, train_head)
 from .mining import (ConceptBook, ConceptEntry, DbscanParams, MergeConfig,
-                     dbscan, merge_centroids, mine_concepts)
+                     MiningConfig, dbscan, merge_centroids, mine_concepts)
 from .occlusion import OcclusionConfig, occlude_sample, occlusion_eval
 from .partproto import (McmConfig, PrototypeCenters, fit_prototype_centers,
                         mcc_gradients, mcc_loss)

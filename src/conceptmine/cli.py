@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from .dataset import (PartFeatureDataset, SyntheticSpec, generate_synthetic,
 from .errors import (CompatibilityError, ConceptMineError, ValidationError,
                      check_int, read_json_object)
 from .head import HeadTrainConfig, accuracy, load_head, save_head, train_head
-from .mining import (DbscanParams, load_book, merge_centroids, MergeConfig,
+from .mining import (MergeConfig, MiningConfig, load_book, merge_centroids,
                      mine_concepts, save_book)
 from .occlusion import OcclusionConfig, occlusion_eval, save_curve_csv, save_curve_svg
 from .partproto import McmConfig, fit_prototype_centers, save_centers
@@ -31,87 +31,56 @@ from .xaimetrics import (config_hash, faithfulness, metric_report, save_report,
 
 @dataclass
 class PipelineConfig:
-    """Module configs plus the mining and metric settings of one run."""
+    """Module configs plus the metric settings of one run."""
 
-    mcm: McmConfig
-    head: HeadTrainConfig
-    eps: float | None = None  # None -> per-cell adaptive DBSCAN defaults
-    min_pts: int | None = None
+    mcm: McmConfig = field(default_factory=McmConfig)
+    head: HeadTrainConfig = field(default_factory=HeadTrainConfig)
+    mining: MiningConfig = field(default_factory=MiningConfig)
     stability_k: int = 10
     faithfulness_ns: tuple[int, ...] = (1, 2, 3, 4, 5)
     seed: int = 0
 
     def __post_init__(self):
-        _mining_params(self.eps, self.min_pts)  # checks eps and min_pts
         check_int("seed", self.seed, 0)
         check_int("stability_k", self.stability_k, 2)
+        self.faithfulness_ns = tuple(self.faithfulness_ns)
         for n in self.faithfulness_ns:
             check_int("faithfulness_ns entry", n, 0)
 
     def to_dict(self) -> dict:
-        return {
-            "mcm": asdict(self.mcm),
-            "head": asdict(self.head),
-            "mining": {"eps": self.eps, "min_pts": self.min_pts},
-            "stability_k": self.stability_k,
-            "faithfulness_ns": list(self.faithfulness_ns),
-            "seed": self.seed,
-        }
-
-
-def _mining_params(eps, min_pts) -> DbscanParams | None:
-    """Fixed DBSCAN params (min_pts 3 if unset); None (adaptive) if no eps.
-    A min_pts without eps is refused: adaptive mining sets its own."""
-    if eps is None:
-        if min_pts is not None:
-            raise ValidationError(
-                f"min_pts={min_pts!r} needs eps; without eps mining is "
-                f"adaptive and sets its own min_pts per cell")
-        return None
-    return DbscanParams(eps=eps, min_pts=3 if min_pts is None else min_pts)
+        return asdict(self)
 
 
 # Nested sections of the config dict and the dataclass whose fields they set.
-_SECTIONS = {"mcm": McmConfig, "head": HeadTrainConfig, "mining": DbscanParams}
+_SECTIONS = {"mcm": McmConfig, "head": HeadTrainConfig, "mining": MiningConfig}
 
 
-def _config_section(raw: dict, name: str) -> dict:
-    """``raw[name]`` (empty if absent), refusing keys its dataclass lacks."""
-    section = raw.get(name, {})
-    if not isinstance(section, dict):
-        raise ValidationError(f"config key {name} must be an object")
-    known = {f.name for f in fields(_SECTIONS[name])}
-    unknown = sorted(set(section) - known)
+def _known_keys(raw, cls, prefix: str = "") -> dict:
+    """``raw``, refused unless it is an object whose keys are fields of ``cls``."""
+    if not isinstance(raw, dict):
+        raise ValidationError(f"config key {prefix[:-1]} must be an object")
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
-        raise ValidationError(f"unknown config key {name}.{unknown[0]}")
-    return section
+        raise ValidationError(f"unknown config key {prefix}{unknown[0]}")
+    return raw
 
 
 def pipeline_config_from_dict(raw: dict) -> PipelineConfig:
-    """Build a config from its :meth:`PipelineConfig.to_dict` form; every
-    key is optional, and a key no config field reads is refused."""
-    known = {f.name for f in fields(PipelineConfig)} - {"eps", "min_pts"}
-    unknown = sorted(set(raw) - known - set(_SECTIONS))
-    if unknown:
-        raise ValidationError(f"unknown config key {unknown[0]}")
-    mining = _config_section(raw, "mining")
-    mcm_raw = _config_section(raw, "mcm")
-    head_raw = _config_section(raw, "head")
+    """Build a config from its :meth:`PipelineConfig.to_dict` form; a
+    missing key takes its dataclass default, and a key no config field reads
+    is refused."""
+    _known_keys(raw, PipelineConfig)
+    sections = {name: _known_keys(raw.get(name, {}), cls, f"{name}.")
+                for name, cls in _SECTIONS.items()}
+    seed = raw.get("seed", PipelineConfig.seed)
+    if sections["mcm"].get("seed", seed) != seed:
+        raise ValidationError(
+            f"config key mcm.seed ({sections['mcm']['seed']!r}) must equal "
+            f"seed ({seed}); the top-level seed seeds center fitting")
+    sections["mcm"] = {**sections["mcm"], "seed": seed}
     try:
-        seed = raw.get("seed", 0)
-        if mcm_raw.get("seed", seed) != seed:
-            raise ValidationError(
-                f"config key mcm.seed ({mcm_raw['seed']!r}) must equal "
-                f"seed ({seed}); the top-level seed seeds center fitting")
-        return PipelineConfig(
-            mcm=McmConfig(**{**mcm_raw, "seed": seed}),
-            head=HeadTrainConfig(**head_raw),
-            eps=mining.get("eps"),
-            min_pts=mining.get("min_pts"),
-            stability_k=raw.get("stability_k", 10),
-            faithfulness_ns=tuple(raw.get("faithfulness_ns", (1, 2, 3, 4, 5))),
-            seed=seed,
-        )
+        return PipelineConfig(**{**raw, **{name: cls(**sections[name])
+                                          for name, cls in _SECTIONS.items()}})
     except (TypeError, ValueError) as e:
         raise ValidationError(f"bad config value: {e}") from None
 
@@ -133,14 +102,17 @@ def _load_data(path) -> PartFeatureDataset:
 
 
 def _load_scored_run(args):
-    """Dataset, book and head for ``eval``/``occlude``; refuses a d_c
-    mismatch, and a config-hash mismatch unless ``--force`` is given."""
+    """Dataset, book and head for ``eval``/``occlude``; refuses a d_c or
+    class-count mismatch, and a hash mismatch unless ``--force`` is given."""
     ds = _load_data(args.data)
     book = load_book(args.book, _book_format(args.book))
     head = load_head(args.head, _head_format(args.head))
     if head.W1.shape[0] != book.d_c:
         raise CompatibilityError(
             f"head expects d_c={head.W1.shape[0]} but book has d_c={book.d_c}")
+    if head.n_classes != ds.n_classes:
+        raise CompatibilityError(f"head scores {head.n_classes} classes but "
+                                 f"the dataset has {ds.n_classes}")
     bh = book.meta.get("config_hash")
     hh = head.meta.get("config_hash")
     if not args.force and bh and hh and bh != hh:
@@ -150,10 +122,12 @@ def _load_scored_run(args):
     return ds, book, head
 
 
-def _head_config(args) -> HeadTrainConfig:
-    """The head config from the flags given; the rest keep their defaults."""
-    given = {f.name: getattr(args, f.name, None) for f in fields(HeadTrainConfig)}
-    return HeadTrainConfig(**{k: v for k, v in given.items() if v is not None})
+def _given(values, cls) -> dict:
+    """The flags (or, for a dict, the keys) named after fields of ``cls``
+    whose value is not None: the settings given, which override defaults."""
+    values = values if isinstance(values, dict) else vars(values)
+    return {f.name: values[f.name] for f in fields(cls)
+            if values.get(f.name) is not None}
 
 
 def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> dict:
@@ -167,7 +141,7 @@ def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> d
     """
     cfg_dict = cfg.to_dict()
     h = config_hash(cfg_dict)
-    params = _mining_params(cfg.eps, cfg.min_pts)
+    params = cfg.mining.params()
 
     stage = "preflight"
     try:
@@ -199,7 +173,7 @@ def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> d
                                cfg.seed, list(cfg.faithfulness_ns), cfg_dict)
 
         stage = "write-artifacts"
-        meta = {"config_hash": h, "eps": cfg.eps, "min_pts": cfg.min_pts}
+        meta = {"config_hash": h, **asdict(cfg.mining)}
         save_centers(centers, outdir / "centers.pcmc", "pcmc")
         for fmt in ("json", "pcmb"):
             save_book(book, outdir / f"book.{fmt}", fmt, meta=meta)
@@ -241,11 +215,7 @@ def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> d
 
 
 def cmd_gen(args) -> int:
-    spec = SyntheticSpec(
-        n_classes=args.classes, n_parts=args.parts, feat_dim=args.dim,
-        samples_per_class=args.per_class, concepts_per_cell=args.concepts,
-        noise_sigma=args.noise, min_separation=args.min_sep, seed=args.seed,
-    )
+    spec = SyntheticSpec(**_given(args, SyntheticSpec))
     ds, gt = generate_synthetic(spec)
     out = Path(args.output)
     save_dataset(ds, out, _dataset_format(out))
@@ -263,20 +233,15 @@ def cmd_gen(args) -> int:
 
 
 def _load_pipeline_config(args) -> PipelineConfig:
+    """The --config file (all defaults without one) with the flags given
+    laid over it; --seed also sets the seed of center fitting."""
     raw = read_json_object(args.config) if args.config else {}
-    if args.seed is not None:
-        raw["seed"] = args.seed
-        if "seed" in _config_section(raw, "mcm"):
-            raw["mcm"] = {**raw["mcm"], "seed": args.seed}
-    if args.k is not None:
-        raw["stability_k"] = args.k
-    for name, keys in (("mining", ("eps", "min_pts")),
-                       ("head", ("lam", "gamma", "beta", "lr", "epochs"))):
-        section = dict(_config_section(raw, name))
-        for key in keys:
-            if getattr(args, key) is not None:
-                section[key] = getattr(args, key)
-        raw[name] = section
+    raw.update(_given(args, PipelineConfig))
+    seed = {"seed": args.seed} if args.seed is not None else {}
+    for name, given in (("mcm", seed), ("mining", _given(args, MiningConfig)),
+                        ("head", _given(args, HeadTrainConfig))):
+        if given and isinstance(raw.get(name, {}), dict):
+            raw[name] = {**raw.get(name, {}), **given}
     return pipeline_config_from_dict(raw)
 
 
@@ -294,36 +259,37 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_mine(args) -> int:
+    mining = MiningConfig(**_given(args, MiningConfig))
     ds = _load_data(args.data)
-    book = mine_concepts(ds, _mining_params(args.eps, args.min_pts))
+    book = mine_concepts(ds, mining.params())
     out = Path(args.output)
-    meta = {"config_hash": config_hash({"eps": args.eps, "min_pts": args.min_pts}),
-            "eps": args.eps, "min_pts": args.min_pts}
-    save_book(book, out, _book_format(out), meta=meta)
+    meta = asdict(mining)
+    save_book(book, out, _book_format(out),
+              meta={"config_hash": config_hash(meta), **meta})
     print(f"mined {book.d_c} concepts from {ds.n_samples} samples")
     return 0
 
 
 def cmd_merge(args) -> int:
     book = load_book(args.book, _book_format(args.book))
-    cfg = MergeConfig(threshold_pct=args.threshold, level=args.level)
+    cfg = MergeConfig(**_given(args, MergeConfig))
     merged = merge_centroids(book, cfg)
     out = Path(args.output)
     save_book(merged, out, _book_format(out), meta=book.meta)
     print(f"d_c before={book.d_c} after={merged.d_c} "
-          f"(threshold={args.threshold}%, level={args.level})")
+          f"(threshold={cfg.threshold_pct}%, level={cfg.level})")
 
     if args.data:
         ds = _load_data(args.data)
-        head_cfg = _head_config(args)
+        head_cfg = HeadTrainConfig(**_given(args, HeadTrainConfig))
         rows = []
         for tag, pct, b in (("input", 0.0, book),
-                            ("merged", args.threshold, merged)):
+                            ("merged", cfg.threshold_pct, merged)):
             z, g = compute_cav_batch(ds, b)
             head = train_head(z, g, ds.labels, head_cfg)
             acc = accuracy(z, g, ds.labels, head)
             f3 = faithfulness(z, g, ds.labels, head, b, [3])[3]
-            rows.append((tag, pct, args.level, b.d_c, acc, f3))
+            rows.append((tag, pct, cfg.level, b.d_c, acc, f3))
         csv_path = args.csv or (str(out) + ".table.csv")
         with open(csv_path, "w") as fh:
             fh.write("book,threshold_pct,level,d_c,accuracy,F3\n")
@@ -338,7 +304,7 @@ def cmd_train(args) -> int:
     ds = _load_data(args.data)
     book = load_book(args.book, _book_format(args.book))
     z, g = compute_cav_batch(ds, book)
-    cfg = _head_config(args)
+    cfg = HeadTrainConfig(**_given(args, HeadTrainConfig))
     head = train_head(z, g, ds.labels, cfg)
     out = Path(args.output)
     meta = {"config_hash": book.meta.get("config_hash",
@@ -353,16 +319,15 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ds, book, head = _load_scored_run(args)
-
-    eps = args.eps if args.eps is not None else book.meta.get("eps")
-    min_pts = args.min_pts if args.min_pts is not None else book.meta.get("min_pts")
-    params = _mining_params(eps, min_pts)
-
+    # The book's mining settings, with the flags given laid over them.
+    mining = MiningConfig(**{**_given(book.meta, MiningConfig),
+                             **_given(args, MiningConfig)})
     z, g = compute_cav_batch(ds, book)
     report = metric_report(
-        ds, z, g, book, head, args.k, params, args.seed or 0, args.ns,
-        {"book": book.meta, "k": args.k, "ns": args.ns,
-         "eps": eps, "min_pts": min_pts})
+        ds, z, g, book, head, args.stability_k, mining.params(), args.seed,
+        args.faithfulness_ns,
+        {"book": book.meta, "k": args.stability_k, "ns": args.faithfulness_ns,
+         **asdict(mining)})
     save_report(report, args.output)
     if args.csv:
         save_report_csv(report, args.csv)
@@ -377,7 +342,7 @@ def cmd_eval(args) -> int:
 def cmd_occlude(args) -> int:
     ds, book, head = _load_scored_run(args)
     rows = occlusion_eval(ds, head, book,
-                          OcclusionConfig(fractions=args.fractions))
+                          OcclusionConfig(**_given(args, OcclusionConfig)))
     save_curve_csv(rows, args.output)
     if args.svg:
         save_curve_svg(rows, args.svg)
@@ -426,14 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a planted synthetic dataset")
-    p.add_argument("--classes", type=int, default=5)
-    p.add_argument("--parts", type=int, default=4)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--per-class", type=int, default=40)
-    p.add_argument("--concepts", type=int, default=2)
-    p.add_argument("--noise", type=float, default=0.02)
-    p.add_argument("--min-sep", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--classes", dest="n_classes", type=int)
+    p.add_argument("--parts", dest="n_parts", type=int)
+    p.add_argument("--dim", dest="feat_dim", type=int)
+    p.add_argument("--per-class", dest="samples_per_class", type=int)
+    p.add_argument("--concepts", dest="concepts_per_cell", type=int)
+    p.add_argument("--noise", dest="noise_sigma", type=float)
+    p.add_argument("--min-sep", dest="min_separation", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--ground-truth", help="ground-truth JSON path")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen)
@@ -442,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--config", help="JSON pipeline config")
     p.add_argument("--seed", type=int)
-    p.add_argument("--k", type=int, help="stability fold count")
+    p.add_argument("--k", dest="stability_k", type=int,
+                   help="stability fold count")
     p.add_argument("--eps", type=float)
     p.add_argument("--min-pts", dest="min_pts", type=int)
     p.add_argument("--lam", type=float)
@@ -462,9 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("merge", help="merge similar centroids in a book")
     p.add_argument("--book", required=True)
-    p.add_argument("--threshold", type=float, required=True,
+    p.add_argument("--threshold", dest="threshold_pct", type=float,
+                   required=True,
                    help="percent of max pairwise centroid distance")
-    p.add_argument("--level", type=int, choices=(1, 2, 3), default=1)
+    p.add_argument("--level", type=int, choices=(1, 2, 3))
     p.add_argument("--data", help="dataset for the accuracy/F(3) table")
     p.add_argument("--csv", help="path of the Table-style CSV report")
     p.add_argument("--lam", type=float)
@@ -487,13 +454,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--book", required=True)
     p.add_argument("--head", required=True)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--ns", type=_list_of(int, minimum=0),
-                   default=[1, 2, 3, 4, 5],
+    p.add_argument("--k", dest="stability_k", type=int,
+                   default=PipelineConfig.stability_k)
+    p.add_argument("--ns", dest="faithfulness_ns", type=_list_of(int, minimum=0),
+                   default=PipelineConfig.faithfulness_ns,
                    help="comma-separated faithfulness n list")
     p.add_argument("--eps", type=float)
     p.add_argument("--min-pts", dest="min_pts", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.add_argument("--force", action="store_true",
                    help="skip the config-hash compatibility check")
     p.add_argument("--csv", help="also write the one-row CSV report")
@@ -504,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--book", required=True)
     p.add_argument("--head", required=True)
-    p.add_argument("--fractions", type=_list_of(float), default="0.1,0.2,0.3")
+    p.add_argument("--fractions", type=_list_of(float))
     p.add_argument("--svg", help="also write an SVG chart")
     p.add_argument("--force", action="store_true")
     p.add_argument("-o", "--output", required=True)

@@ -15,7 +15,6 @@ The CSV alternative has a header row and one sample per row with columns
 from __future__ import annotations
 
 import csv
-import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (FormatError, GenerationError, StratificationError,
-                     ValidationError, check_int)
+                     ValidationError, check_int, check_real)
 
 MAGIC = b"PCMF"
 VERSION = 1
@@ -125,9 +124,7 @@ class SyntheticSpec:
             check_int(name, getattr(self, name), 1)
         check_int("seed", self.seed, 0)
         for name in ("noise_sigma", "min_separation"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+            check_real(name, getattr(self, name), 0)
 
 
 @dataclass

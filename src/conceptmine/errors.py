@@ -1,6 +1,6 @@
-"""Exception types shared across the package, the integer check every
-config uses, and the JSON and binary-container readers that map unparsable
-artifact files onto them."""
+"""Exception types shared across the package, the integer and real-number
+checks every config uses, and the JSON and binary-container readers that
+map unparsable artifact files onto them."""
 
 import json
 import math
@@ -48,6 +48,20 @@ def check_int(name: str, value, low: int):
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or value < low):
         raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_real(name: str, value, low: float, high: float = math.inf,
+               low_open: bool = False):
+    """Refuse ``value`` unless it is a finite real number (not a bool) in
+    [low, high], or in (low, high] when ``low_open``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value > high
+            or (value <= low if low_open else value < low)):
+        bound = f"> {low}" if low_open else f">= {low}"
+        if high < math.inf:
+            bound += f" and <= {high}"
+        raise ValidationError(f"{name} must be a finite number {bound}, "
+                              f"got {value!r}")
 
 
 def _json_object(raw: bytes, path) -> dict:

@@ -10,13 +10,13 @@ increase, so the recorded objective is non-increasing by construction.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (DivergenceError, FormatError, ValidationError, check_int,
-                     read_container, read_json_object, write_container)
+                     check_real, read_container, read_json_object,
+                     write_container)
 
 HEAD_MAGIC = b"PCMH"
 
@@ -63,16 +63,11 @@ class HeadTrainConfig:
     epochs: int = 200
 
     def __post_init__(self):
-        for name in ("lam", "lr", "beta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+        check_real("lam", self.lam, 0)
+        check_real("gamma", self.gamma, 0, 1)
+        for name in ("beta", "lr"):
+            check_real(name, getattr(self, name), 0, low_open=True)
         check_int("epochs", self.epochs, 1)
-        if self.lam < 0:
-            raise ValidationError(f"lambda must be >= 0, got {self.lam}")
-        if not 0 <= self.gamma <= 1:
-            raise ValidationError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.lr <= 0 or self.beta <= 0:
-            raise ValidationError("lr and beta must be > 0")
 
 
 def head_forward(z: np.ndarray, g: np.ndarray, head: SparseHead) -> np.ndarray:

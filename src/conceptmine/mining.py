@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import json
 import logging
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import PartFeatureDataset
-from .errors import (FormatError, ValidationError, check_int, read_container,
-                     read_json_object, write_container)
+from .errors import (FormatError, ValidationError, check_int, check_real,
+                     read_container, read_json_object, write_container)
 
 log = logging.getLogger(__name__)
 
@@ -34,10 +32,32 @@ class DbscanParams:
     min_pts: int
 
     def __post_init__(self):
-        if (isinstance(self.eps, bool) or not isinstance(self.eps, numbers.Real)
-                or not math.isfinite(self.eps) or self.eps <= 0):
-            raise ValidationError(f"eps must be a finite number > 0, got {self.eps!r}")
+        check_real("eps", self.eps, 0, low_open=True)
         check_int("min_pts", self.min_pts, 1)
+
+
+@dataclass(frozen=True)
+class MiningConfig:
+    """The mining settings of a run: a fixed eps (with min_pts 3 when it is
+    unset), or no eps for the per-cell adaptive DBSCAN defaults."""
+
+    eps: float | None = None
+    min_pts: int | None = None
+
+    def __post_init__(self):
+        self.params()  # checks eps and min_pts
+
+    def params(self) -> DbscanParams | None:
+        """Fixed DBSCAN params, or None (adaptive) without an eps. A min_pts
+        without eps is refused: adaptive mining sets its own."""
+        if self.eps is None:
+            if self.min_pts is not None:
+                raise ValidationError(
+                    f"min_pts={self.min_pts!r} needs eps; without eps mining "
+                    f"is adaptive and sets its own min_pts per cell")
+            return None
+        return DbscanParams(eps=self.eps,
+                            min_pts=3 if self.min_pts is None else self.min_pts)
 
 
 @dataclass
@@ -66,14 +86,18 @@ class ConceptBook:
         return len(self.entries)
 
     def validate(self):
+        check_int("d_f", self.feat_dim, 1)
         seen = set()
-        for e in self.entries:
+        for i, e in enumerate(self.entries):
+            for name, value, low in (("class", e.class_id, 0), ("part", e.part, 0),
+                                     ("local_id", e.local_id, 0),
+                                     ("member_count", e.member_count, 1)):
+                if type(value) is not int or value < low:  # call only to raise
+                    check_int(f"entry {i} {name}", value, low)
             key = (e.class_id, e.part, e.local_id)
             if key in seen:
                 raise ValidationError(f"duplicate concept key {key}")
             seen.add(key)
-            if e.member_count < 1:
-                raise ValidationError(f"concept {key} has member_count < 1")
             if e.centroid.shape != (self.feat_dim,):
                 raise ValidationError(
                     f"concept {key} centroid shape {e.centroid.shape} != ({self.feat_dim},)"
@@ -104,9 +128,9 @@ class MergeConfig:
     level: int = 1
 
     def __post_init__(self):
-        if not 0 <= self.threshold_pct <= 100:
-            raise ValidationError(f"threshold_pct must be in [0, 100], got {self.threshold_pct}")
-        if self.level not in (1, 2, 3):
+        check_real("threshold_pct", self.threshold_pct, 0, 100)
+        check_int("level", self.level, 1)
+        if self.level > 3:
             raise ValidationError(f"level must be 1, 2 or 3, got {self.level}")
 
 
@@ -384,8 +408,8 @@ def save_book(book: ConceptBook, path, format: str = "json",
 
 def load_book(path, format: str = "json") -> ConceptBook:
     """Read a book written by :func:`save_book`, with its other top-level
-    keys as ``meta``; a missing key or a wrongly typed value raises
-    :class:`FormatError`."""
+    keys as ``meta``. A missing key or a malformed centroid raises
+    :class:`FormatError`; validate checks the entry fields, uncoerced."""
     if format == "json":
         payload = read_json_object(path)
     else:
@@ -394,14 +418,13 @@ def load_book(path, format: str = "json") -> ConceptBook:
         entries = payload["entries"]
         if format == "json":
             centroids = [e["centroid"] for e in entries]
-        book = ConceptBook(feat_dim=int(payload["d_f"]), meta={
+        book = ConceptBook(feat_dim=payload["d_f"], meta={
             k: v for k, v in payload.items() if k not in ("d_f", "entries")})
         for e, centroid in zip(entries, centroids, strict=True):
             book.entries.append(ConceptEntry(
-                class_id=int(e["class"]), part=int(e["part"]),
-                local_id=int(e["local_id"]),
+                class_id=e["class"], part=e["part"], local_id=e["local_id"],
                 centroid=np.array(centroid, dtype=np.float64),
-                member_count=int(e["member_count"]),
+                member_count=e["member_count"],
             ))
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: malformed book ({e!r})") from None

@@ -13,7 +13,7 @@ import numpy as np
 
 from .cav import compute_cav, compute_cav_batch
 from .dataset import PartFeatureDataset
-from .errors import ValidationError
+from .errors import ValidationError, check_real
 from .head import SparseHead, accuracy, predict
 from .mining import ConceptBook
 from .xaimetrics import faithfulness
@@ -24,9 +24,9 @@ class OcclusionConfig:
     fractions: tuple[float, ...] = (0.1, 0.2, 0.3)
 
     def __post_init__(self):
+        for f in self.fractions:
+            check_real("fractions entry", f, 0, 1)
         fr = tuple(float(f) for f in self.fractions)
-        if any(not 0 <= f <= 1 for f in fr):
-            raise ValidationError(f"fractions must lie in [0, 1], got {fr}")
         if list(fr) != sorted(fr):
             raise ValidationError(f"fractions must be sorted ascending, got {fr}")
         self.fractions = fr

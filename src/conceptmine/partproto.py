@@ -10,15 +10,13 @@ Only the centers are trainable; part features are fixed inputs.
 
 from __future__ import annotations
 
-import json
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import PartFeatureDataset
-from .errors import (DivergenceError, FormatError, ValidationError, check_int,
+from .errors import (DivergenceError, ValidationError, check_int, check_real,
                      read_container, write_container)
 
 log = logging.getLogger(__name__)
@@ -39,13 +37,9 @@ class McmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("lr", "m1", "m2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.lr <= 0:
-            raise ValidationError(f"lr must be > 0, got {self.lr}")
-        if self.m1 < 0 or self.m2 < 0:
-            raise ValidationError("margins must be >= 0")
+        check_real("lr", self.lr, 0, low_open=True)
+        for name in ("m1", "m2"):
+            check_real(name, getattr(self, name), 0)
         for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
             check_int(name, getattr(self, name), low)
         if self.m2 <= self.m1:
@@ -195,26 +189,16 @@ def fit_prototype_centers(ds: PartFeatureDataset, cfg: McmConfig,
 
 
 def save_centers(pc: PrototypeCenters, path, format: str = "pcmc"):
-    """Write centers as a PCMC container or a JSON array-of-arrays."""
-    if format == "pcmc":
-        write_container(path, CENTERS_MAGIC, {}, [pc.centers])
-    elif format == "json":
-        with open(path, "w") as fh:
-            json.dump(pc.centers.tolist(), fh)
-    else:
+    """Write centers as a PCMC container, the one centers format."""
+    if format != "pcmc":
         raise ValidationError(f"unknown centers format {format!r}")
+    write_container(path, CENTERS_MAGIC, {}, [pc.centers])
 
 
 def load_centers(path, format: str = "pcmc") -> PrototypeCenters:
-    """Read centers written by :func:`save_centers`. A malformed PCMC file, or
-    JSON that is not a numeric array of equal-length rows, raises
+    """Read centers written by :func:`save_centers`; a malformed file raises
     :class:`FormatError` naming the path."""
-    if format == "json":
-        with open(path) as fh:
-            try:
-                centers = np.array(json.load(fh), dtype=np.float64)
-            except (TypeError, ValueError) as e:  # bad JSON, ragged or non-numeric
-                raise FormatError(f"{path}: malformed centers JSON ({e})") from None
-        return PrototypeCenters(centers)
+    if format != "pcmc":
+        raise ValidationError(f"unknown centers format {format!r}")
     _, (centers,) = read_container(path, CENTERS_MAGIC, 1)
     return PrototypeCenters(centers)

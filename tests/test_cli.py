@@ -1,7 +1,7 @@
 import csv
 import json
 import struct
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -9,10 +9,12 @@ import pytest
 from conceptmine.cav import compute_cav_batch
 from conceptmine.cli import PipelineConfig, main, pipeline_config_from_dict
 from conceptmine.errors import ValidationError
-from conceptmine.dataset import load_dataset
+from conceptmine.dataset import (SyntheticSpec, generate_synthetic,
+                                 load_dataset, save_dataset)
 from conceptmine.head import HeadTrainConfig, save_head, train_head
 from conceptmine.mining import (DbscanParams, load_book, mine_concepts,
                                 save_book)
+from conceptmine.xaimetrics import config_hash
 
 from oracles import pack_container
 
@@ -62,6 +64,15 @@ class TestGen:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.pfd.gt.json").read_bytes() == \
             (tmp_path / "b.pfd.gt.json").read_bytes()
+
+    def test_default_sizes_come_from_spec(self, tmp_path):
+        assert run("gen", "-o", tmp_path / "g.pfd") == 0
+        save_dataset(generate_synthetic(SyntheticSpec())[0],
+                     tmp_path / "want.pfd")
+        assert (tmp_path / "g.pfd").read_bytes() == \
+            (tmp_path / "want.pfd").read_bytes()
+        gt = json.load(open(tmp_path / "g.pfd.gt.json"))
+        assert gt["spec"] == asdict(SyntheticSpec())
 
     def test_csv_output(self, tmp_path):
         path = tmp_path / "g.csv"
@@ -134,6 +145,11 @@ class TestPipeline:
         with pytest.raises(ValidationError, match="mcm.seed"):
             pipeline_config_from_dict({"mcm": {"seed": 1}})
 
+    def test_default_config_hash_pinned(self):
+        cfg = pipeline_config_from_dict({})
+        assert cfg.to_dict() == PipelineConfig().to_dict()
+        assert config_hash(cfg.to_dict()) == "89b4bfefa9b7"
+
     def test_config_dict_round_trips(self):
         cfg = pipeline_config_from_dict({"seed": 4, "stability_k": 3,
                                          "faithfulness_ns": [0, 2]})
@@ -202,6 +218,18 @@ class TestMerge:
                            "accuracy", "F3"]
         assert len(rows) == 3
         assert int(rows[2][3]) <= int(rows[1][3])  # merged d_c <= input d_c
+
+    def test_default_level_is_config_default(self, tmp_path, ds_path,
+                                             artifacts):
+        written = []
+        for level in ([], ["--level", 1]):
+            out = tmp_path / f"merged{len(level)}.json"
+            assert run("merge", "--book", artifacts / "book.json",
+                       "--threshold", 30, *level, "--data", ds_path,
+                       "--epochs", 10, "-o", out) == 0
+            written.append([out.read_bytes(),
+                            open(f"{out}.table.csv").read()])
+        assert written[0] == written[1]
 
 
 class TestEval:
@@ -325,6 +353,16 @@ class TestOcclude:
         assert [float(r[0]) for r in rows[1:]] == [0.0, 0.1, 0.2, 0.3]
         assert svg.exists()
 
+    def test_default_fractions_are_config_default(self, tmp_path, ds_path,
+                                                  artifacts):
+        pair = ["--data", ds_path, "--book", artifacts / "book.json",
+                "--head", artifacts / "head.json"]
+        assert run("occlude", *pair, "-o", tmp_path / "a.csv") == 0
+        assert run("occlude", *pair, "--fractions", "0.1,0.2,0.3",
+                   "-o", tmp_path / "b.csv") == 0
+        assert (tmp_path / "a.csv").read_bytes() == \
+            (tmp_path / "b.csv").read_bytes()
+
 
 class TestExport:
     def test_cav_csv(self, tmp_path, ds_path, artifacts):
@@ -351,6 +389,7 @@ class TestExport:
 # Command lines for the exit-code table; {ds} is a valid dataset, {tmp}
 # the test's directory, where the case's files are written first, and {art}
 # a directory holding an adaptively mined book and a head trained on it.
+# The expected exit code may come as (code, text the error must name).
 DATA_BOOK = ["--data", "{ds}", "--book", "{tmp}/b.json"]
 BOOK_HEAD = [*DATA_BOOK, "--head", "{tmp}/h.json"]
 MINED_BOOK_HEAD = ["--data", "{ds}", "--book", "{art}/b.json",
@@ -366,21 +405,32 @@ HUGE_L_PFD = (struct.pack("<4s5I", b"PCMF", 1, 1, 1, 2**30 + 3, 1)
 ONE_CLASS_PFD = (struct.pack("<4s5I", b"PCMF", 1, 4, 1, 1, 2)
                  + np.arange(16, dtype="<f4").tobytes() + bytes(16))
 # A two-concept book for the fixture dataset (d_f = 16, L = 3) and a head
-# that fits it, to carry a given book meta in either format.
+# that fits it, to carry a given book meta or entries in either format.
 ENTRIES = [{"class": c, "part": 0, "local_id": 0, "member_count": 1}
            for c in (0, 1)]
 CENTROIDS = np.eye(2, 16)
-HEAD_JSON = json.dumps({"W1": [[0.0] * 3] * 2, "W2": [[0.0] * 3] * 16,
-                        "b": [0.0] * 3})
 
 
-def book_json(**meta):
+def head_json(n_classes=3):
+    return json.dumps({"W1": [[0.0] * n_classes] * 2,
+                       "W2": [[0.0] * n_classes] * 16, "b": [0.0] * n_classes})
+
+
+HEAD_JSON = head_json()
+
+
+def first_entry_with(**fields):
+    """ENTRIES with ``fields`` set on the first entry."""
+    return [{**ENTRIES[0], **fields}, *ENTRIES[1:]]
+
+
+def book_json(entries=ENTRIES, **meta):
     return json.dumps({**meta, "d_f": 16, "entries": [
-        {**e, "centroid": c.tolist()} for e, c in zip(ENTRIES, CENTROIDS)]})
+        {**e, "centroid": c.tolist()} for e, c in zip(entries, CENTROIDS)]})
 
 
-def book_pcmb(**meta):
-    return pack_container(b"PCMB", {**meta, "d_f": 16, "entries": ENTRIES},
+def book_pcmb(entries=ENTRIES, **meta):
+    return pack_container(b"PCMB", {**meta, "d_f": 16, "entries": entries},
                           CENTROIDS)
 
 
@@ -441,6 +491,13 @@ EVAL_BOOK = ["eval", "--data", "{ds}", "--head", "{tmp}/h.json", "--k", 2,
                  1, id="config-seed-negative"),
     pytest.param(PIPELINE_CFG, {"cfg.json": '{"head": {"lr": Infinity}}'},
                  1, id="config-head-lr-infinite"),
+    # a real-valued setting must be a number, not a bool or a string
+    pytest.param(PIPELINE_CFG, {"cfg.json": '{"head": {"lam": true}}'},
+                 (1, "lam"), id="config-head-lam-bool"),
+    pytest.param(PIPELINE_CFG, {"cfg.json": '{"mcm": {"lr": true}}'},
+                 (1, "lr"), id="config-mcm-lr-bool"),
+    pytest.param(PIPELINE_CFG, {"cfg.json": '{"head": {"gamma": "0.5"}}'},
+                 (1, "gamma"), id="config-head-gamma-string"),
     # seeds and fold counts must be integers >= 0 (>= 2 for folds)
     pytest.param(["gen", "--classes", 2, "--seed", -1, "-o", "{tmp}/g.pfd"],
                  {}, 1, id="gen-seed-negative"),
@@ -497,6 +554,26 @@ EVAL_BOOK = ["eval", "--data", "{ds}", "--head", "{tmp}/h.json", "--k", 2,
                      struct.pack("<4I", c, 0, 0, 1) + CENTROIDS[c].tobytes()
                      for c in (0, 1)), "h.json": HEAD_JSON},
                  1, id="book-pcmb-version-1"),
+    # book entry fields are integers in range, never coerced
+    pytest.param(["train", *DATA_BOOK, "-o", "{tmp}/h.json"],
+                 {"b.json": book_json(first_entry_with(**{"class": 0.9}))},
+                 (1, "class"), id="book-json-class-fractional"),
+    pytest.param(["train", *DATA_BOOK, "-o", "{tmp}/h.json"],
+                 {"b.json": book_json(first_entry_with(member_count=True))},
+                 (1, "member_count"), id="book-json-member-count-bool"),
+    pytest.param(["train", *DATA_BOOK, "-o", "{tmp}/h.json"],
+                 {"b.json": book_json(first_entry_with(part=-1))},
+                 (1, "part"), id="book-json-part-negative"),
+    pytest.param(["train", "--data", "{ds}", "--book", "{tmp}/b.pcmb",
+                  "-o", "{tmp}/h.json"], {"b.pcmb": book_pcmb(first_entry_with(part=-1))},
+                 (1, "part"), id="book-pcmb-part-negative"),
+    # a head must score the dataset's classes
+    pytest.param([*EVAL_BOOK, "{tmp}/b.json"],
+                 {"b.json": book_json(), "h.json": head_json(2)},
+                 (1, "classes"), id="eval-head-class-count"),
+    pytest.param(["occlude", *BOOK_HEAD, "--force", "-o", "{tmp}/c.csv"],
+                 {"b.json": book_json(), "h.json": head_json(4)},
+                 (1, "classes"), id="occlude-head-class-count"),
     # malformed book JSON
     pytest.param(["eval", *BOOK_HEAD, "-o", "{tmp}/r.json"],
                  {"b.json": '{"d_f": 16}'}, 1, id="book-without-entries"),
@@ -505,6 +582,7 @@ EVAL_BOOK = ["eval", "--data", "{ds}", "--head", "{tmp}/h.json", "--k", 2,
                  1, id="truncated-book"),
 ])
 def test_exit_codes(tmp_path, ds_path, capsys, argv, files, code):
+    code, named = code if isinstance(code, tuple) else (code, "")
     for name, content in files.items():
         if isinstance(content, bytes):
             (tmp_path / name).write_bytes(content)
@@ -524,6 +602,7 @@ def test_exit_codes(tmp_path, ds_path, capsys, argv, files, code):
     err = capsys.readouterr().err
     assert rc == code
     assert "error:" in err
+    assert named in err
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
     if code == 2:
