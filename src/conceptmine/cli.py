@@ -101,11 +101,25 @@ def _load_data(path) -> PartFeatureDataset:
     return load_dataset(path, _dataset_format(Path(path)))
 
 
+def _load_book(path, ds: PartFeatureDataset | None = None):
+    """The book at ``path``; given the dataset it is used with, refused if
+    an entry names a class that ``ds`` does not have."""
+    book = load_book(path, _book_format(path))
+    bad = None if ds is None else next(
+        (i for i, e in enumerate(book.entries) if e.class_id >= ds.n_classes),
+        None)
+    if bad is not None:
+        raise CompatibilityError(
+            f"book entry {bad} has class {book.entries[bad].class_id} but "
+            f"the dataset has {ds.n_classes} classes")
+    return book
+
+
 def _load_scored_run(args):
     """Dataset, book and head for ``eval``/``occlude``; refuses a d_c or
     class-count mismatch, and a hash mismatch unless ``--force`` is given."""
     ds = _load_data(args.data)
-    book = load_book(args.book, _book_format(args.book))
+    book = _load_book(args.book, ds)
     head = load_head(args.head, _head_format(args.head))
     if head.W1.shape[0] != book.d_c:
         raise CompatibilityError(
@@ -271,7 +285,8 @@ def cmd_mine(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    book = load_book(args.book, _book_format(args.book))
+    ds = _load_data(args.data) if args.data else None
+    book = _load_book(args.book, ds)
     cfg = MergeConfig(**_given(args, MergeConfig))
     merged = merge_centroids(book, cfg)
     out = Path(args.output)
@@ -280,7 +295,6 @@ def cmd_merge(args) -> int:
           f"(threshold={cfg.threshold_pct}%, level={cfg.level})")
 
     if args.data:
-        ds = _load_data(args.data)
         head_cfg = HeadTrainConfig(**_given(args, HeadTrainConfig))
         rows = []
         for tag, pct, b in (("input", 0.0, book),
@@ -302,7 +316,7 @@ def cmd_merge(args) -> int:
 
 def cmd_train(args) -> int:
     ds = _load_data(args.data)
-    book = load_book(args.book, _book_format(args.book))
+    book = _load_book(args.book, ds)
     z, g = compute_cav_batch(ds, book)
     cfg = HeadTrainConfig(**_given(args, HeadTrainConfig))
     head = train_head(z, g, ds.labels, cfg)
@@ -355,7 +369,7 @@ def cmd_export(args) -> int:
     ds = _load_data(args.data)
     out = Path(args.output)
     if args.book:
-        book = load_book(args.book, _book_format(args.book))
+        book = _load_book(args.book)
         z, g = compute_cav_batch(ds, book)
         export_cav_csv(z, g, ds.labels, out)
         print(f"wrote CAV matrix ({z.shape[0]} x {z.shape[1]}) to {out}")

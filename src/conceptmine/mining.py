@@ -102,8 +102,11 @@ class ConceptBook:
                 raise ValidationError(
                     f"concept {key} centroid shape {e.centroid.shape} != ({self.feat_dim},)"
                 )
-            if not np.isfinite(e.centroid).all():
-                raise ValidationError(f"concept {key} centroid is non-finite")
+        finite = np.isfinite(self.centroid_matrix()).all(axis=1)
+        if not finite.all():
+            e = self.entries[int(np.argmin(finite))]
+            raise ValidationError(f"concept {(e.class_id, e.part, e.local_id)} "
+                                  f"centroid is non-finite")
 
     def centroid_matrix(self) -> np.ndarray:
         return np.array([e.centroid for e in self.entries],
@@ -135,40 +138,156 @@ class MergeConfig:
 
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
-_BLOCK_ENTRIES = 1 << 19  # matrix entries per row block of the kernels below
+# Entries of the largest float or int temporary of one block of the kernel
+# below; it sets how many cells share a batch and how many rows of one large
+# cell share a row block.
+_BLOCK_ENTRIES = 1 << 16
 
 
-def _sq_dist_blocks(x: np.ndarray):
-    """Row blocks ``(lo, gram, band)`` of the squared-distance matrix of x.
+def _sq_dist_blocks(x: np.ndarray, counts: np.ndarray):
+    """Row blocks ``(lo, gram, band)`` of the squared-distance matrices of a
+    zero-padded batch of cells ``x [B, m, d]``, cell b holding its first
+    ``counts[b]`` rows; entries that involve a padding row are ``inf``.
 
-    ``gram[r, j] = |x_i|^2 + |x_j|^2 - 2 x_i . x_j`` (i = lo + r) lies within
-    ``band`` of the direct sum ``sum((x_i - x_j) ** 2)``: the dot-product
-    error bound gives ``|gram - exact| <= (2d + 3) u S`` and
+    ``gram[b, r, j] = |x_i|^2 + |x_j|^2 - 2 x_i . x_j`` (i = lo + r) lies
+    within ``band`` of the direct sum ``sum((x_i - x_j) ** 2)``: the
+    dot-product error bound gives ``|gram - exact| <= (2d + 3) u S`` and
     ``|direct - exact| <= (2d + 4) u S`` to first order, with
     ``S = |x_i|^2 + |x_j|^2`` and unit roundoff u. ``band = 4 (d + 3) u S``
     keeps 5uS to spare for the second-order terms, the computed norms and
     the comparisons against the band (no underflow or overflow assumed).
-    A comparison inside the band is decided by :func:`_exact_sq_dists`.
+    The bound holds for any summation order, so a comparison outside the
+    band is decided as the direct sum decides it, and one inside the band
+    is decided by :func:`_exact_sq_dists`.
     """
-    n, d = x.shape
-    sq = np.einsum("ij,ij->i", x, x)
+    b, m, d = x.shape
+    sq = np.einsum("bij,bij->bi", x, x)
+    padding = np.arange(m) >= counts[:, None]
     scale = 4.0 * (d + 3) * _UNIT_ROUNDOFF
-    step = max(1, _BLOCK_ENTRIES // max(n, 1))
-    for lo in range(0, n, step):
-        rows = slice(lo, min(lo + step, n))
-        norms = sq[rows, None] + sq[None, :]
-        yield lo, norms - 2.0 * (x[rows] @ x.T), scale * norms
+    step = max(1, _BLOCK_ENTRIES // (b * m))
+    for lo in range(0, m, step):
+        rows = slice(lo, min(lo + step, m))
+        norms = sq[:, rows, None] + sq[:, None, :]
+        gram = norms - 2.0 * (x[:, rows] @ x.transpose(0, 2, 1))
+        if padding.any():
+            np.copyto(gram, np.inf, where=padding[:, None, :])
+            np.copyto(gram, np.inf, where=padding[:, rows, None])
+        yield lo, gram, scale * norms
 
 
 def _exact_sq_dists(x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """``sum((x[i] - x[j]) ** 2)`` per pair, bit for bit as the
-    ``n x n x d`` broadcast sums it, in chunks of bounded size."""
+    """``sum((x[i] - x[j]) ** 2)`` per pair of rows of ``x [n, d]``, bit for
+    bit as the ``n x n x d`` broadcast sums it, in chunks of bounded size."""
     out = np.empty(len(i))
     step = max(1, _BLOCK_ENTRIES // max(x.shape[1], 1))
     for lo in range(0, len(i), step):
         out[lo:lo + step] = np.sum((x[i[lo:lo + step]] - x[j[lo:lo + step]]) ** 2,
                                    axis=1)
     return out
+
+
+def _adaptive_eps(x: np.ndarray, counts: np.ndarray, blocks) -> np.ndarray:
+    """Per cell, the median nearest-neighbor distance (at least 1e-12),
+    or 1.0 for a cell of fewer than two points."""
+    b, m, d = x.shape
+    flat = x.reshape(b * m, d)
+    nn_sq = np.full((b, m), np.inf)
+    for lo, gram, band in blocks:
+        r = np.arange(gram.shape[1])
+        upper = gram + band
+        upper[:, r, lo + r] = np.inf  # a point is not its own neighbor
+        upper = upper.min(axis=2)
+        upper[upper == np.inf] = -np.inf  # padding, or a cell of one point
+        # Every pair whose lower bound reaches the row's smallest upper
+        # bound may hold the row minimum; decide it on the exact values.
+        near = gram - band <= upper[:, :, None]
+        near[:, r, lo + r] = False
+        cb, cr, cc = np.nonzero(near)
+        row = cb * m + lo + cr
+        if len(row):
+            starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+            nn_sq.reshape(-1)[row[starts]] = np.minimum.reduceat(
+                _exact_sq_dists(flat, row, cb * m + cc), starts)
+    # The median as np.median takes it: the mean of the two middle values
+    # of the sorted distances, one value twice for an odd count.
+    nn = np.sort(np.sqrt(nn_sq), axis=1)
+    cell = np.arange(b)
+    mid = nn[cell, (counts - 1) // 2] + nn[cell, counts // 2]
+    return np.where(counts < 2, 1.0, np.maximum(mid / 2, 1e-12))
+
+
+def _neighbor_min(within: np.ndarray, values: np.ndarray, fill: int) -> np.ndarray:
+    """Per point, the smallest of ``values [B, m]`` over its neighbors
+    (``fill`` for none), in row blocks of bounded size."""
+    b, m, _ = within.shape
+    out = np.empty((b, m), dtype=values.dtype)
+    step = max(1, _BLOCK_ENTRIES // (b * m))
+    for lo in range(0, m, step):
+        rows = slice(lo, min(lo + step, m))
+        out[:, rows] = np.where(within[:, rows], values[:, None, :],
+                                fill).min(axis=2)
+    return out
+
+
+def _dbscan_cells(x: np.ndarray, counts: np.ndarray,
+                  params: DbscanParams | None):
+    """DBSCAN labels ``[B, m]`` of a zero-padded batch of cells, with the
+    eps and min_pts of each cell: ``params``, or the adaptive defaults of
+    :func:`_adaptive_params` per cell when it is None.
+
+    Cluster ids follow the ascending minimum core index of the components
+    of each cell's core graph, and a border point takes the smallest id
+    among its core neighbors; this is the first-touch labeling of a
+    breadth-first expansion over ascending point index. Components come
+    from min-label propagation with pointer jumping.
+    """
+    b, m, d = x.shape
+    # One Gram pass serves both the eps and the neighbor decisions when the
+    # whole batch fits in one block; a large cell is passed twice.
+    if b * m * m <= _BLOCK_ENTRIES:
+        blocks = list(_sq_dist_blocks(x, counts))
+    else:
+        blocks = None
+    if params is None:
+        eps = _adaptive_eps(x, counts, blocks or _sq_dist_blocks(x, counts))
+        min_pts = np.maximum(3, counts // 20)
+    else:
+        eps = np.full(b, params.eps)
+        min_pts = np.full(b, params.min_pts)
+    eps_sq = eps * eps
+    flat = x.reshape(b * m, d)
+    within = np.empty((b, m, m), dtype=bool)
+    for lo, gram, band in blocks or _sq_dist_blocks(x, counts):
+        diff = gram - eps_sq[:, None, None]
+        near = diff <= 0.0
+        cb, cr, cc = np.nonzero(np.abs(diff, out=diff) <= band)
+        near[cb, cr, cc] = _exact_sq_dists(
+            flat, cb * m + lo + cr, cb * m + cc) <= eps_sq[cb]
+        within[:, lo:lo + near.shape[1]] = near
+    core = (np.count_nonzero(within, axis=2) >= min_pts[:, None]).ravel()
+
+    # parent[i] <= i is a core point of i's component. Each round hooks
+    # every tree root to the smallest root next to its tree, then jumps
+    # pointers until every parent is a root. A round that hooks nothing
+    # leaves each component one tree, rooted at its minimum index.
+    fill = b * m
+    parent = np.arange(fill)
+    while True:
+        low = _neighbor_min(within, np.where(core, parent, fill).reshape(b, m),
+                            fill).ravel()
+        hooked = parent.copy()
+        np.minimum.at(hooked, parent[core], low[core])
+        if np.array_equal(hooked, parent):
+            break
+        parent = hooked
+        while not np.array_equal(grand := parent[parent], parent):
+            parent = grand
+    # low is now the root of each core point, and for a border point the
+    # smallest root among its core neighbors; roots number the clusters.
+    root = core & (parent == np.arange(fill))
+    cluster = np.cumsum(root.reshape(b, m), axis=1).ravel() - 1
+    labels = np.where(low < fill, cluster[np.minimum(low, fill - 1)], NOISE)
+    return labels.reshape(b, m), eps, min_pts
 
 
 def dbscan(points: np.ndarray, params: DbscanParams) -> np.ndarray:
@@ -178,100 +297,110 @@ def dbscan(points: np.ndarray, params: DbscanParams) -> np.ndarray:
     within ``eps``. Cluster ids are assigned in first-touch order over
     ascending point index; unreachable non-core points are labeled NOISE
     (-1) and a border point joins the first cluster that reaches it, so the
-    labeling is deterministic. Clusters grow by whole frontiers over the
-    boolean neighbor mask.
+    labeling is deterministic. The cell runs through the batched kernel as
+    a batch of one.
     """
     points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
-    labels = np.full(n, NOISE, dtype=np.int64)
-    if n == 0:
-        return labels
-
-    eps_sq = params.eps * params.eps
-    neighbor_mask = np.empty((n, n), dtype=bool)
-    for lo, gram, band in _sq_dist_blocks(points):
-        diff = gram - eps_sq
-        within = diff <= 0.0
-        r, c = np.nonzero(np.abs(diff) <= band)
-        within[r, c] = _exact_sq_dists(points, lo + r, c) <= eps_sq
-        neighbor_mask[lo:lo + len(within)] = within
-    core = neighbor_mask.sum(axis=1) >= params.min_pts
-
-    cluster = 0
-    for i in np.flatnonzero(core):
-        if labels[i] != NOISE:
-            continue
-        labels[i] = cluster
-        frontier = np.array([i])
-        while frontier.size:
-            reached = neighbor_mask[frontier].any(axis=0) & (labels == NOISE)
-            labels[reached] = cluster
-            frontier = np.flatnonzero(reached & core)
-        cluster += 1
-    return labels
+    if points.shape[0] == 0:
+        return np.full(0, NOISE, dtype=np.int64)
+    labels, _, _ = _dbscan_cells(points[None], np.array([points.shape[0]]),
+                                 params)
+    return labels[0]
 
 
 def _adaptive_params(cell: np.ndarray) -> DbscanParams:
     """Scale-adaptive defaults: eps = median nearest-neighbor distance,
     min_pts = max(3, cell_size / 20)."""
+    cell = np.asarray(cell, dtype=np.float64)
     n = cell.shape[0]
     min_pts = max(3, n // 20)
     if n < 2:
         return DbscanParams(eps=1.0, min_pts=min_pts)
-    cell = np.asarray(cell, dtype=np.float64)
-    nn_sq = np.empty(n)
-    for lo, gram, band in _sq_dist_blocks(cell):
-        rows = np.arange(len(gram))
-        gram[rows, lo + rows] = np.inf  # a point is not its own neighbor
-        upper = (gram + band).min(axis=1)
-        # Every pair whose lower bound reaches the row's smallest upper
-        # bound may hold the row minimum; decide it on the exact values.
-        r, c = np.nonzero(gram - band <= upper[:, None])
-        starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
-        nn_sq[lo:lo + len(gram)] = np.minimum.reduceat(
-            _exact_sq_dists(cell, lo + r, c), starts)
-    eps = float(np.median(np.sqrt(nn_sq)))
-    return DbscanParams(eps=max(eps, 1e-12), min_pts=min_pts)
+    x, counts = cell[None], np.array([n])
+    eps = _adaptive_eps(x, counts, _sq_dist_blocks(x, counts))
+    return DbscanParams(eps=float(eps[0]), min_pts=min_pts)
 
 
-def mine_concepts(ds: PartFeatureDataset,
-                  params: DbscanParams | None = None) -> ConceptBook:
+def _cell_entries(cell: np.ndarray, labels: np.ndarray, class_id: int,
+                  part: int) -> list[ConceptEntry]:
+    """The concepts of one clustered cell: one per cluster at its mean, or
+    one at the cell mean when every point is noise."""
+    n_clusters = int(labels.max()) + 1
+    if n_clusters == 0:
+        return [ConceptEntry(class_id, part, 0, cell.mean(axis=0),
+                             cell.shape[0])]
+    # Members grouped by cluster in ascending index, noise first. The sum
+    # over rows divided by the count is how ndarray.mean computes the mean.
+    members = cell[np.argsort(labels, kind="stable")]
+    bounds = np.cumsum(np.bincount(labels + 1)).tolist()
+    return [ConceptEntry(class_id, part, l,
+                         np.add.reduce(members[lo:hi], axis=0) / (hi - lo), hi - lo)
+            for l, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+
+
+def mine_concepts(ds: PartFeatureDataset, params: DbscanParams | None = None,
+                  folds: list[np.ndarray] | None = None
+                  ) -> ConceptBook | list[ConceptBook]:
     """Cluster every (class, part) cell and collect cluster-mean centroids.
 
     Noise points contribute to no centroid. A cell whose clustering yields
     nothing falls back to a single centroid at the cell mean, so every cell
     contributes at least one concept. With ``params=None`` each cell uses
     scale-adaptive defaults. Entries are ordered by (class, part, local id).
+
+    With ``folds`` (sample-index arrays, as from ``split_kfold``)
+    returns one book per fold instead, each equal to the book of
+    ``subset(ds, fold)``. The cells of all folds are clustered together:
+    sorted by size, they share zero-padded batches whose temporaries hold
+    at most ``_BLOCK_ENTRIES`` entries, and a cell too large for a batch of
+    its own is row-blocked.
     """
     ds.validate()
-    feats = ds.part_features.astype(np.float64)
-    book = ConceptBook(feat_dim=ds.feat_dim)
-    for j in range(ds.n_classes):
-        in_class = ds.labels == j
-        for p in range(ds.n_parts):
-            cell = feats[in_class, p, :]
-            cell_params = params if params is not None else _adaptive_params(cell)
-            labels = dbscan(cell, cell_params)
-            n_clusters = int(labels.max()) + 1
-            log.debug("cell class=%d part=%d n=%d eps=%.6g min_pts=%d "
-                      "clusters=%d noise=%d", j, p, cell.shape[0],
-                      cell_params.eps, cell_params.min_pts, n_clusters,
-                      np.count_nonzero(labels == NOISE))
-            if n_clusters == 0:
-                book.entries.append(ConceptEntry(
-                    class_id=j, part=p, local_id=0,
-                    centroid=cell.mean(axis=0), member_count=cell.shape[0],
-                ))
-                continue
-            for l in range(n_clusters):
-                members = cell[labels == l]
-                book.entries.append(ConceptEntry(
-                    class_id=j, part=p, local_id=l,
-                    centroid=members.mean(axis=0),
-                    member_count=int(members.shape[0]),
-                ))
-    book.validate()
-    return book
+    sets = ([np.arange(ds.n_samples)] if folds is None
+            else [np.asarray(f, dtype=np.int64) for f in folds])
+    members = []  # sample indices of each (set, class)
+    for s, rows in enumerate(sets):
+        in_set = ds.labels[rows]
+        for j in range(ds.n_classes):
+            members.append(rows[in_set == j])
+            if not len(members[-1]):
+                raise ValidationError(f"class {j} has no samples in fold {s}")
+    n_parts, d = ds.n_parts, ds.feat_dim
+    per_set = ds.n_classes * n_parts
+    # Cell c = (set * n_classes + class) * n_parts + part.
+    sizes = np.repeat([len(idx) for idx in members], n_parts)
+    order = np.argsort(-sizes, kind="stable")
+    entries: list = [None] * len(sizes)
+    start = 0
+    while start < len(order):
+        m = int(sizes[order[start]])
+        cells = order[start:start + max(1, _BLOCK_ENTRIES // (m * max(m, d)))]
+        start += len(cells)
+        counts = sizes[cells]
+        sample = np.zeros((len(cells), m), dtype=np.int64)
+        for r, c in enumerate(cells):
+            sample[r, :counts[r]] = members[c // n_parts]
+        x = ds.part_features[sample, (cells % n_parts)[:, None]].astype(np.float64)
+        x[np.arange(m) >= counts[:, None]] = 0.0
+        labels, eps, min_pts = _dbscan_cells(x, counts, params)
+        for r, c in enumerate(cells):
+            s, rest = divmod(int(c), per_set)
+            j, p = divmod(rest, n_parts)
+            cell, cell_labels = x[r, :counts[r]], labels[r, :counts[r]]
+            entries[c] = _cell_entries(cell, cell_labels, j, p)
+            if log.isEnabledFor(logging.DEBUG):
+                log.debug("cell set=%d class=%d part=%d n=%d eps=%.6g "
+                          "min_pts=%d clusters=%d noise=%d", s, j, p,
+                          len(cell), eps[r], min_pts[r], cell_labels.max() + 1,
+                          np.count_nonzero(cell_labels == NOISE))
+    books = []
+    for s in range(len(sets)):
+        book = ConceptBook(feat_dim=d)
+        for cell_entries in entries[s * per_set:(s + 1) * per_set]:
+            book.entries.extend(cell_entries)
+        book.validate()
+        books.append(book)
+    return books[0] if folds is None else books
 
 
 def _agglomerate(weights, cents, cutoff):

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from .cav import _unit_rows
-from .dataset import PartFeatureDataset, split_kfold, subset
+from .dataset import PartFeatureDataset, split_kfold
 from .errors import ValidationError
 from .head import SparseHead, accuracy, predict
 from .mining import ConceptBook, DbscanParams, mine_concepts
@@ -172,16 +172,17 @@ def stability(ds: PartFeatureDataset, k: int, params: DbscanParams | None,
               seed: int) -> float:
     """Mean matched cosine similarity of per-cell centroids mined on k folds.
 
-    Every fold is re-mined independently; for each fold pair and
-    (class, part) cell the two centroid lists are aligned by minimum-cost
-    assignment on (1 - cosine), padding unequal counts with unmatched
-    penalty 1 (similarity 0). Matched similarities are clamped at 0 so the
-    score lies in [0, 100]. 100 means all folds mine identical books.
+    Every fold is mined on its own, all in one batched mining call; for
+    each fold pair and (class, part) cell the two centroid lists are
+    aligned by minimum-cost assignment on (1 - cosine), padding unequal
+    counts with unmatched penalty 1 (similarity 0). Matched similarities
+    are clamped at 0 so the score lies in [0, 100]. 100 means all folds
+    mine identical books.
     As every cost is 1 - sim, the m matched similarities of a cell sum to
     m - min_cost: only the optimal cost is needed, not the assignment.
     """
-    folds = split_kfold(ds, k, seed)
-    books = [_cells(mine_concepts(subset(ds, f), params)) for f in folds]
+    books = [_cells(b)
+             for b in mine_concepts(ds, params, folds=split_kfold(ds, k, seed))]
     matched = 0.0
     slots = 0
     for cells_a, cells_b in itertools.combinations(books, 2):

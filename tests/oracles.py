@@ -1,9 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately use different machinery than the production code:
-DBSCAN via union-find over core points instead of frontier expansion,
+DBSCAN via union-find over core points instead of label propagation,
 squared distances via the direct n x n x d broadcast instead of the Gram
-form, assignment via exhaustive permutation search, stability via the
+form, books and stability mined one cell and one fold at a time instead
+of in batches, assignment via exhaustive permutation search, stability via the
 lexicographic assignment of every cell, occlusion one sample at a time,
 the MCC loss as straight-line scalar loops, head training as plain
 constant-step gradient descent, and consistency from the full n x n Gram
@@ -26,8 +27,9 @@ from conceptmine.dataset import PartFeatureDataset, split_kfold, subset
 from conceptmine.head import (_MAX_HALVINGS, SparseHead, _smooth_objective_and_grads,
                               concept_contributions, head_forward, predict,
                               soft_threshold)
-from conceptmine.mining import mine_concepts
-from conceptmine.xaimetrics import faithfulness, hungarian
+from conceptmine.mining import ConceptBook, ConceptEntry, mine_concepts
+from conceptmine.xaimetrics import (_assignment_min_cost, _cells, faithfulness,
+                                    hungarian)
 
 
 def brute_force_dbscan(points, eps, min_pts):
@@ -85,6 +87,68 @@ def broadcast_adaptive_eps(cell):
     sq = np.sum((cell[:, None, :] - cell[None, :, :]) ** 2, axis=2)
     np.fill_diagonal(sq, np.inf)
     return float(np.median(np.sqrt(sq.min(axis=1))))
+
+
+def _distance_threshold(cell, eps):
+    """The t for which ``sqrt(d2) <= t``, the test :func:`brute_force_dbscan`
+    makes, holds for exactly the pairs with ``d2 <= eps * eps``, the test
+    mining makes. The two differ where sqrt(d2) rounds onto eps; with the
+    adaptive eps of an odd-sized cell, that happens to the pair that sets
+    the median."""
+    sq = np.sum((cell[:, None, :] - cell[None, :, :]) ** 2, axis=2)
+    dist = np.sqrt(sq)
+    inside = sq <= eps * eps
+    t = dist[inside].max()  # the diagonal is inside
+    if (dist[~inside] <= t).any():
+        raise AssertionError(f"no distance threshold matches eps={eps!r}")
+    return float(t)
+
+
+def reference_mine_concepts(ds, params):
+    """The concept book mined cell by cell with :func:`brute_force_dbscan`,
+    eps from :func:`broadcast_adaptive_eps` when ``params`` is None."""
+    feats = ds.part_features.astype(np.float64)
+    book = ConceptBook(feat_dim=ds.feat_dim)
+    for j in range(ds.n_classes):
+        for p in range(ds.n_parts):
+            cell = feats[ds.labels == j, p]
+            n = len(cell)
+            if params is not None:
+                eps, min_pts = params.eps, params.min_pts
+            else:
+                eps = max(broadcast_adaptive_eps(cell), 1e-12) if n > 1 else 1.0
+                min_pts = max(3, n // 20)
+            labels = brute_force_dbscan(cell, _distance_threshold(cell, eps),
+                                        min_pts)
+            if labels.max() < 0:
+                book.entries.append(
+                    ConceptEntry(j, p, 0, cell.mean(axis=0), n))
+            for l in range(labels.max() + 1):
+                members = cell[labels == l]
+                book.entries.append(
+                    ConceptEntry(j, p, l, members.mean(axis=0), len(members)))
+    return book
+
+
+def reference_stability(ds, k, params, seed):
+    """Stability with every fold book from :func:`reference_mine_concepts`
+    and each fold pair scored cell by cell."""
+    books = [_cells(reference_mine_concepts(subset(ds, f), params))
+             for f in split_kfold(ds, k, seed)]
+    matched = 0.0
+    slots = 0
+    for cells_a, cells_b in itertools.combinations(books, 2):
+        for key, (ca, ua) in cells_a.items():
+            cb, ub = cells_b[key]
+            sim = np.clip(ua @ ub.T, 0.0, 1.0)
+            same = (ca[:, None] == cb[None]).all(axis=2)
+            sim[same & ua.any(axis=1)[:, None]] = 1.0
+            m = max(sim.shape)
+            cost = np.ones((m, m))
+            cost[:sim.shape[0], :sim.shape[1]] -= sim
+            matched += m - _assignment_min_cost(cost)
+            slots += m
+    return 100.0 * matched / slots
 
 
 def canonical_labels(labels):

@@ -567,6 +567,22 @@ EVAL_BOOK = ["eval", "--data", "{ds}", "--head", "{tmp}/h.json", "--k", 2,
     pytest.param(["train", "--data", "{ds}", "--book", "{tmp}/b.pcmb",
                   "-o", "{tmp}/h.json"], {"b.pcmb": book_pcmb(first_entry_with(part=-1))},
                  (1, "part"), id="book-pcmb-part-negative"),
+    # a book entry must name a class of the dataset
+    pytest.param(["train", *DATA_BOOK, "-o", "{tmp}/h.json"],
+                 {"b.json": book_json(first_entry_with(**{"class": 7}))},
+                 (1, "class 7"), id="train-book-class-out-of-range"),
+    pytest.param([*EVAL_BOOK, "{tmp}/b.json"],
+                 {"b.json": book_json(first_entry_with(**{"class": 7})),
+                  "h.json": HEAD_JSON},
+                 (1, "class 7"), id="eval-book-class-out-of-range"),
+    pytest.param(["occlude", *BOOK_HEAD, "-o", "{tmp}/c.csv"],
+                 {"b.json": book_json(first_entry_with(**{"class": 3})),
+                  "h.json": HEAD_JSON},
+                 (1, "class 3"), id="occlude-book-class-out-of-range"),
+    pytest.param(["merge", "--book", "{tmp}/b.json", "--threshold", 5,
+                  "--data", "{ds}", "-o", "{tmp}/m.json"],
+                 {"b.json": book_json(first_entry_with(**{"class": 7}))},
+                 (1, "class 7"), id="merge-data-book-class-out-of-range"),
     # a head must score the dataset's classes
     pytest.param([*EVAL_BOOK, "{tmp}/b.json"],
                  {"b.json": book_json(), "h.json": head_json(2)},

@@ -3,14 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conceptmine.dataset import PartFeatureDataset, SyntheticSpec, generate_synthetic
+from conceptmine.dataset import (PartFeatureDataset, SyntheticSpec,
+                                 generate_synthetic, split_kfold, subset)
 from conceptmine.errors import ValidationError
 from conceptmine.mining import (ConceptBook, ConceptEntry, DbscanParams,
                                 MergeConfig, NOISE, _adaptive_params, dbscan,
                                 load_book, merge_centroids, mine_concepts,
                                 save_book)
+from conceptmine.xaimetrics import stability
 from oracles import (broadcast_adaptive_eps, brute_force_dbscan,
-                     canonical_labels)
+                     canonical_labels, reference_mine_concepts,
+                     reference_stability)
 
 
 class TestDbscan:
@@ -149,6 +152,68 @@ class TestDistanceKernel:
         assert peak < 40 * 2**20
 
 
+def book_bytes(book):
+    return b"".join(
+        np.array([e.class_id, e.part, e.local_id, e.member_count]).tobytes()
+        + e.centroid.tobytes() for e in book.entries)
+
+
+def fold_dataset(k, case):
+    """Three planted classes of 23, 17 and k samples: the first two sizes
+    divide by none of 2, 5 and 10, so fold cells differ in size within a
+    batch, and the last class gives one-point fold cells (eps 1.0, all
+    noise, the cell-mean fallback)."""
+    ds, _ = generate_synthetic(SyntheticSpec(
+        n_classes=3, n_parts=2, feat_dim=8, samples_per_class=23,
+        concepts_per_cell=2, noise_sigma=0.05, seed=k))
+    keep = np.r_[0:23, 23:40, 46:46 + k]
+    parts = ds.part_features[keep].astype(np.float64)
+    if case == "duplicates":  # two points, each repeated: eps 1e-12
+        parts[:23] = parts[np.arange(23) % 2]
+    elif case == "shifted":
+        parts += 1e6
+    elif case == "origin":  # zero padding rows lie amid class 1's points
+        parts[23:40] = np.random.default_rng(k).normal(0.0, 0.05, (17, 2, 8))
+    return PartFeatureDataset(parts, ds.nonproto_features[keep],
+                              ds.labels[keep], 3)
+
+
+class TestBatchedMining:
+    """The batched kernel against the cell-by-cell brute-force reference:
+    the book, every fold book and stability, all bit for bit."""
+
+    @pytest.mark.parametrize("case", ["planted", "duplicates", "shifted",
+                                      "origin"])
+    @pytest.mark.parametrize("k", [2, 5, 10])
+    @pytest.mark.parametrize("params", [None, DbscanParams(eps=0.3, min_pts=3)],
+                             ids=["adaptive", "fixed"])
+    def test_books_and_stability_match_reference(self, case, k, params):
+        ds = fold_dataset(k, case)
+        assert book_bytes(mine_concepts(ds, params)) == \
+            book_bytes(reference_mine_concepts(ds, params))
+        folds = split_kfold(ds, k, seed=1)
+        books = mine_concepts(ds, params, folds=folds)
+        assert len(books) == k
+        for fold, book in zip(folds, books):
+            assert book_bytes(book) == \
+                book_bytes(reference_mine_concepts(subset(ds, fold), params))
+            tail = [e for e in book.entries if e.class_id == 2]
+            assert [(e.local_id, e.member_count) for e in tail] == [(0, 1)] * 2
+        assert stability(ds, k, params, seed=1) == \
+            reference_stability(ds, k, params, seed=1)
+
+    def test_duplicate_fold_cells_take_the_smallest_eps(self):
+        ds = fold_dataset(5, "duplicates")
+        for fold in split_kfold(ds, 5, seed=1):
+            cell = ds.part_features[fold][ds.labels[fold] == 0, 0]
+            assert _adaptive_params(cell).eps == 1e-12
+
+    def test_fold_missing_a_class_refused(self, planted):
+        ds, _ = planted(n_classes=2, samples_per_class=10)
+        with pytest.raises(ValidationError, match="class 1 has no samples"):
+            mine_concepts(ds, None, folds=[np.arange(10), np.arange(20)])
+
+
 class TestMineConcepts:
     def test_planted_recovery(self):
         spec = SyntheticSpec(n_classes=2, n_parts=2, feat_dim=16,
@@ -207,6 +272,15 @@ class TestMineConcepts:
         book = mine_concepts(ds)  # no params: per-cell adaptive
         assert book.d_c >= ds.n_classes * ds.n_parts
         book.validate()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_validate_names_the_first_non_finite_centroid(self, bad):
+        e = lambda l, c: ConceptEntry(1, 0, l, np.array(c, dtype=np.float64), 1)
+        book = ConceptBook(feat_dim=2, entries=[
+            e(0, [0.0, 1.0]), e(1, [2.0, bad]), e(2, [bad, 0.0])])
+        with pytest.raises(ValidationError,
+                           match=r"concept \(1, 0, 1\) centroid is non-finite"):
+            book.validate()
 
 
 def small_book():

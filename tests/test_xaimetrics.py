@@ -188,6 +188,21 @@ class TestStability:
                                   seed=seed))
         assert float(np.mean(vals)) < 30.0
 
+    def test_memory_bounded_on_pipeline_m_shape(self):
+        # 10 classes x 6 parts x 64 dims, 200 per class, k = 5: 300 fold
+        # cells of 40 points mined in shared batches. Batches of 2^19-entry
+        # temporaries would peak near 18 MiB here.
+        ds, _ = generate_synthetic(SyntheticSpec(
+            n_classes=10, n_parts=6, feat_dim=64, samples_per_class=200,
+            concepts_per_cell=3, noise_sigma=0.02, seed=0))
+        tracemalloc.start()
+        try:
+            stability(ds, 5, None, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
 
 class TestConsistency:
     def test_orthogonal_classes(self):
