@@ -11,8 +11,8 @@ from .errors import (CompatibilityError, ConceptMineError, DivergenceError,
                      ValidationError)
 from .head import (HeadTrainConfig, SparseHead, accuracy, concept_contributions,
                    elastic_net_penalty, head_forward, predict, train_head)
-from .mining import (ConceptBook, ConceptEntry, DbscanParams, MergeConfig,
-                     MiningConfig, dbscan, merge_centroids, mine_concepts)
+from .mining import (ConceptBook, ConceptEntry, MergeConfig, MiningConfig,
+                     dbscan, merge_centroids, mine_concepts)
 from .occlusion import OcclusionConfig, occlude_sample, occlusion_eval
 from .partproto import (McmConfig, PrototypeCenters, fit_prototype_centers,
                         mcc_gradients, mcc_loss)

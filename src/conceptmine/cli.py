@@ -155,7 +155,6 @@ def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> d
     """
     cfg_dict = cfg.to_dict()
     h = config_hash(cfg_dict)
-    params = cfg.mining.params()
 
     stage = "preflight"
     try:
@@ -169,7 +168,7 @@ def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> d
         centers = fit_prototype_centers(ds, cfg.mcm)
 
         stage = "mine"
-        book = mine_concepts(ds, params)
+        book = mine_concepts(ds, cfg.mining)
         z, g = compute_cav_batch(ds, book)
 
         stage = "train"
@@ -183,7 +182,7 @@ def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> d
                           on_epoch)
 
         stage = "metrics"
-        report = metric_report(ds, z, g, book, head, cfg.stability_k, params,
+        report = metric_report(ds, z, g, book, head, cfg.stability_k, cfg.mining,
                                cfg.seed, list(cfg.faithfulness_ns), cfg_dict)
 
         stage = "write-artifacts"
@@ -275,7 +274,7 @@ def cmd_pipeline(args) -> int:
 def cmd_mine(args) -> int:
     mining = MiningConfig(**_given(args, MiningConfig))
     ds = _load_data(args.data)
-    book = mine_concepts(ds, mining.params())
+    book = mine_concepts(ds, mining)
     out = Path(args.output)
     meta = asdict(mining)
     save_book(book, out, _book_format(out),
@@ -338,7 +337,7 @@ def cmd_eval(args) -> int:
                              **_given(args, MiningConfig)})
     z, g = compute_cav_batch(ds, book)
     report = metric_report(
-        ds, z, g, book, head, args.stability_k, mining.params(), args.seed,
+        ds, z, g, book, head, args.stability_k, mining, args.seed,
         args.faithfulness_ns,
         {"book": book.meta, "k": args.stability_k, "ns": args.faithfulness_ns,
          **asdict(mining)})

@@ -66,7 +66,9 @@ class PartFeatureDataset:
             raise ValidationError(
                 f"part_features must be 3-D [n, K, d_f], got shape {self.part_features.shape}"
             )
-        n, _, d_f = self.part_features.shape
+        n, k, d_f = self.part_features.shape
+        check_int("n_parts", k, 1)
+        check_int("feat_dim", d_f, 1)
         if self.nonproto_features.shape != (n, d_f):
             raise ValidationError(
                 f"nonproto_features shape {self.nonproto_features.shape} "
@@ -237,9 +239,13 @@ def _load_csv(path: Path) -> PartFeatureDataset:
                                   f"expected {len(header)}")
         try:
             vals = np.array(row[:-1], dtype=np.float64)
-            labels[i] = int(row[-1])
+            label = int(row[-1])
         except ValueError:
             raise FormatError(f"{path}: row {i} has a non-numeric field") from None
+        if not 0 <= label < 2**32:
+            raise FormatError(f"{path}: row {i} has label {label}, outside "
+                              f"the uint32 range")
+        labels[i] = label
         parts[i] = vals[: k * d_f].reshape(k, d_f)
         g[i] = vals[k * d_f:]
 

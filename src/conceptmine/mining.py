@@ -27,37 +27,24 @@ BOOK_MAGIC = b"PCMB"
 
 
 @dataclass(frozen=True)
-class DbscanParams:
-    eps: float
-    min_pts: int
-
-    def __post_init__(self):
-        check_real("eps", self.eps, 0, low_open=True)
-        check_int("min_pts", self.min_pts, 1)
-
-
-@dataclass(frozen=True)
 class MiningConfig:
-    """The mining settings of a run: a fixed eps (with min_pts 3 when it is
-    unset), or no eps for the per-cell adaptive DBSCAN defaults."""
+    """The DBSCAN settings of a mining run; without eps each cell takes the
+    adaptive defaults of :func:`_dbscan_cells`. Two points are neighbors
+    when ``sum((a - b) ** 2) <= eps * eps`` in float64."""
 
     eps: float | None = None
     min_pts: int | None = None
 
     def __post_init__(self):
-        self.params()  # checks eps and min_pts
-
-    def params(self) -> DbscanParams | None:
-        """Fixed DBSCAN params, or None (adaptive) without an eps. A min_pts
-        without eps is refused: adaptive mining sets its own."""
         if self.eps is None:
             if self.min_pts is not None:
                 raise ValidationError(
                     f"min_pts={self.min_pts!r} needs eps; without eps mining "
                     f"is adaptive and sets its own min_pts per cell")
-            return None
-        return DbscanParams(eps=self.eps,
-                            min_pts=3 if self.min_pts is None else self.min_pts)
+            return
+        check_real("eps", self.eps, 0, low_open=True)
+        if self.min_pts is not None:
+            check_int("min_pts", self.min_pts, 1)
 
 
 @dataclass
@@ -87,6 +74,8 @@ class ConceptBook:
 
     def validate(self):
         check_int("d_f", self.feat_dim, 1)
+        if not self.entries:
+            raise ValidationError("a concept book needs at least one entry")
         seen = set()
         for i, e in enumerate(self.entries):
             for name, value, low in (("class", e.class_id, 0), ("part", e.part, 0),
@@ -230,10 +219,11 @@ def _neighbor_min(within: np.ndarray, values: np.ndarray, fill: int) -> np.ndarr
 
 
 def _dbscan_cells(x: np.ndarray, counts: np.ndarray,
-                  params: DbscanParams | None):
+                  mining: MiningConfig):
     """DBSCAN labels ``[B, m]`` of a zero-padded batch of cells, with the
-    eps and min_pts of each cell: ``params``, or the adaptive defaults of
-    :func:`_adaptive_params` per cell when it is None.
+    eps and min_pts of each cell: ``mining.eps`` at ``mining.min_pts`` (3
+    when unset), or without eps the :func:`_adaptive_eps` of a cell of n
+    points at min_pts = max(3, n // 20).
 
     Cluster ids follow the ascending minimum core index of the components
     of each cell's core graph, and a border point takes the smallest id
@@ -248,12 +238,12 @@ def _dbscan_cells(x: np.ndarray, counts: np.ndarray,
         blocks = list(_sq_dist_blocks(x, counts))
     else:
         blocks = None
-    if params is None:
+    if mining.eps is None:
         eps = _adaptive_eps(x, counts, blocks or _sq_dist_blocks(x, counts))
         min_pts = np.maximum(3, counts // 20)
     else:
-        eps = np.full(b, params.eps)
-        min_pts = np.full(b, params.min_pts)
+        eps = np.full(b, mining.eps)
+        min_pts = np.full(b, 3 if mining.min_pts is None else mining.min_pts)
     eps_sq = eps * eps
     flat = x.reshape(b * m, d)
     within = np.empty((b, m, m), dtype=bool)
@@ -290,35 +280,23 @@ def _dbscan_cells(x: np.ndarray, counts: np.ndarray,
     return labels.reshape(b, m), eps, min_pts
 
 
-def dbscan(points: np.ndarray, params: DbscanParams) -> np.ndarray:
-    """Density-based clustering with Euclidean distance.
+def dbscan(points: np.ndarray, mining: MiningConfig) -> np.ndarray:
+    """Density-based clustering of one cell, the batched kernel's batch of
+    one, adaptive without ``mining.eps``.
 
-    A point is core iff at least ``min_pts`` points (itself included) lie
-    within ``eps``. Cluster ids are assigned in first-touch order over
-    ascending point index; unreachable non-core points are labeled NOISE
-    (-1) and a border point joins the first cluster that reaches it, so the
-    labeling is deterministic. The cell runs through the batched kernel as
-    a batch of one.
+    Two points are neighbors when ``sum((a - b) ** 2) <= eps * eps`` in
+    float64; a point is core iff at least ``min_pts`` points (itself
+    included) are its neighbors. Cluster ids are assigned in first-touch
+    order over ascending point index; unreachable non-core points are
+    labeled NOISE (-1) and a border point joins the first cluster that
+    reaches it, so the labeling is deterministic.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.shape[0] == 0:
         return np.full(0, NOISE, dtype=np.int64)
     labels, _, _ = _dbscan_cells(points[None], np.array([points.shape[0]]),
-                                 params)
+                                 mining)
     return labels[0]
-
-
-def _adaptive_params(cell: np.ndarray) -> DbscanParams:
-    """Scale-adaptive defaults: eps = median nearest-neighbor distance,
-    min_pts = max(3, cell_size / 20)."""
-    cell = np.asarray(cell, dtype=np.float64)
-    n = cell.shape[0]
-    min_pts = max(3, n // 20)
-    if n < 2:
-        return DbscanParams(eps=1.0, min_pts=min_pts)
-    x, counts = cell[None], np.array([n])
-    eps = _adaptive_eps(x, counts, _sq_dist_blocks(x, counts))
-    return DbscanParams(eps=float(eps[0]), min_pts=min_pts)
 
 
 def _cell_entries(cell: np.ndarray, labels: np.ndarray, class_id: int,
@@ -338,14 +316,14 @@ def _cell_entries(cell: np.ndarray, labels: np.ndarray, class_id: int,
             for l, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
 
 
-def mine_concepts(ds: PartFeatureDataset, params: DbscanParams | None = None,
+def mine_concepts(ds: PartFeatureDataset, mining: MiningConfig = MiningConfig(),
                   folds: list[np.ndarray] | None = None
                   ) -> ConceptBook | list[ConceptBook]:
     """Cluster every (class, part) cell and collect cluster-mean centroids.
 
     Noise points contribute to no centroid. A cell whose clustering yields
     nothing falls back to a single centroid at the cell mean, so every cell
-    contributes at least one concept. With ``params=None`` each cell uses
+    contributes at least one concept. Without ``mining.eps`` each cell uses
     scale-adaptive defaults. Entries are ordered by (class, part, local id).
 
     With ``folds`` (sample-index arrays, as from ``split_kfold``)
@@ -382,7 +360,7 @@ def mine_concepts(ds: PartFeatureDataset, params: DbscanParams | None = None,
             sample[r, :counts[r]] = members[c // n_parts]
         x = ds.part_features[sample, (cells % n_parts)[:, None]].astype(np.float64)
         x[np.arange(m) >= counts[:, None]] = 0.0
-        labels, eps, min_pts = _dbscan_cells(x, counts, params)
+        labels, eps, min_pts = _dbscan_cells(x, counts, mining)
         for r, c in enumerate(cells):
             s, rest = divmod(int(c), per_set)
             j, p = divmod(rest, n_parts)
@@ -450,8 +428,6 @@ def merge_centroids(book: ConceptBook, cfg: MergeConfig) -> ConceptBook:
     are member-count-weighted means tagged with the class and part of the
     largest contributing entry. A zero threshold returns the book unchanged.
     """
-    if book.d_c == 0:
-        raise ValidationError("cannot merge an empty concept book")
     book.validate()
 
     def copy_book():

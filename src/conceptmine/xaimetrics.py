@@ -18,7 +18,7 @@ from .cav import _unit_rows
 from .dataset import PartFeatureDataset, split_kfold
 from .errors import ValidationError
 from .head import SparseHead, accuracy, predict
-from .mining import ConceptBook, DbscanParams, mine_concepts
+from .mining import ConceptBook, MiningConfig, mine_concepts
 
 log = logging.getLogger(__name__)
 
@@ -168,7 +168,7 @@ def _cells(book: ConceptBook) -> dict[tuple[int, int], tuple]:
             for key, c in cells.items()}
 
 
-def stability(ds: PartFeatureDataset, k: int, params: DbscanParams | None,
+def stability(ds: PartFeatureDataset, k: int, mining: MiningConfig,
               seed: int) -> float:
     """Mean matched cosine similarity of per-cell centroids mined on k folds.
 
@@ -182,7 +182,7 @@ def stability(ds: PartFeatureDataset, k: int, params: DbscanParams | None,
     m - min_cost: only the optimal cost is needed, not the assignment.
     """
     books = [_cells(b)
-             for b in mine_concepts(ds, params, folds=split_kfold(ds, k, seed))]
+             for b in mine_concepts(ds, mining, folds=split_kfold(ds, k, seed))]
     matched = 0.0
     slots = 0
     for cells_a, cells_b in itertools.combinations(books, 2):
@@ -239,6 +239,13 @@ def sparseness(cavs: np.ndarray) -> float:
         raise ValidationError(f"sparseness needs d_c >= 2, got {d_c}")
     l1 = np.abs(z).sum(axis=1)
     l2 = np.linalg.norm(z, axis=1)
+    # A row of tiny entries, whose squares underflow (a score past 100), is
+    # scaled by a power of two to l1 in [0.5, 1); l1 / l2 keeps its value.
+    tiny = (l1 > 0) & (l1 < 2.0 ** -300)
+    if tiny.any():
+        scaled = np.ldexp(z[tiny], -np.frexp(l1[tiny])[1][:, None])
+        l1[tiny] = np.abs(scaled).sum(axis=1)
+        l2[tiny] = np.linalg.norm(scaled, axis=1)
     root = np.sqrt(d_c)
     with np.errstate(invalid="ignore", divide="ignore"):
         score = (root - l1 / l2) / (root - 1.0)
@@ -248,7 +255,7 @@ def sparseness(cavs: np.ndarray) -> float:
 
 def metric_report(ds: PartFeatureDataset, cavs: np.ndarray, gs: np.ndarray,
                   book: ConceptBook, head: SparseHead, k: int,
-                  params: DbscanParams | None, seed: int, n_list: list[int],
+                  mining: MiningConfig, seed: int, n_list: list[int],
                   config: dict) -> dict:
     """The metric report of a scored run, as written to JSON and CSV.
 
@@ -266,7 +273,7 @@ def metric_report(ds: PartFeatureDataset, cavs: np.ndarray, gs: np.ndarray,
         "config_hash": config_hash(config),
         "seed": seed,
         "faithfulness": {str(n): v for n, v in sorted(faith.items())},
-        "stability": stability(ds, k, params, seed),
+        "stability": stability(ds, k, mining, seed),
         "consistency_intra": intra,
         "consistency_inter": inter,
         "sparseness": sparseness(cavs),

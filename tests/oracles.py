@@ -106,15 +106,16 @@ def _distance_threshold(cell, eps):
 
 def reference_mine_concepts(ds, params):
     """The concept book mined cell by cell with :func:`brute_force_dbscan`,
-    eps from :func:`broadcast_adaptive_eps` when ``params`` is None."""
+    eps from :func:`broadcast_adaptive_eps` when ``params.eps`` is None."""
     feats = ds.part_features.astype(np.float64)
     book = ConceptBook(feat_dim=ds.feat_dim)
     for j in range(ds.n_classes):
         for p in range(ds.n_parts):
             cell = feats[ds.labels == j, p]
             n = len(cell)
-            if params is not None:
-                eps, min_pts = params.eps, params.min_pts
+            if params.eps is not None:
+                eps = params.eps
+                min_pts = 3 if params.min_pts is None else params.min_pts
             else:
                 eps = max(broadcast_adaptive_eps(cell), 1e-12) if n > 1 else 1.0
                 min_pts = max(3, n // 20)

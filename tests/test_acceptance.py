@@ -15,7 +15,7 @@ from conceptmine.dataset import (PartFeatureDataset, SyntheticSpec,
                                  generate_synthetic)
 from conceptmine.head import (HeadTrainConfig, predict, soft_threshold,
                               train_head)
-from conceptmine.mining import DbscanParams, MergeConfig, dbscan, merge_centroids, mine_concepts
+from conceptmine.mining import MergeConfig, MiningConfig, dbscan, merge_centroids, mine_concepts
 from conceptmine.occlusion import OcclusionConfig, occlusion_eval
 from conceptmine.partproto import PrototypeCenters, mcc_gradients, mcc_loss
 from conceptmine.xaimetrics import consistency, faithfulness, hungarian, sparseness, stability
@@ -60,7 +60,7 @@ def test_criterion_1_dbscan_oracle_equivalence():
                     + 0.1 * rng.standard_normal((n, d))
             eps = float(rng.uniform(0.05, 0.5)) * np.sqrt(d)
             min_pts = int(rng.integers(1, 8))
-            got = dbscan(pts, DbscanParams(eps=eps, min_pts=min_pts))
+            got = dbscan(pts, MiningConfig(eps=eps, min_pts=min_pts))
             want = brute_force_dbscan(pts, eps, min_pts)
             np.testing.assert_array_equal(
                 canonical_labels(got), canonical_labels(want),
@@ -107,7 +107,7 @@ def _separable_cavs(seed=0):
                          samples_per_class=10, concepts_per_cell=1,
                          noise_sigma=0.02, seed=seed)
     ds, _ = generate_synthetic(spec)
-    book = mine_concepts(ds, DbscanParams(eps=0.2, min_pts=2))
+    book = mine_concepts(ds, MiningConfig(eps=0.2, min_pts=2))
     z, g = compute_cav_batch(ds, book)
     return z, g, ds.labels.astype(np.int64)
 
@@ -150,7 +150,7 @@ def test_criterion_5_planted_concept_recovery(tmp_path):
                              samples_per_class=40, concepts_per_cell=3,
                              noise_sigma=0.02, min_separation=1.0, seed=17)
         ds, gt = generate_synthetic(spec)
-        params = DbscanParams(eps=0.3, min_pts=3)
+        params = MiningConfig(eps=0.3, min_pts=3)
         book = mine_concepts(ds, params)
 
         feats = ds.part_features.astype(np.float64)
@@ -221,7 +221,7 @@ def test_criterion_6_metric_sanity():
         monotone = 0
         for seed in range(20):
             ds = _scrubbed_planted(seed)
-            book = mine_concepts(ds, DbscanParams(eps=0.3, min_pts=3))
+            book = mine_concepts(ds, MiningConfig(eps=0.3, min_pts=3))
             z, g = compute_cav_batch(ds, book)
             head = train_head(z, g, ds.labels,
                               HeadTrainConfig(lam=0.001, gamma=0.5, epochs=120))
@@ -236,7 +236,7 @@ def test_criterion_6_metric_sanity():
                              samples_per_class=40, concepts_per_cell=2,
                              noise_sigma=0.02, min_separation=1.0, seed=7)
         dsc, _ = generate_synthetic(spec)
-        bookc = mine_concepts(dsc, DbscanParams(eps=0.3, min_pts=3))
+        bookc = mine_concepts(dsc, MiningConfig(eps=0.3, min_pts=3))
         zc, _ = compute_cav_batch(dsc, bookc)
         intra, inter = consistency(zc, dsc.labels)
         assert intra - inter >= 30.0, f"margin {intra - inter:.1f}"
@@ -248,13 +248,13 @@ def test_criterion_6_metric_sanity():
         # Stability: exactly 100 on duplicated folds, >= 99 on planted
         # sigma = 0.01 data.
         dup = duplicated_location_dataset()
-        assert stability(dup, 2, DbscanParams(eps=0.05, min_pts=1), seed=3) \
+        assert stability(dup, 2, MiningConfig(eps=0.05, min_pts=1), seed=3) \
             == 100.0
         spec_s = SyntheticSpec(n_classes=3, n_parts=2, feat_dim=16,
                                samples_per_class=100, concepts_per_cell=2,
                                noise_sigma=0.01, min_separation=1.0, seed=1)
         ds_s, _ = generate_synthetic(spec_s)
-        stab = stability(ds_s, 5, DbscanParams(eps=0.12, min_pts=3), seed=0)
+        stab = stability(ds_s, 5, MiningConfig(eps=0.12, min_pts=3), seed=0)
         assert stab >= 99.0, f"stability {stab:.2f}"
     report(6, t, f"F(0)=0, F(1) chance drop, monotone {monotone}/20, "
                  f"margin {intra - inter:.0f}, Hoyer 58.58, "
@@ -290,7 +290,7 @@ def test_criterion_7_merging_monotonicity():
                              samples_per_class=30, concepts_per_cell=2,
                              noise_sigma=0.02, min_separation=1.0, seed=23)
         ds, _ = generate_synthetic(spec)
-        mined = mine_concepts(ds, DbscanParams(eps=0.3, min_pts=3))
+        mined = mine_concepts(ds, MiningConfig(eps=0.3, min_pts=3))
 
         grids = {}
         for name, book in (("mined", mined), ("crafted", _duplicate_rich_book())):
@@ -333,7 +333,7 @@ def test_criterion_8_occlusion_trend():
             curves = {}
             for k in (8, 1):
                 ds = _scrubbed_planted(seed, n_parts=k)
-                book = mine_concepts(ds, DbscanParams(eps=0.3, min_pts=3))
+                book = mine_concepts(ds, MiningConfig(eps=0.3, min_pts=3))
                 z, g = compute_cav_batch(ds, book)
                 head = train_head(z, g, ds.labels,
                                   HeadTrainConfig(lam=0.001, gamma=0.5,

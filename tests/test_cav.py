@@ -6,7 +6,7 @@ import pytest
 from conceptmine.cav import (compute_cav, compute_cav_batch, export_cav_csv)
 from conceptmine.dataset import SyntheticSpec, generate_synthetic
 from conceptmine.errors import ValidationError
-from conceptmine.mining import ConceptBook, ConceptEntry, DbscanParams, mine_concepts
+from conceptmine.mining import ConceptBook, ConceptEntry, MiningConfig, mine_concepts
 
 
 def book_from(centroids_by_part, d_f):
@@ -62,7 +62,7 @@ class TestBatch:
     def test_batch_of_one_equals_single(self, planted):
         from conceptmine.dataset import PartFeatureDataset
         ds, _ = planted(seed=0, samples_per_class=5)
-        book = mine_concepts(ds, DbscanParams(eps=0.15, min_pts=2))
+        book = mine_concepts(ds, MiningConfig(eps=0.15, min_pts=2))
         one = PartFeatureDataset(ds.part_features[:1], ds.nonproto_features[:1],
                                  np.zeros(1, dtype=np.uint32), 1)
         z, g = compute_cav_batch(one, book)
@@ -71,7 +71,7 @@ class TestBatch:
 
     def test_rows_match_single_calls(self, planted):
         ds, _ = planted(seed=1, samples_per_class=6)
-        book = mine_concepts(ds, DbscanParams(eps=0.15, min_pts=2))
+        book = mine_concepts(ds, MiningConfig(eps=0.15, min_pts=2))
         z, _ = compute_cav_batch(ds, book)
         for i in range(ds.n_samples):
             single = compute_cav(ds.part_features[i], ds.nonproto_features[i], book)
@@ -85,7 +85,7 @@ class TestBatch:
 
     def test_scale_invariance(self, planted):
         ds, _ = planted(seed=3, samples_per_class=5)
-        book = mine_concepts(ds, DbscanParams(eps=0.15, min_pts=2))
+        book = mine_concepts(ds, MiningConfig(eps=0.15, min_pts=2))
         parts = ds.part_features[0].astype(np.float64)
         g = ds.nonproto_features[0]
         base = compute_cav(parts, g, book).z
@@ -101,7 +101,7 @@ class TestBatch:
                              samples_per_class=10, concepts_per_cell=2,
                              noise_sigma=0.0, seed=4)
         ds, gt = generate_synthetic(spec)
-        book = mine_concepts(ds, DbscanParams(eps=0.05, min_pts=1))
+        book = mine_concepts(ds, MiningConfig(eps=0.05, min_pts=1))
         z, _ = compute_cav_batch(ds, book)
         cents = book.centroid_matrix()
         for i in range(ds.n_samples):
@@ -119,7 +119,7 @@ class TestBatch:
     def test_sparsity_tendency(self, planted):
         ds, _ = planted(n_classes=4, n_parts=3, samples_per_class=30,
                         concepts_per_cell=2, noise_sigma=0.02, seed=5)
-        book = mine_concepts(ds, DbscanParams(eps=0.15, min_pts=3))
+        book = mine_concepts(ds, MiningConfig(eps=0.15, min_pts=3))
         z, _ = compute_cav_batch(ds, book)
         frac = float((z > 0.9).mean())
         expected = ds.n_parts / book.d_c
@@ -127,7 +127,7 @@ class TestBatch:
 
     def test_csv_export(self, planted, tmp_path):
         ds, _ = planted(seed=6, samples_per_class=4)
-        book = mine_concepts(ds, DbscanParams(eps=0.15, min_pts=2))
+        book = mine_concepts(ds, MiningConfig(eps=0.15, min_pts=2))
         z, g = compute_cav_batch(ds, book)
         path = tmp_path / "cavs.csv"
         export_cav_csv(z, g, ds.labels, path)

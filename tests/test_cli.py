@@ -12,7 +12,7 @@ from conceptmine.errors import ValidationError
 from conceptmine.dataset import (SyntheticSpec, generate_synthetic,
                                  load_dataset, save_dataset)
 from conceptmine.head import HeadTrainConfig, save_head, train_head
-from conceptmine.mining import (DbscanParams, load_book, mine_concepts,
+from conceptmine.mining import (MiningConfig, load_book, mine_concepts,
                                 save_book)
 from conceptmine.xaimetrics import config_hash
 
@@ -96,7 +96,7 @@ class TestPipeline:
                                                             ds_path, artifacts):
         ds = load_dataset(ds_path)
         cfg = HeadTrainConfig(epochs=30)
-        book = mine_concepts(ds, DbscanParams(eps=0.3, min_pts=3))
+        book = mine_concepts(ds, MiningConfig(eps=0.3, min_pts=3))
         z, g = compute_cav_batch(ds, book)
         head = train_head(z, g, ds.labels,
                           replace(cfg, lr=cfg.beta * cfg.lr))
@@ -404,6 +404,12 @@ HUGE_L_PFD = (struct.pack("<4s5I", b"PCMF", 1, 1, 1, 2**30 + 3, 1)
 # Four samples of one class (K = 1, d_f = 2): enough for two folds.
 ONE_CLASS_PFD = (struct.pack("<4s5I", b"PCMF", 1, 4, 1, 1, 2)
                  + np.arange(16, dtype="<f4").tobytes() + bytes(16))
+# Four samples of two classes with no parts (K = 0, d_f = 2) or with parts
+# of no dimensions (K = 1, d_f = 0).
+TWO_LABELS = np.array([0, 0, 1, 1], dtype="<u4").tobytes()
+NO_PARTS_PFD = (struct.pack("<4s5I", b"PCMF", 1, 4, 0, 2, 2)
+                + np.arange(8, dtype="<f4").tobytes() + TWO_LABELS)
+NO_DIMS_PFD = struct.pack("<4s5I", b"PCMF", 1, 4, 1, 2, 0) + TWO_LABELS
 # A two-concept book for the fixture dataset (d_f = 16, L = 3) and a head
 # that fits it, to carry a given book meta or entries in either format.
 ENTRIES = [{"class": c, "part": 0, "local_id": 0, "member_count": 1}
@@ -535,6 +541,27 @@ EVAL_BOOK = ["eval", "--data", "{ds}", "--head", "{tmp}/h.json", "--k", 2,
     pytest.param(["pipeline", "--data", "{tmp}/one.pfd", "--k", 2,
                   "-o", "{tmp}/run"], {"one.pfd": ONE_CLASS_PFD},
                  1, id="pipeline-one-class"),
+    # a dataset needs parts of at least one dimension, a book an entry
+    pytest.param(["mine", "--data", "{tmp}/k0.pfd", "-o", "{tmp}/b.json"],
+                 {"k0.pfd": NO_PARTS_PFD}, (1, "n_parts"), id="mine-no-parts"),
+    pytest.param(["pipeline", "--data", "{tmp}/k0.pfd", "--k", 2,
+                  "-o", "{tmp}/run"], {"k0.pfd": NO_PARTS_PFD},
+                 (1, "n_parts"), id="pipeline-no-parts"),
+    pytest.param(["mine", "--data", "{tmp}/d0.pfd", "-o", "{tmp}/b.json"],
+                 {"d0.pfd": NO_DIMS_PFD}, (1, "feat_dim"), id="mine-no-dims"),
+    pytest.param(["pipeline", "--data", "{tmp}/d0.pfd", "--k", 2,
+                  "-o", "{tmp}/run"], {"d0.pfd": NO_DIMS_PFD},
+                 (1, "feat_dim"), id="pipeline-no-dims"),
+    pytest.param(["train", *DATA_BOOK, "-o", "{tmp}/h.json"],
+                 {"b.json": '{"d_f": 16, "entries": []}'},
+                 (1, "entry"), id="train-book-no-entries"),
+    # a CSV label must fit the dataset's uint32 labels
+    pytest.param(["mine", "--data", "{tmp}/x.csv", "-o", "{tmp}/b.json"],
+                 {"x.csv": "part0_0,g_0,label\n0.5,0.5,-1\n"},
+                 (1, "row 0"), id="csv-label-negative"),
+    pytest.param(["mine", "--data", "{tmp}/x.csv", "-o", "{tmp}/b.json"],
+                 {"x.csv": "part0_0,g_0,label\n0.5,0.5,99999999999\n"},
+                 (1, "row 0"), id="csv-label-too-large"),
     # a book's eps must be a number, in the JSON and the binary book alike
     pytest.param([*EVAL_BOOK, "{tmp}/b.json"],
                  {"b.json": book_json(eps="abc"), "h.json": HEAD_JSON},

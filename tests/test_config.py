@@ -10,7 +10,7 @@ import pytest
 from conceptmine.dataset import SyntheticSpec
 from conceptmine.errors import ValidationError, check_real
 from conceptmine.head import HeadTrainConfig
-from conceptmine.mining import DbscanParams, MergeConfig, MiningConfig
+from conceptmine.mining import MergeConfig, MiningConfig
 from conceptmine.occlusion import OcclusionConfig
 from conceptmine.partproto import McmConfig
 
@@ -24,7 +24,9 @@ REAL_FIELDS = [
     ("HeadTrainConfig.gamma", lambda v: HeadTrainConfig(gamma=v), [-0.1, 1.5]),
     ("HeadTrainConfig.lr", lambda v: HeadTrainConfig(lr=v), [0, -1]),
     ("HeadTrainConfig.beta", lambda v: HeadTrainConfig(beta=v), [0, -1]),
-    ("DbscanParams.eps", lambda v: DbscanParams(eps=v, min_pts=3), [0, -1]),
+    # A fixed eps given with its min_pts; the id keeps the name of the type
+    # that held this pair before MiningConfig did.
+    ("DbscanParams.eps", lambda v: MiningConfig(eps=v, min_pts=3), [0, -1]),
     ("MiningConfig.eps", lambda v: MiningConfig(eps=v), [0]),
     ("SyntheticSpec.noise_sigma", lambda v: SyntheticSpec(noise_sigma=v), [-0.1]),
     ("SyntheticSpec.min_separation", lambda v: SyntheticSpec(min_separation=v),

@@ -8,7 +8,7 @@ from conceptmine.head import (HeadTrainConfig, SparseHead, _smooth_objective_and
                               concept_contributions, elastic_net_penalty,
                               head_forward, load_head, predict,
                               save_head, soft_threshold, train_head)
-from conceptmine.mining import DbscanParams, mine_concepts
+from conceptmine.mining import MiningConfig, mine_concepts
 from oracles import central_difference_grad, gd_softmax_oracle, reference_train_head
 
 
@@ -16,7 +16,7 @@ def separable_cavs(seed=0):
     spec = SyntheticSpec(n_classes=3, n_parts=2, feat_dim=16, samples_per_class=10,
                          concepts_per_cell=1, noise_sigma=0.02, seed=seed)
     ds, _ = generate_synthetic(spec)
-    book = mine_concepts(ds, DbscanParams(eps=0.2, min_pts=2))
+    book = mine_concepts(ds, MiningConfig(eps=0.2, min_pts=2))
     z, g = compute_cav_batch(ds, book)
     return z, g, ds.labels.astype(np.int64)
 

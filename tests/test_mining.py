@@ -6,8 +6,8 @@ import pytest
 from conceptmine.dataset import (PartFeatureDataset, SyntheticSpec,
                                  generate_synthetic, split_kfold, subset)
 from conceptmine.errors import ValidationError
-from conceptmine.mining import (ConceptBook, ConceptEntry, DbscanParams,
-                                MergeConfig, NOISE, _adaptive_params, dbscan,
+from conceptmine.mining import (ConceptBook, ConceptEntry, MergeConfig,
+                                MiningConfig, NOISE, _dbscan_cells, dbscan,
                                 load_book, merge_centroids, mine_concepts,
                                 save_book)
 from conceptmine.xaimetrics import stability
@@ -19,31 +19,45 @@ from oracles import (broadcast_adaptive_eps, brute_force_dbscan,
 class TestDbscan:
     def test_identical_points_one_cluster(self):
         pts = np.ones((5, 3))
-        labels = dbscan(pts, DbscanParams(eps=0.5, min_pts=1))
+        labels = dbscan(pts, MiningConfig(eps=0.5, min_pts=1))
         assert set(labels.tolist()) == {0}
 
     def test_two_separated_groups(self):
         rng = np.random.default_rng(0)
         a = rng.uniform(-0.05, 0.05, size=(3, 2))
         b = rng.uniform(-0.05, 0.05, size=(3, 2)) + 10.0
-        labels = dbscan(np.vstack([a, b]), DbscanParams(eps=0.5, min_pts=2))
+        labels = dbscan(np.vstack([a, b]), MiningConfig(eps=0.5, min_pts=2))
         assert (labels >= 0).all()
         assert len(set(labels.tolist())) == 2
 
     def test_empty_input(self):
-        labels = dbscan(np.zeros((0, 2)), DbscanParams(eps=0.5, min_pts=2))
+        labels = dbscan(np.zeros((0, 2)), MiningConfig(eps=0.5, min_pts=2))
         assert labels.shape == (0,)
 
     @pytest.mark.parametrize("eps", ["abc", [1], True, None, float("nan"), 0])
     def test_params_refuse_bad_eps(self, eps):
         with pytest.raises(ValidationError, match="eps"):
-            DbscanParams(eps=eps, min_pts=3)
+            MiningConfig(eps=eps, min_pts=3)
 
     def test_noise_detected(self):
         pts = np.array([[0.0, 0], [0.1, 0], [0.2, 0], [50.0, 50]])
-        labels = dbscan(pts, DbscanParams(eps=0.3, min_pts=2))
+        labels = dbscan(pts, MiningConfig(eps=0.3, min_pts=2))
         assert labels[3] == NOISE
         assert (labels[:3] == 0).all()
+
+    def test_neighbors_by_squared_distance(self):
+        # Two points are neighbors iff d2 <= eps * eps. At eps = sqrt(d2)
+        # here eps * eps rounds below d2: no neighbors, though the test
+        # sqrt(d2) <= eps would pass; one ulp more eps makes them neighbors.
+        pts = np.random.default_rng(0).normal(size=(2, 3))
+        d2 = np.sum((pts[0] - pts[1]) ** 2)
+        eps = float(np.sqrt(d2))
+        assert eps * eps < d2
+        np.testing.assert_array_equal(
+            dbscan(pts, MiningConfig(eps=eps, min_pts=2)), [NOISE, NOISE])
+        np.testing.assert_array_equal(
+            dbscan(pts, MiningConfig(eps=np.nextafter(eps, 2 * eps),
+                                     min_pts=2)), [0, 0])
 
     def test_matches_brute_force_reference(self):
         rng = np.random.default_rng(1)
@@ -53,7 +67,7 @@ class TestDbscan:
             pts = rng.uniform(0, 1, size=(n, d))
             eps = float(rng.uniform(0.05, 0.3))
             min_pts = int(rng.integers(1, 6))
-            got = dbscan(pts, DbscanParams(eps=eps, min_pts=min_pts))
+            got = dbscan(pts, MiningConfig(eps=eps, min_pts=min_pts))
             want = brute_force_dbscan(pts, eps, min_pts)
             np.testing.assert_array_equal(canonical_labels(got),
                                           canonical_labels(want),
@@ -62,7 +76,7 @@ class TestDbscan:
     def test_permutation_invariant_partition(self):
         rng = np.random.default_rng(2)
         pts = rng.uniform(0, 1, size=(80, 2))
-        params = DbscanParams(eps=0.15, min_pts=4)
+        params = MiningConfig(eps=0.15, min_pts=4)
         labels = dbscan(pts, params)
         perm = rng.permutation(80)
         labels_p = dbscan(pts[perm], params)
@@ -83,13 +97,21 @@ class TestDbscan:
     def test_nonnoise_points_near_core(self):
         rng = np.random.default_rng(3)
         pts = rng.uniform(0, 1, size=(100, 2))
-        params = DbscanParams(eps=0.12, min_pts=4)
+        params = MiningConfig(eps=0.12, min_pts=4)
         labels = dbscan(pts, params)
         dist = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2))
         core = (dist <= params.eps).sum(axis=1) >= params.min_pts
         for i in np.flatnonzero(labels >= 0):
             same = (labels == labels[i]) & core
             assert (dist[i, same] <= params.eps).any()
+
+
+def adaptive_eps(cell):
+    """The eps the kernel picks for ``cell`` mined adaptively, alone."""
+    cell = np.asarray(cell, dtype=np.float64)
+    _, eps, _ = _dbscan_cells(cell[None], np.array([len(cell)]),
+                              MiningConfig())
+    return eps[0]
 
 
 def planted_cells(seed, feat_dim=16):
@@ -109,12 +131,12 @@ class TestDistanceKernel:
     def test_adaptive_eps_bit_identical_to_broadcast(self, offset):
         for seed in range(3):
             for cell in planted_cells(seed):
-                got = _adaptive_params(cell + offset).eps
+                got = adaptive_eps(cell + offset)
                 assert got == broadcast_adaptive_eps(cell + offset)
 
     def test_adaptive_eps_with_duplicate_points(self):
         cell = np.repeat(planted_cells(5)[0][:20], 2, axis=0)
-        assert _adaptive_params(cell).eps == 1e-12  # every NN distance is 0
+        assert adaptive_eps(cell) == 1e-12  # every NN distance is 0
 
     @pytest.mark.parametrize("offset", [0.0, 1e6 + 0.3])
     def test_dbscan_on_lattice_at_exactly_eps(self, offset):
@@ -124,7 +146,7 @@ class TestDistanceKernel:
         grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3), -1).reshape(-1, 3)
         pts = np.vstack([grid, [[10.0, 0, 0], [13.0, 4, 0]]]) + offset
         for eps, min_pts in ((1.0, 3), (1.0, 7), (5.0, 2), (2.0, 5)):
-            got = dbscan(pts, DbscanParams(eps=eps, min_pts=min_pts))
+            got = dbscan(pts, MiningConfig(eps=eps, min_pts=min_pts))
             np.testing.assert_array_equal(
                 got, brute_force_dbscan(pts, eps, min_pts))
 
@@ -135,7 +157,7 @@ class TestDistanceKernel:
                 eps = broadcast_adaptive_eps(shifted)
                 for min_pts in (3, 6):
                     np.testing.assert_array_equal(
-                        dbscan(shifted, DbscanParams(eps=eps, min_pts=min_pts)),
+                        dbscan(shifted, MiningConfig(eps=eps, min_pts=min_pts)),
                         brute_force_dbscan(shifted, eps, min_pts))
 
     def test_one_large_cell_memory_bounded(self):
@@ -145,7 +167,7 @@ class TestDistanceKernel:
         cell = means[rng.integers(0, 4, 600)] + 0.02 * rng.normal(size=(600, 128))
         tracemalloc.start()
         try:
-            dbscan(cell, _adaptive_params(cell))
+            dbscan(cell, MiningConfig())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -185,7 +207,8 @@ class TestBatchedMining:
     @pytest.mark.parametrize("case", ["planted", "duplicates", "shifted",
                                       "origin"])
     @pytest.mark.parametrize("k", [2, 5, 10])
-    @pytest.mark.parametrize("params", [None, DbscanParams(eps=0.3, min_pts=3)],
+    @pytest.mark.parametrize("params", [MiningConfig(),
+                                        MiningConfig(eps=0.3, min_pts=3)],
                              ids=["adaptive", "fixed"])
     def test_books_and_stability_match_reference(self, case, k, params):
         ds = fold_dataset(k, case)
@@ -206,12 +229,12 @@ class TestBatchedMining:
         ds = fold_dataset(5, "duplicates")
         for fold in split_kfold(ds, 5, seed=1):
             cell = ds.part_features[fold][ds.labels[fold] == 0, 0]
-            assert _adaptive_params(cell).eps == 1e-12
+            assert adaptive_eps(cell) == 1e-12
 
     def test_fold_missing_a_class_refused(self, planted):
         ds, _ = planted(n_classes=2, samples_per_class=10)
         with pytest.raises(ValidationError, match="class 1 has no samples"):
-            mine_concepts(ds, None, folds=[np.arange(10), np.arange(20)])
+            mine_concepts(ds, MiningConfig(), folds=[np.arange(10), np.arange(20)])
 
 
 class TestMineConcepts:
@@ -220,7 +243,7 @@ class TestMineConcepts:
                              samples_per_class=40, concepts_per_cell=2,
                              noise_sigma=0.01, min_separation=1.0, seed=4)
         ds, gt = generate_synthetic(spec)
-        book = mine_concepts(ds, DbscanParams(eps=0.1, min_pts=3))
+        book = mine_concepts(ds, MiningConfig(eps=0.1, min_pts=3))
         for j in range(2):
             for p in range(2):
                 cell = [e for e in book.entries
@@ -239,7 +262,7 @@ class TestMineConcepts:
         pts = np.diag([10.0, 20.0, 30.0])  # mutually >= 10 apart
         ds = PartFeatureDataset(pts[:, None, :], np.zeros((3, 3)),
                                 np.zeros(3, dtype=np.uint32), 1)
-        book = mine_concepts(ds, DbscanParams(eps=0.1, min_pts=2))
+        book = mine_concepts(ds, MiningConfig(eps=0.1, min_pts=2))
         assert book.d_c == 1
         e = book.entries[0]
         assert e.member_count == 3
@@ -249,12 +272,12 @@ class TestMineConcepts:
         ds, _ = generate_synthetic(SyntheticSpec(
             n_classes=1, n_parts=1, feat_dim=8, samples_per_class=20,
             concepts_per_cell=1, noise_sigma=0.01, seed=5))
-        book = mine_concepts(ds, DbscanParams(eps=0.2, min_pts=3))
+        book = mine_concepts(ds, MiningConfig(eps=0.2, min_pts=3))
         assert book.d_c == 1
 
     def test_member_counts_bounded_by_cell(self, planted):
         ds, _ = planted(samples_per_class=30, seed=6)
-        book = mine_concepts(ds, DbscanParams(eps=0.15, min_pts=3))
+        book = mine_concepts(ds, MiningConfig(eps=0.15, min_pts=3))
         for j in range(ds.n_classes):
             for p in range(ds.n_parts):
                 total = sum(e.member_count for e in book.entries
@@ -354,7 +377,7 @@ class TestMerge:
 
     def test_monotone_in_threshold_and_level(self, planted):
         ds, _ = planted(n_classes=3, n_parts=2, samples_per_class=30, seed=9)
-        book = mine_concepts(ds, DbscanParams(eps=0.15, min_pts=3))
+        book = mine_concepts(ds, MiningConfig(eps=0.15, min_pts=3))
         sizes = {}
         for pct in (0.0, 5.0, 10.0):
             for level in (1, 2, 3):
@@ -367,7 +390,7 @@ class TestMerge:
 
     def test_idempotent(self, planted):
         ds, _ = planted(seed=10)
-        book = mine_concepts(ds, DbscanParams(eps=0.15, min_pts=3))
+        book = mine_concepts(ds, MiningConfig(eps=0.15, min_pts=3))
         cfg = MergeConfig(threshold_pct=15.0, level=2)
         once = merge_centroids(book, cfg)
         twice = merge_centroids(once, cfg)

@@ -8,7 +8,7 @@ from conceptmine.cav import compute_cav, compute_cav_batch
 from conceptmine.dataset import PartFeatureDataset, SyntheticSpec, generate_synthetic
 from conceptmine.errors import ValidationError
 from conceptmine.head import HeadTrainConfig, train_head
-from conceptmine.mining import DbscanParams, mine_concepts
+from conceptmine.mining import MiningConfig, mine_concepts
 from conceptmine.occlusion import (OcclusionConfig, _occlude,
                                    _occlusion_order, occlude_sample,
                                    occlusion_eval, save_curve_csv,
@@ -27,7 +27,7 @@ def fitted(n_parts=4, seed=0, scrub_g=False):
         noise = 0.05 * rng.standard_normal((ds.n_samples, ds.feat_dim))
         ds = PartFeatureDataset(ds.part_features, noise.astype(np.float32),
                                 ds.labels, ds.n_classes)
-    book = mine_concepts(ds, DbscanParams(eps=0.3, min_pts=3))
+    book = mine_concepts(ds, MiningConfig(eps=0.3, min_pts=3))
     z, g = compute_cav_batch(ds, book)
     head = train_head(z, g, ds.labels,
                       HeadTrainConfig(lam=0.001, gamma=0.5, epochs=120))

@@ -1,12 +1,12 @@
 """Property tests for the purely algebraic invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conceptmine.head import soft_threshold
-from conceptmine.mining import DbscanParams, dbscan
+from conceptmine.mining import MiningConfig, dbscan
 from conceptmine.partproto import PrototypeCenters, mcc_loss
 from conceptmine.xaimetrics import hungarian, sparseness
 from oracles import (brute_force_dbscan, canonical_labels,
@@ -28,6 +28,7 @@ def test_soft_threshold_dead_zone(u, t):
 
 @given(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(2, 8)),
               elements=st.floats(min_value=0, max_value=50, allow_nan=False)))
+@example(np.array([[0.0, 9.8166851e-159]]))  # its square underflows
 def test_sparseness_bounded(z):
     s = sparseness(z)
     assert -1e-9 <= s <= 100.0 + 1e-9
@@ -64,6 +65,6 @@ def test_dbscan_matches_brute_force(n, d, min_pts, seed):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0, 1, size=(n, d))
     eps = float(rng.uniform(0.05, 0.5))
-    got = dbscan(pts, DbscanParams(eps=eps, min_pts=min_pts))
+    got = dbscan(pts, MiningConfig(eps=eps, min_pts=min_pts))
     want = brute_force_dbscan(pts, eps, min_pts)
     np.testing.assert_array_equal(canonical_labels(got), canonical_labels(want))

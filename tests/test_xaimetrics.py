@@ -7,7 +7,7 @@ from conceptmine.cav import compute_cav_batch
 from conceptmine.dataset import PartFeatureDataset, SyntheticSpec, generate_synthetic
 from conceptmine.errors import ValidationError
 from conceptmine.head import HeadTrainConfig, SparseHead, train_head
-from conceptmine.mining import DbscanParams, mine_concepts
+from conceptmine.mining import MiningConfig, mine_concepts
 from conceptmine.xaimetrics import (config_hash, consistency, faithfulness,
                                     hungarian, metric_report, save_report,
                                     save_report_csv, sparseness, stability)
@@ -28,7 +28,7 @@ def orthogonal_concept_setup(n_classes=4, per_class=10, d_f=32, seed=0):
     parts = means[labels.astype(int)][:, None, :]
     ds = PartFeatureDataset(parts, np.zeros((n, d_f), np.float32), labels,
                             n_classes)
-    book = mine_concepts(ds, DbscanParams(eps=0.1, min_pts=1))
+    book = mine_concepts(ds, MiningConfig(eps=0.1, min_pts=1))
     z, g = compute_cav_batch(ds, book)
     w1 = np.zeros((book.d_c, n_classes))
     for idx, e in enumerate(book.entries):
@@ -151,7 +151,7 @@ def duplicated_location_dataset(seed=0, copies=30):
 class TestStability:
     def test_identical_folds_score_exactly_100(self):
         ds = duplicated_location_dataset()
-        s = stability(ds, 2, DbscanParams(eps=0.05, min_pts=1), seed=3)
+        s = stability(ds, 2, MiningConfig(eps=0.05, min_pts=1), seed=3)
         assert s == 100.0
 
     def test_planted_low_noise_high_stability(self):
@@ -159,7 +159,7 @@ class TestStability:
                              samples_per_class=100, concepts_per_cell=2,
                              noise_sigma=0.01, min_separation=1.0, seed=1)
         ds, _ = generate_synthetic(spec)
-        assert stability(ds, 5, DbscanParams(eps=0.12, min_pts=3), seed=0) >= 99.0
+        assert stability(ds, 5, MiningConfig(eps=0.12, min_pts=3), seed=0) >= 99.0
 
     @pytest.mark.parametrize("concepts, k, eps", [(2, 5, 0.12), (8, 3, 0.3)])
     def test_matches_lexicographic_assignment(self, concepts, k, eps):
@@ -169,7 +169,7 @@ class TestStability:
                              concepts_per_cell=concepts, noise_sigma=0.02,
                              min_separation=1.0, seed=concepts)
         ds, _ = generate_synthetic(spec)
-        for params in (DbscanParams(eps=eps, min_pts=3), None):
+        for params in (MiningConfig(eps=eps, min_pts=3), MiningConfig()):
             got = stability(ds, k, params, seed=1)
             want = lexicographic_stability(ds, k, params, seed=1)
             assert got == pytest.approx(want, rel=0, abs=1e-12)
@@ -184,7 +184,7 @@ class TestStability:
             labels = np.repeat(np.arange(2), n // 2).astype(np.uint32)
             ds = PartFeatureDataset(pf.astype(np.float32),
                                     np.zeros((n, 64), np.float32), labels, 2)
-            vals.append(stability(ds, 2, DbscanParams(eps=1e-3, min_pts=2),
+            vals.append(stability(ds, 2, MiningConfig(eps=1e-3, min_pts=2),
                                   seed=seed))
         assert float(np.mean(vals)) < 30.0
 
@@ -197,7 +197,7 @@ class TestStability:
             concepts_per_cell=3, noise_sigma=0.02, seed=0))
         tracemalloc.start()
         try:
-            stability(ds, 5, None, seed=0)
+            stability(ds, 5, MiningConfig(), seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -219,7 +219,7 @@ class TestConsistency:
 
     def test_relabeling_symmetric(self, planted):
         ds, _ = planted(seed=2)
-        book = mine_concepts(ds, DbscanParams(eps=0.15, min_pts=3))
+        book = mine_concepts(ds, MiningConfig(eps=0.15, min_pts=3))
         z, _ = compute_cav_batch(ds, book)
         y = ds.labels.astype(int)
         base = consistency(z, y)
@@ -231,7 +231,7 @@ class TestConsistency:
                              samples_per_class=40, concepts_per_cell=2,
                              noise_sigma=0.02, min_separation=1.0, seed=7)
         ds, _ = generate_synthetic(spec)
-        book = mine_concepts(ds, DbscanParams(eps=0.3, min_pts=3))
+        book = mine_concepts(ds, MiningConfig(eps=0.3, min_pts=3))
         z, _ = compute_cav_batch(ds, book)
         intra, inter = consistency(z, ds.labels)
         assert intra - inter >= 30.0
@@ -255,7 +255,7 @@ class TestConsistency:
                              samples_per_class=40, concepts_per_cell=concepts,
                              noise_sigma=0.02, seed=3)
         ds, _ = generate_synthetic(spec)
-        z, _ = compute_cav_batch(ds, mine_concepts(ds, DbscanParams(0.3, 3)))
+        z, _ = compute_cav_batch(ds, mine_concepts(ds, MiningConfig(0.3, 3)))
         y = ds.labels.astype(np.int64)
         z[::7] = 0.0  # all-zero CAV rows have cosine 0 with everything
         y_single = y.copy()
@@ -312,11 +312,11 @@ class TestReport:
     @pytest.fixture
     def report(self, planted):
         ds, _ = planted(samples_per_class=12, seed=2)
-        book = mine_concepts(ds, DbscanParams(eps=0.3, min_pts=3))
+        book = mine_concepts(ds, MiningConfig(eps=0.3, min_pts=3))
         z, g = compute_cav_batch(ds, book)
         head = train_head(z, g, ds.labels, HeadTrainConfig(epochs=20))
-        return metric_report(ds, z, g, book, head, 3, None, 7, [3, 1, 10],
-                             {"eps": 0.1, "k": 3})
+        return metric_report(ds, z, g, book, head, 3, MiningConfig(), 7,
+                             [3, 1, 10], {"eps": 0.1, "k": 3})
 
     def test_json_round_shape(self, tmp_path, report):
         import json
