@@ -8,8 +8,9 @@ non-prototypical vector g and a class label. The on-disk binary layout
     | f32 features [n_samples x (K+1) x d_f]   (slot K holds g)
     | u32 labels [n_samples]
 
-The CSV alternative has a header row and one sample per row with columns
-``part{p}_{d}`` for p in [0,K), d in [0,d_f), then ``g_{d}``, then ``label``.
+The CSV alternative is UTF-8, with a header row and one sample per row with
+columns ``part{p}_{d}`` for p in [0,K), d in [0,d_f), then ``g_{d}``, then
+``label``; the reader accepts that exact header and no other.
 """
 
 from __future__ import annotations
@@ -152,11 +153,9 @@ def save_dataset(ds: PartFeatureDataset, path, format: str = "pfd"):
             fh.write(np.ascontiguousarray(merged, dtype="<f4").tobytes())
             fh.write(np.ascontiguousarray(ds.labels, dtype="<u4").tobytes())
     elif format == "csv":
-        cols = [f"part{p}_{d}" for p in range(ds.n_parts) for d in range(ds.feat_dim)]
-        cols += [f"g_{d}" for d in range(ds.feat_dim)] + ["label"]
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(cols)
+            writer.writerow(_csv_header(ds.n_parts, ds.feat_dim))
             for i in range(ds.n_samples):
                 row = [repr(float(v)) for v in ds.part_features[i].ravel()]
                 row += [repr(float(v)) for v in ds.nonproto_features[i]]
@@ -204,30 +203,28 @@ def _load_pfd(path: Path) -> PartFeatureDataset:
     )
 
 
-def _load_csv(path: Path) -> PartFeatureDataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty CSV") from None
-        rows = list(reader)
+def _csv_header(k: int, d_f: int) -> list[str]:
+    """The one CSV header of a dataset with K parts of d_f dimensions."""
+    return ([f"part{p}_{d}" for p in range(k) for d in range(d_f)]
+            + [f"g_{d}" for d in range(d_f)] + ["label"])
 
-    part_cols = [c for c in header if c.startswith("part")]
-    g_cols = [c for c in header if c.startswith("g_")]
-    if not part_cols or not g_cols or header[-1] != "label":
-        raise FormatError(f"{path}: header does not match part*/g_*/label layout")
+
+def _load_csv(path: Path) -> PartFeatureDataset:
     try:
-        pd_pairs = [tuple(int(x) for x in c[4:].split("_")) for c in part_cols]
-    except ValueError:
-        raise FormatError(f"{path}: malformed part column name") from None
-    k = max(p for p, _ in pd_pairs) + 1
-    d_f = max(d for _, d in pd_pairs) + 1
-    if len(part_cols) != k * d_f or len(g_cols) != d_f:
-        raise ValidationError(
-            f"{path}: expected {k}x{d_f} part columns and {d_f} g columns, "
-            f"got {len(part_cols)} and {len(g_cols)}"
-        )
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise FormatError(f"{path}: not a valid UTF-8 CSV ({e})") from None
+    if header is None:
+        raise FormatError(f"{path}: empty CSV")
+    # d_f is the number of g_ columns; K follows from the column count.
+    d_f = sum(c.startswith("g_") for c in header)
+    k = (len(header) - 1 - d_f) // d_f if d_f else 0
+    if k < 1 or header != _csv_header(k, d_f):
+        raise FormatError(f"{path}: header is not part{{p}}_{{d}} (p < K, "
+                          f"d < d_f), g_{{d}}, label in that order")
 
     n = len(rows)
     parts = np.zeros((n, k, d_f), dtype=np.float32)

@@ -382,12 +382,13 @@ def mine_concepts(ds: PartFeatureDataset, mining: MiningConfig = MiningConfig(),
 
 
 def _agglomerate(weights, cents, cutoff):
-    """Greedy Ward agglomeration below ``cutoff``; returns clusters as sets
-    of input indices. Ties break on the lexicographically smallest pair."""
+    """Greedy Ward agglomeration below ``cutoff``; returns the clusters as
+    (member input indices, weight, centroid). Ties break on the
+    lexicographically smallest pair."""
     g = len(weights)
-    members = [{i} for i in range(g)]
-    w = np.asarray(weights, dtype=np.float64).copy()
-    mu = np.asarray(cents, dtype=np.float64).copy()
+    members = [[i] for i in range(g)]
+    w = np.array(weights, dtype=np.float64)
+    mu = np.array(cents, dtype=np.float64)
     alive = np.ones(g, dtype=bool)
 
     def ward_row(i):
@@ -397,25 +398,17 @@ def _agglomerate(weights, cents, cutoff):
         row[i] = np.inf
         return row
 
-    ward = np.full((g, g), np.inf)
-    for i in range(g):
-        ward[i] = ward_row(i)
-
-    while alive.sum() > 1:
-        flat = int(np.argmin(ward))
-        i, j = divmod(flat, g)  # symmetric matrix: first hit has i < j
-        if not np.isfinite(ward[i, j]) or ward[i, j] >= cutoff:
-            break
+    ward = np.array([ward_row(i) for i in range(g)])
+    while True:
+        i, j = divmod(int(np.argmin(ward)), g)  # symmetric: first hit has i < j
+        if not ward[i, j] < cutoff:  # also ends it when no live pair is left
+            return [(members[k], w[k], mu[k]) for k in np.flatnonzero(alive)]
         mu[i] = (w[i] * mu[i] + w[j] * mu[j]) / (w[i] + w[j])
         w[i] += w[j]
-        members[i] |= members[j]
+        members[i] += members[j]
         alive[j] = False
-        ward[j, :] = np.inf
-        ward[:, j] = np.inf
-        row = ward_row(i)
-        ward[i, :] = row
-        ward[:, i] = row
-    return [(members[i], w[i], mu[i]) for i in range(g) if alive[i]]
+        ward[j, :] = ward[:, j] = np.inf
+        ward[i, :] = ward[:, i] = ward_row(i)
 
 
 def merge_centroids(book: ConceptBook, cfg: MergeConfig) -> ConceptBook:
@@ -426,67 +419,41 @@ def merge_centroids(book: ConceptBook, cfg: MergeConfig) -> ConceptBook:
     distance stays below (threshold_pct / 100) x D_max, with D_max the
     maximum pairwise centroid distance over the whole book. Merged centroids
     are member-count-weighted means tagged with the class and part of the
-    largest contributing entry. A zero threshold returns the book unchanged.
+    largest contributing entry. A book in which nothing merges (as at a zero
+    threshold, or with one entry) comes back unchanged, as a copy.
     """
     book.validate()
-
-    def copy_book():
-        return ConceptBook(book.feat_dim, [
-            ConceptEntry(e.class_id, e.part, e.local_id, e.centroid.copy(),
-                         e.member_count) for e in book.entries
-        ])
-
-    if book.d_c == 1:
-        return copy_book()
-
     cents = book.centroid_matrix()
     d_max = 0.0
     for i in range(len(cents) - 1):
         d_max = max(d_max, float(np.linalg.norm(cents[i + 1:] - cents[i], axis=1).max()))
     cutoff = cfg.threshold_pct / 100.0 * d_max
 
-    def scope_key(e: ConceptEntry):
-        if cfg.level == 1:
-            return (e.class_id, e.part)
-        if cfg.level == 2:
-            return (e.class_id,)
-        return ()
-
+    # Level 1 groups by (class, part), level 2 by class, level 3 not at all.
     groups: dict[tuple, list[int]] = {}
     for idx, e in enumerate(book.entries):
-        groups.setdefault(scope_key(e), []).append(idx)
-
-    merged_any = False
-    clusters = []  # (member entry indices, weight, centroid)
-    for key in sorted(groups):
-        idxs = groups[key]
-        weights = [book.entries[i].member_count for i in idxs]
-        cents_g = [book.entries[i].centroid for i in idxs]
-        for local_members, weight, centroid in _agglomerate(weights, cents_g,
-                                                            cutoff):
-            entry_idxs = {idxs[l] for l in local_members}
-            if len(entry_idxs) > 1:
-                merged_any = True
-            clusters.append((entry_idxs, weight, centroid))
-
-    if not merged_any:
-        return copy_book()
+        groups.setdefault((e.class_id, e.part)[:3 - cfg.level], []).append(idx)
+    clusters = [([idxs[l] for l in members], weight, centroid)
+                for _, idxs in sorted(groups.items())
+                for members, weight, centroid in _agglomerate(
+                    [book.entries[i].member_count for i in idxs],
+                    [book.entries[i].centroid for i in idxs], cutoff)]
+    if len(clusters) == book.d_c:
+        return ConceptBook(book.feat_dim, [
+            ConceptEntry(e.class_id, e.part, e.local_id, e.centroid.copy(),
+                         e.member_count) for e in book.entries])
 
     tagged = []
     for entry_idxs, weight, centroid in clusters:
         # Tag with the class and part of the largest contributing entry.
-        rep = max(entry_idxs,
-                  key=lambda i: (book.entries[i].member_count, -i))
-        e = book.entries[rep]
-        tagged.append((e.class_id, e.part, min(entry_idxs), centroid,
+        rep = book.entries[max(entry_idxs, key=lambda i: (
+            book.entries[i].member_count, -i))]
+        tagged.append((rep.class_id, rep.part, min(entry_idxs), centroid,
                        int(round(weight))))
-    tagged.sort(key=lambda t: (t[0], t[1], t[2]))
-
     out = ConceptBook(feat_dim=book.feat_dim)
-    local_counter: dict[tuple, int] = {}
-    for class_id, part, _, centroid, count in tagged:
-        l = local_counter.get((class_id, part), 0)
-        local_counter[(class_id, part)] = l + 1
+    local_ids: dict[tuple, int] = {}
+    for class_id, part, _, centroid, count in sorted(tagged, key=lambda t: t[:3]):
+        l = local_ids[class_id, part] = local_ids.get((class_id, part), -1) + 1
         out.entries.append(ConceptEntry(class_id, part, l, centroid, count))
     out.validate()
     return out

@@ -11,7 +11,10 @@ constant-step gradient descent, and consistency from the full n x n Gram
 matrix. The ``reference_*`` loops are the straightforward forms of the fast
 training loops (np.linalg.norm, every hinge term applied, the loss over one
 full residual, every gradient recomputed); the fast loops must reproduce
-them bit for bit. ``pack_container`` builds the binary artifact container
+them bit for bit. ``reference_merge_centroids`` is the straightforward form
+of the Ward merge (separate one-entry, no-merge and rebuild returns, set
+members, a loop that tests for a live pair on its own); ``merge_centroids``
+must reproduce it bit for bit. ``pack_container`` builds the binary artifact container
 field by field from its documented layout.
 """
 
@@ -27,7 +30,7 @@ from conceptmine.dataset import PartFeatureDataset, split_kfold, subset
 from conceptmine.head import (_MAX_HALVINGS, SparseHead, _smooth_objective_and_grads,
                               concept_contributions, head_forward, predict,
                               soft_threshold)
-from conceptmine.mining import ConceptBook, ConceptEntry, mine_concepts
+from conceptmine.mining import ConceptBook, ConceptEntry, MergeConfig, mine_concepts
 from conceptmine.xaimetrics import (_assignment_min_cost, _cells, faithfulness,
                                     hungarian)
 
@@ -449,6 +452,117 @@ def reference_train_head(cavs, gs, labels, cfg, on_epoch=None):
         if on_epoch is not None:
             on_epoch(epoch, obj, step, pre_prox, w1)
     return SparseHead(W1=w1, W2=w2, b=b)
+
+
+def _reference_agglomerate(weights, cents, cutoff):
+    """Greedy Ward agglomeration below ``cutoff``; returns clusters as sets
+    of input indices. Ties break on the lexicographically smallest pair."""
+    g = len(weights)
+    members = [{i} for i in range(g)]
+    w = np.asarray(weights, dtype=np.float64).copy()
+    mu = np.asarray(cents, dtype=np.float64).copy()
+    alive = np.ones(g, dtype=bool)
+
+    def ward_row(i):
+        d = np.linalg.norm(mu - mu[i], axis=1)
+        row = np.sqrt(2.0 * w * w[i] / (w + w[i])) * d
+        row[~alive] = np.inf
+        row[i] = np.inf
+        return row
+
+    ward = np.full((g, g), np.inf)
+    for i in range(g):
+        ward[i] = ward_row(i)
+
+    while alive.sum() > 1:
+        flat = int(np.argmin(ward))
+        i, j = divmod(flat, g)  # symmetric matrix: first hit has i < j
+        if not np.isfinite(ward[i, j]) or ward[i, j] >= cutoff:
+            break
+        mu[i] = (w[i] * mu[i] + w[j] * mu[j]) / (w[i] + w[j])
+        w[i] += w[j]
+        members[i] |= members[j]
+        alive[j] = False
+        ward[j, :] = np.inf
+        ward[:, j] = np.inf
+        row = ward_row(i)
+        ward[i, :] = row
+        ward[:, i] = row
+    return [(members[i], w[i], mu[i]) for i in range(g) if alive[i]]
+
+
+def reference_merge_centroids(book: ConceptBook, cfg: MergeConfig) -> ConceptBook:
+    """Agglomerate similar centroids within the scope given by cfg.level.
+
+    Within each scope group, clusters (seeded with single centroids weighted
+    by member_count) are merged greedily by smallest Ward distance while that
+    distance stays below (threshold_pct / 100) x D_max, with D_max the
+    maximum pairwise centroid distance over the whole book. Merged centroids
+    are member-count-weighted means tagged with the class and part of the
+    largest contributing entry. A zero threshold returns the book unchanged.
+    """
+    book.validate()
+
+    def copy_book():
+        return ConceptBook(book.feat_dim, [
+            ConceptEntry(e.class_id, e.part, e.local_id, e.centroid.copy(),
+                         e.member_count) for e in book.entries
+        ])
+
+    if book.d_c == 1:
+        return copy_book()
+
+    cents = book.centroid_matrix()
+    d_max = 0.0
+    for i in range(len(cents) - 1):
+        d_max = max(d_max, float(np.linalg.norm(cents[i + 1:] - cents[i], axis=1).max()))
+    cutoff = cfg.threshold_pct / 100.0 * d_max
+
+    def scope_key(e: ConceptEntry):
+        if cfg.level == 1:
+            return (e.class_id, e.part)
+        if cfg.level == 2:
+            return (e.class_id,)
+        return ()
+
+    groups: dict[tuple, list[int]] = {}
+    for idx, e in enumerate(book.entries):
+        groups.setdefault(scope_key(e), []).append(idx)
+
+    merged_any = False
+    clusters = []  # (member entry indices, weight, centroid)
+    for key in sorted(groups):
+        idxs = groups[key]
+        weights = [book.entries[i].member_count for i in idxs]
+        cents_g = [book.entries[i].centroid for i in idxs]
+        for local_members, weight, centroid in _reference_agglomerate(
+                weights, cents_g, cutoff):
+            entry_idxs = {idxs[l] for l in local_members}
+            if len(entry_idxs) > 1:
+                merged_any = True
+            clusters.append((entry_idxs, weight, centroid))
+
+    if not merged_any:
+        return copy_book()
+
+    tagged = []
+    for entry_idxs, weight, centroid in clusters:
+        # Tag with the class and part of the largest contributing entry.
+        rep = max(entry_idxs,
+                  key=lambda i: (book.entries[i].member_count, -i))
+        e = book.entries[rep]
+        tagged.append((e.class_id, e.part, min(entry_idxs), centroid,
+                       int(round(weight))))
+    tagged.sort(key=lambda t: (t[0], t[1], t[2]))
+
+    out = ConceptBook(feat_dim=book.feat_dim)
+    local_counter: dict[tuple, int] = {}
+    for class_id, part, _, centroid, count in tagged:
+        l = local_counter.get((class_id, part), 0)
+        local_counter[(class_id, part)] = l + 1
+        out.entries.append(ConceptEntry(class_id, part, l, centroid, count))
+    out.validate()
+    return out
 
 
 def pack_container(magic, header, *arrays, version=2):

@@ -562,6 +562,25 @@ EVAL_BOOK = ["eval", "--data", "{ds}", "--head", "{tmp}/h.json", "--k", 2,
     pytest.param(["mine", "--data", "{tmp}/x.csv", "-o", "{tmp}/b.json"],
                  {"x.csv": "part0_0,g_0,label\n0.5,0.5,99999999999\n"},
                  (1, "row 0"), id="csv-label-too-large"),
+    # a CSV header must be exactly the one export writes, in UTF-8
+    pytest.param(["export", "--data", "{tmp}/x.csv", "-o", "{tmp}/x.pfd"],
+                 {"x.csv": "part1_0,part0_0,g_0,label\n1,2,3,0\n"},
+                 (1, "x.csv: header"), id="csv-swapped-part-columns"),
+    pytest.param(["export", "--data", "{tmp}/x.csv", "-o", "{tmp}/x.pfd"],
+                 {"x.csv": "part0_0,part0_1,g_1,g_0,label\n1,2,3,4,0\n"},
+                 (1, "x.csv: header"), id="csv-swapped-g-columns"),
+    pytest.param(["export", "--data", "{tmp}/x.csv", "-o", "{tmp}/x.pfd"],
+                 {"x.csv": "id,part0_0,g_0,label\n0,1,2,0\n"},
+                 (1, "x.csv: header"), id="csv-leading-id-column"),
+    pytest.param(["mine", "--data", "{tmp}/x.csv", "-o", "{tmp}/b.json"],
+                 {"x.csv": "part0_0_1,g_0,label\n1,2,0\n"},
+                 (1, "x.csv: header"), id="csv-three-index-part-name"),
+    pytest.param(["mine", "--data", "{tmp}/x.csv", "-o", "{tmp}/b.json"],
+                 {"x.csv": b"part0_0,g_0,label\n\xff\xfe,1.0,0\n"},
+                 (1, "x.csv: not a valid UTF-8 CSV"), id="csv-not-utf8"),
+    pytest.param(["mine", "--data", "{tmp}/x.csv", "-o", "{tmp}/b.json"],
+                 {"x.csv": 'part0_0,g_0,label\n"' + "9" * 200_000 + "\n"},
+                 (1, "x.csv: not a valid UTF-8 CSV"), id="csv-field-too-large"),
     # a book's eps must be a number, in the JSON and the binary book alike
     pytest.param([*EVAL_BOOK, "{tmp}/b.json"],
                  {"b.json": book_json(eps="abc"), "h.json": HEAD_JSON},

@@ -90,6 +90,20 @@ class TestCsv:
         with pytest.raises(FormatError):
             load_dataset(path, "csv")
 
+    # Each header differs from the one save_dataset writes for the K and d_f
+    # it implies; values are never taken by position under another header.
+    @pytest.mark.parametrize("text", [
+        "part1_0,part0_0,g_0,label\n1,2,3,0\n",
+        "part0_0,part0_1,g_1,g_0,label\n1,2,3,4,0\n",
+        "id,part0_0,g_0,label\n0,1,2,0\n",
+        "part0_0_1,g_0,label\n1,2,0\n",
+    ], ids=["swapped-parts", "swapped-g", "leading-id", "three-index-name"])
+    def test_header_must_be_exact(self, tmp_path, text):
+        path = tmp_path / "h.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="h.csv: header"):
+            load_dataset(path, "csv")
+
 
 class TestInvariants:
     def test_nonfinite_named_sample(self):

@@ -14,6 +14,7 @@ from conceptmine.cli import main
 # The artifact kinds, and the subcommands that read each of them.
 READERS = {
     "data.pfd": ("eval", "occlude", "merge"),
+    "data.csv": ("mine", "export"),
     "book.json": ("eval", "occlude", "merge"),
     "book.pcmb": ("eval", "occlude", "merge"),
     "head.json": ("eval", "occlude"),
@@ -31,10 +32,12 @@ def run(*argv):
 
 @pytest.fixture(scope="module")
 def originals(tmp_path_factory):
-    """The bytes of a small valid dataset, JSON and binary books, and heads."""
+    """The bytes of a small valid dataset (PFD and CSV), JSON and binary
+    books, and heads."""
     d = tmp_path_factory.mktemp("fuzz-originals")
     assert run("gen", "--classes", 3, "--parts", 2, "--dim", 4,
                "--per-class", 6, "--seed", 1, "-o", d / "data.pfd") == 0
+    assert run("export", "--data", d / "data.pfd", "-o", d / "data.csv") == 0
     for book, head in HEADS.items():
         assert run("mine", "--data", d / "data.pfd", "-o", d / book) == 0
         assert run("train", "--data", d / "data.pfd", "--book", d / book,
@@ -44,6 +47,9 @@ def originals(tmp_path_factory):
 
 def _argv(command: str, d: Path, book: str) -> list:
     head = HEADS[book]
+    if command in ("mine", "export"):
+        out = "out.json" if command == "mine" else "out.pfd"
+        return [command, "--data", d / "data.csv", "-o", d / out]
     if command == "merge":
         return ["merge", "--book", d / book, "--threshold", 20, "--data",
                 d / "data.pfd", "--epochs", 3, "-o", d / ("merged." + book)]
@@ -67,7 +73,7 @@ def corruptions(draw, originals):
     return name, corrupt, draw(st.sampled_from(READERS[name]))
 
 
-@settings(max_examples=120, deadline=None, derandomize=True,
+@settings(max_examples=144, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_corrupt_artifacts_fail_cleanly(originals, data):

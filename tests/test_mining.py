@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -12,8 +13,8 @@ from conceptmine.mining import (ConceptBook, ConceptEntry, MergeConfig,
                                 save_book)
 from conceptmine.xaimetrics import stability
 from oracles import (broadcast_adaptive_eps, brute_force_dbscan,
-                     canonical_labels, reference_mine_concepts,
-                     reference_stability)
+                     canonical_labels, reference_merge_centroids,
+                     reference_mine_concepts, reference_stability)
 
 
 class TestDbscan:
@@ -354,6 +355,17 @@ class TestMerge:
         np.testing.assert_allclose(merged[0].centroid, [0.025])
         assert merged[0].member_count == 4
 
+    def test_zero_threshold_identity_when_d_max_overflows(self):
+        # D_max overflows to inf, so a zero threshold makes the cutoff
+        # 0 * inf = nan; no Ward distance is below it.
+        e = lambda j, l, c: ConceptEntry(j, 0, l, np.array([c]), 1)
+        book = ConceptBook(feat_dim=1, entries=[
+            e(0, 0, 0.0), e(0, 1, 1.0), e(1, 0, 1e200), e(1, 1, -1e200)])
+        with np.errstate(over="ignore"):
+            out = merge_centroids(book, MergeConfig(0.0, 1))
+        assert [(x.class_id, x.local_id, x.member_count) for x in out.entries] \
+            == [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
+
     def test_single_entry_unchanged(self):
         book = ConceptBook(feat_dim=1, entries=[
             ConceptEntry(0, 0, 0, np.array([1.0]), 2)])
@@ -403,6 +415,74 @@ class TestMerge:
     def test_empty_book_rejected(self):
         with pytest.raises(ValidationError):
             merge_centroids(ConceptBook(feat_dim=2), MergeConfig(10.0, 1))
+
+
+@functools.cache
+def oracle_merge_books():
+    """Books on which merge_centroids must match reference_merge_centroids."""
+    def mined(spec, eps):
+        ds, _ = generate_synthetic(spec)
+        return mine_concepts(ds, MiningConfig(eps=eps,
+                                              min_pts=None if eps is None else 3))
+
+    def e(j, p, l, c, m=1):
+        return ConceptEntry(j, p, l, np.array(c, dtype=np.float64), m)
+
+    # The shapes of the mine-bigcell and report-dense benchmark books, with
+    # fewer samples per class.
+    bigcell = mined(SyntheticSpec(3, 2, 128, 60, 4, seed=0), 0.35)
+    dense = mined(SyntheticSpec(6, 4, 32, 100, 8, seed=0), 0.3)
+    order = np.random.default_rng(5).permutation(dense.d_c)
+    shuffled = ConceptBook(dense.feat_dim, [
+        e(x.class_id, x.part, 2 * x.local_id + 3, x.centroid, x.member_count)
+        for x in (dense.entries[i] for i in order)])
+    # Neither of those merges at any threshold (their member counts put every
+    # Ward distance above D_max); adaptive eps splits this noisier set's
+    # concepts into small fragments that do.
+    noisy = mined(SyntheticSpec(5, 4, 24, 60, 6, noise_sigma=0.04, seed=3), None)
+    return {
+        "bigcell": bigcell,
+        "dense": dense,
+        "noisy-adaptive": noisy,
+        "shuffled-gapped-ids": shuffled,
+        "one-entry": ConceptBook(2, [e(0, 0, 0, [1.0, -2.0], 3)]),
+        # equal weights on a unit grid: every nearest pair ties
+        "tie-lattice": ConceptBook(2, [e(0, 0, 3 * a + b, [a, b])
+                                       for a in range(3) for b in range(3)]),
+        # cell (0, 0) merges down to one cluster; class 1 anchors D_max
+        "merges-to-one": ConceptBook(1, [e(0, 0, l, [0.01 * l], l + 1)
+                                         for l in range(4)]
+                                     + [e(1, 0, 0, [1.0], 2), e(1, 0, 1, [0.5])]),
+    }
+
+
+class TestMergeOracle:
+    def test_books_cover_their_cases(self):
+        books = oracle_merge_books()
+        assert books["dense"].d_c == 192
+        assert books["one-entry"].d_c == 1
+        out = merge_centroids(books["merges-to-one"], MergeConfig(10.0, 1))
+        assert [(x.class_id, x.part, x.member_count) for x in out.entries] == \
+            [(0, 0, 10), (1, 0, 2), (1, 0, 1)]
+        assert merge_centroids(books["tie-lattice"], MergeConfig(50.0, 1)).d_c < 9
+        sizes = {merge_centroids(books["noisy-adaptive"], MergeConfig(pct, 3)).d_c
+                 for pct in (0.0, 20.0, 50.0, 100.0)}
+        assert len(sizes) > 2
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("pct", [0.0, 5.0, 10.0, 20.0, 50.0, 100.0])
+    @pytest.mark.parametrize("name", ["bigcell", "dense", "noisy-adaptive",
+                                      "shuffled-gapped-ids", "one-entry",
+                                      "tie-lattice", "merges-to-one"])
+    def test_matches_reference(self, name, pct, level):
+        book = oracle_merge_books()[name]
+        cfg = MergeConfig(pct, level)
+        got, want = merge_centroids(book, cfg), reference_merge_centroids(book, cfg)
+        assert got.feat_dim == want.feat_dim and got.meta == want.meta == {}
+        assert [(x.class_id, x.part, x.local_id, x.member_count,
+                 x.centroid.tobytes()) for x in got.entries] == \
+            [(x.class_id, x.part, x.local_id, x.member_count,
+              x.centroid.tobytes()) for x in want.entries]
 
 
 class TestBookIo:
