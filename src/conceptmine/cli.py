@@ -36,8 +36,10 @@ class PipelineConfig:
     mcm: McmConfig = field(default_factory=McmConfig)
     head: HeadTrainConfig = field(default_factory=HeadTrainConfig)
     mining: MiningConfig = field(default_factory=MiningConfig)
-    stability_k: int = 10
-    faithfulness_ns: tuple[int, ...] = (1, 2, 3, 4, 5)
+    stability_k: int = field(default=10, metadata={
+        "flag": "--k", "help": "stability fold count"})
+    faithfulness_ns: tuple[int, ...] = field(default=(1, 2, 3, 4, 5), metadata={
+        "flag": "--ns", "help": "comma-separated faithfulness n list"})
     seed: int = 0
 
     def __post_init__(self):
@@ -116,14 +118,17 @@ def _load_book(path, ds: PartFeatureDataset | None = None):
 
 
 def _load_scored_run(args):
-    """Dataset, book and head for ``eval``/``occlude``; refuses a d_c or
-    class-count mismatch, and a hash mismatch unless ``--force`` is given."""
+    """Dataset, book and head for ``eval``/``occlude``; refuses a d_c, d_f
+    or class-count mismatch, and a hash mismatch unless ``--force`` is given."""
     ds = _load_data(args.data)
     book = _load_book(args.book, ds)
     head = load_head(args.head, _head_format(args.head))
     if head.W1.shape[0] != book.d_c:
         raise CompatibilityError(
             f"head expects d_c={head.W1.shape[0]} but book has d_c={book.d_c}")
+    if head.W2.shape[0] != ds.feat_dim:
+        raise CompatibilityError(f"head expects d_f={head.W2.shape[0]} but "
+                                 f"the dataset has d_f={ds.feat_dim}")
     if head.n_classes != ds.n_classes:
         raise CompatibilityError(f"head scores {head.n_classes} classes but "
                                  f"the dataset has {ds.n_classes}")
@@ -138,10 +143,11 @@ def _load_scored_run(args):
 
 def _given(values, cls) -> dict:
     """The flags (or, for a dict, the keys) named after fields of ``cls``
-    whose value is not None: the settings given, which override defaults."""
+    whose value is not None: the settings given, which override defaults.
+    The nested sections are never flags (``eval``'s ``--head`` is a path)."""
     values = values if isinstance(values, dict) else vars(values)
     return {f.name: values[f.name] for f in fields(cls)
-            if values.get(f.name) is not None}
+            if f.name not in _SECTIONS and values.get(f.name) is not None}
 
 
 def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> dict:
@@ -331,16 +337,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    cfg = PipelineConfig(**_given(args, PipelineConfig))
     ds, book, head = _load_scored_run(args)
     # The book's mining settings, with the flags given laid over them.
     mining = MiningConfig(**{**_given(book.meta, MiningConfig),
                              **_given(args, MiningConfig)})
     z, g = compute_cav_batch(ds, book)
+    ns = list(cfg.faithfulness_ns)
     report = metric_report(
-        ds, z, g, book, head, args.stability_k, mining, args.seed,
-        args.faithfulness_ns,
-        {"book": book.meta, "k": args.stability_k, "ns": args.faithfulness_ns,
-         **asdict(mining)})
+        ds, z, g, book, head, cfg.stability_k, mining, cfg.seed, ns,
+        {"book": book.meta, "k": cfg.stability_k, "ns": ns, **asdict(mining)})
     save_report(report, args.output)
     if args.csv:
         save_report_csv(report, args.csv)
@@ -395,6 +401,27 @@ def _list_of(kind, minimum=None):
     return parse
 
 
+# The argparse type of each field annotation that a setting flag parses,
+# keyed by the annotation's text: every config module postpones annotations.
+_FLAG_TYPES = {"int": int, "int | None": int, "float": float,
+               "float | None": float,
+               "tuple[int, ...]": _list_of(int, minimum=0),
+               "tuple[float, ...]": _list_of(float)}
+
+
+def _add_flags(parser, cls, *names, **kwargs):
+    """Add the flag of each field of ``cls`` in ``names`` (of every field
+    when none is named): ``metadata["flag"]`` or ``--name-with-dashes``,
+    dest the field name, type from the annotation, help ``metadata["help"]``.
+    ``kwargs`` carry what only argparse needs (required, choices)."""
+    by_name = {f.name: f for f in fields(cls)}
+    for name in names or by_name:
+        f = by_name[name]
+        parser.add_argument(
+            f.metadata.get("flag", "--" + name.replace("_", "-")), dest=name,
+            type=_FLAG_TYPES[f.type], help=f.metadata.get("help"), **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conceptmine",
@@ -404,14 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a planted synthetic dataset")
-    p.add_argument("--classes", dest="n_classes", type=int)
-    p.add_argument("--parts", dest="n_parts", type=int)
-    p.add_argument("--dim", dest="feat_dim", type=int)
-    p.add_argument("--per-class", dest="samples_per_class", type=int)
-    p.add_argument("--concepts", dest="concepts_per_cell", type=int)
-    p.add_argument("--noise", dest="noise_sigma", type=float)
-    p.add_argument("--min-sep", dest="min_separation", type=float)
-    p.add_argument("--seed", type=int)
+    _add_flags(p, SyntheticSpec)
     p.add_argument("--ground-truth", help="ground-truth JSON path")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_gen)
@@ -419,47 +439,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="run the full staged pipeline")
     p.add_argument("--data", required=True)
     p.add_argument("--config", help="JSON pipeline config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--k", dest="stability_k", type=int,
-                   help="stability fold count")
-    p.add_argument("--eps", type=float)
-    p.add_argument("--min-pts", dest="min_pts", type=int)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
+    _add_flags(p, PipelineConfig, "seed", "stability_k")
+    _add_flags(p, MiningConfig)
+    _add_flags(p, HeadTrainConfig)
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("mine", help="mine a concept book from a dataset")
     p.add_argument("--data", required=True)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--min-pts", dest="min_pts", type=int)
+    _add_flags(p, MiningConfig)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("merge", help="merge similar centroids in a book")
     p.add_argument("--book", required=True)
-    p.add_argument("--threshold", dest="threshold_pct", type=float,
-                   required=True,
-                   help="percent of max pairwise centroid distance")
-    p.add_argument("--level", type=int, choices=(1, 2, 3))
+    _add_flags(p, MergeConfig, "threshold_pct", required=True)
+    _add_flags(p, MergeConfig, "level", choices=(1, 2, 3))
     p.add_argument("--data", help="dataset for the accuracy/F(3) table")
     p.add_argument("--csv", help="path of the Table-style CSV report")
-    p.add_argument("--lam", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--epochs", type=int)
+    _add_flags(p, HeadTrainConfig, "lam", "gamma", "epochs")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_merge)
 
     p = sub.add_parser("train", help="train the sparse head on a book's CAVs")
     p.add_argument("--data", required=True)
     p.add_argument("--book", required=True)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
+    _add_flags(p, HeadTrainConfig, "lam", "gamma", "lr", "epochs")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -467,14 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--book", required=True)
     p.add_argument("--head", required=True)
-    p.add_argument("--k", dest="stability_k", type=int,
-                   default=PipelineConfig.stability_k)
-    p.add_argument("--ns", dest="faithfulness_ns", type=_list_of(int, minimum=0),
-                   default=PipelineConfig.faithfulness_ns,
-                   help="comma-separated faithfulness n list")
-    p.add_argument("--eps", type=float)
-    p.add_argument("--min-pts", dest="min_pts", type=int)
-    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
+    _add_flags(p, PipelineConfig, "stability_k", "faithfulness_ns")
+    _add_flags(p, MiningConfig)
+    _add_flags(p, PipelineConfig, "seed")
     p.add_argument("--force", action="store_true",
                    help="skip the config-hash compatibility check")
     p.add_argument("--csv", help="also write the one-row CSV report")
@@ -485,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--book", required=True)
     p.add_argument("--head", required=True)
-    p.add_argument("--fractions", type=_list_of(float))
+    _add_flags(p, OcclusionConfig)
     p.add_argument("--svg", help="also write an SVG chart")
     p.add_argument("--force", action="store_true")
     p.add_argument("-o", "--output", required=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -112,13 +112,13 @@ class SyntheticSpec:
     enforced.
     """
 
-    n_classes: int = 5
-    n_parts: int = 4
-    feat_dim: int = 32
-    samples_per_class: int = 40
-    concepts_per_cell: int = 2
-    noise_sigma: float = 0.02
-    min_separation: float = 1.0
+    n_classes: int = field(default=5, metadata={"flag": "--classes"})
+    n_parts: int = field(default=4, metadata={"flag": "--parts"})
+    feat_dim: int = field(default=32, metadata={"flag": "--dim"})
+    samples_per_class: int = field(default=40, metadata={"flag": "--per-class"})
+    concepts_per_cell: int = field(default=2, metadata={"flag": "--concepts"})
+    noise_sigma: float = field(default=0.02, metadata={"flag": "--noise"})
+    min_separation: float = field(default=1.0, metadata={"flag": "--min-sep"})
     seed: int = 0
 
     def __post_init__(self):
@@ -319,15 +319,15 @@ def split_kfold(ds: PartFeatureDataset, k: int, seed: int) -> list[np.ndarray]:
     """Stratified k-fold split; returns k disjoint sorted index arrays."""
     check_int("k", k, 2)
     check_int("seed", seed, 0)
+    counts = np.bincount(ds.labels, minlength=ds.n_classes)
+    if counts.min() < k:  # refused before the k fold lists exist
+        c = int(np.argmax(counts < k))
+        raise StratificationError(
+            f"class {c} has {counts[c]} samples, fewer than k={k}")
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(k)]
     for c in range(ds.n_classes):
-        idx = np.flatnonzero(ds.labels == c)
-        if len(idx) < k:
-            raise StratificationError(
-                f"class {c} has {len(idx)} samples, fewer than k={k}"
-            )
-        perm = rng.permutation(idx)
+        perm = rng.permutation(np.flatnonzero(ds.labels == c))
         for f in range(k):
             folds[f].extend(perm[f::k])
     return [np.array(sorted(f), dtype=np.int64) for f in folds]

@@ -67,7 +67,7 @@ def check_real(name: str, value, low: float, high: float = math.inf,
 def _json_object(raw: bytes, path) -> dict:
     try:
         payload = json.loads(raw.decode("utf-8"))
-    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+    except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, deep nesting
         raise FormatError(f"{path}: not valid JSON ({e})") from None
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: top level is not a JSON object")
@@ -76,7 +76,8 @@ def _json_object(raw: bytes, path) -> dict:
 
 def read_json_object(path) -> dict:
     """Parse a JSON file whose top level is an object; raise FormatError
-    naming the path when it is not valid UTF-8 JSON or not an object."""
+    naming the path when it is not UTF-8 JSON that parses (too deep a
+    nesting does not) or not an object."""
     with open(path, "rb") as fh:
         return _json_object(fh.read(), path)
 

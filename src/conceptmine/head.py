@@ -82,16 +82,12 @@ def head_forward(z: np.ndarray, g: np.ndarray, head: SparseHead) -> np.ndarray:
     return head.W1.T @ z + head.W2.T @ g + head.b
 
 
-def forward_batch(z: np.ndarray, g: np.ndarray, head: SparseHead) -> np.ndarray:
+def predict(z: np.ndarray, g: np.ndarray, head: SparseHead) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     if z.shape[1] != head.W1.shape[0] or g.shape[1] != head.W2.shape[0]:
         raise ValidationError("batch dims do not match head")
-    return z @ head.W1 + g @ head.W2 + head.b
-
-
-def predict(z: np.ndarray, g: np.ndarray, head: SparseHead) -> np.ndarray:
-    return np.argmax(forward_batch(z, g, head), axis=1)
+    return np.argmax(z @ head.W1 + g @ head.W2 + head.b, axis=1)
 
 
 def accuracy(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,

@@ -116,7 +116,9 @@ class MergeConfig:
     across parts, level 3 across everything.
     """
 
-    threshold_pct: float
+    threshold_pct: float = field(metadata={
+        "flag": "--threshold",
+        "help": "percent of max pairwise centroid distance"})
     level: int = 1
 
     def __post_init__(self):

@@ -117,10 +117,9 @@ def save_curve_csv(rows: list[tuple[float, float, float]], path):
                              repr(float(f3))])
 
 
-def save_curve_svg(rows: list[tuple[float, float, float]], path,
-                   width: int = 480, height: int = 320):
+def save_curve_svg(rows: list[tuple[float, float, float]], path):
     """Minimal SVG line chart of accuracy and F(3) against occluded fraction."""
-    pad = 45
+    width, height, pad = 480, 320, 45
     xs = [r[0] for r in rows]
     x_max = max(xs) if max(xs) > 0 else 1.0
 

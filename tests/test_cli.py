@@ -1,19 +1,22 @@
+import argparse
 import csv
 import json
 import struct
-from dataclasses import asdict, replace
+from dataclasses import MISSING, asdict, fields, replace
 
 import numpy as np
 import pytest
 
 from conceptmine.cav import compute_cav_batch
-from conceptmine.cli import PipelineConfig, main, pipeline_config_from_dict
+from conceptmine.cli import (PipelineConfig, _given, build_parser, main,
+                             pipeline_config_from_dict)
 from conceptmine.errors import ValidationError
 from conceptmine.dataset import (SyntheticSpec, generate_synthetic,
                                  load_dataset, save_dataset)
 from conceptmine.head import HeadTrainConfig, save_head, train_head
-from conceptmine.mining import (MiningConfig, load_book, mine_concepts,
-                                save_book)
+from conceptmine.mining import (MergeConfig, MiningConfig, load_book,
+                                mine_concepts, save_book)
+from conceptmine.occlusion import OcclusionConfig
 from conceptmine.xaimetrics import config_hash
 
 from oracles import pack_container
@@ -386,6 +389,89 @@ class TestExport:
         np.testing.assert_array_equal(a.labels, b.labels)
 
 
+# Each subcommand's setting flags, with the field each one sets, and the
+# config classes the subcommand builds from them.
+SETTING_FLAGS = {
+    "gen": ({"--classes": "n_classes", "--parts": "n_parts",
+             "--dim": "feat_dim", "--per-class": "samples_per_class",
+             "--concepts": "concepts_per_cell", "--noise": "noise_sigma",
+             "--min-sep": "min_separation", "--seed": "seed"},
+            (SyntheticSpec,)),
+    "pipeline": ({"--seed": "seed", "--k": "stability_k", "--eps": "eps",
+                  "--min-pts": "min_pts", "--lam": "lam", "--gamma": "gamma",
+                  "--beta": "beta", "--lr": "lr", "--epochs": "epochs"},
+                 (PipelineConfig, MiningConfig, HeadTrainConfig)),
+    "mine": ({"--eps": "eps", "--min-pts": "min_pts"}, (MiningConfig,)),
+    "merge": ({"--threshold": "threshold_pct", "--level": "level",
+               "--lam": "lam", "--gamma": "gamma", "--epochs": "epochs"},
+              (MergeConfig, HeadTrainConfig)),
+    "train": ({"--lam": "lam", "--gamma": "gamma", "--lr": "lr",
+               "--epochs": "epochs"}, (HeadTrainConfig,)),
+    "eval": ({"--k": "stability_k", "--ns": "faithfulness_ns", "--eps": "eps",
+              "--min-pts": "min_pts", "--seed": "seed"},
+             (PipelineConfig, MiningConfig)),
+    "occlude": ({"--fractions": "fractions"}, (OcclusionConfig,)),
+    "export": ({}, ()),
+}
+# The arguments that set no config field.
+OTHER_FLAGS = {"-h", "--help", "--data", "--book", "--head", "-o", "--output",
+               "--config", "--csv", "--svg", "--force", "--ground-truth"}
+# One non-default command-line value per field, and the value it must set.
+FLAG_VALUES = {
+    "n_classes": ("6", 6), "n_parts": ("3", 3), "feat_dim": ("9", 9),
+    "samples_per_class": ("41", 41), "concepts_per_cell": ("3", 3),
+    "noise_sigma": ("0.05", 0.05), "min_separation": ("1.5", 1.5),
+    "seed": ("7", 7), "stability_k": ("4", 4),
+    "faithfulness_ns": ("0,2,9", (0, 2, 9)), "eps": ("0.25", 0.25),
+    "min_pts": ("5", 5), "lam": ("0.01", 0.01), "gamma": ("0.25", 0.25),
+    "beta": ("3.5", 3.5), "lr": ("0.5", 0.5), "epochs": ("12", 12),
+    "threshold_pct": ("30", 30.0), "level": ("2", 2),
+    "fractions": ("0.25,0.5", (0.25, 0.5)),
+}
+
+
+def subparsers():
+    parser = build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestSettingFlags:
+    def test_flags_are_pinned_and_name_fields(self):
+        seen = {}
+        for name, sub in subparsers().items():
+            flags, classes = SETTING_FLAGS[name]
+            seen[name] = {opt: a.dest for a in sub._actions
+                          for opt in a.option_strings if opt not in OTHER_FLAGS}
+            for dest in flags.values():
+                owners = [c for c in classes
+                          if dest in {f.name for f in fields(c)}]
+                assert len(owners) == 1, (name, dest)
+        assert seen == {name: flags for name, (flags, _) in SETTING_FLAGS.items()}
+        assert sum(map(len, seen.values())) == 34
+
+    @pytest.mark.parametrize("name", sorted(SETTING_FLAGS))
+    def test_each_flag_sets_its_field(self, name):
+        flags, classes = SETTING_FLAGS[name]
+        sub = subparsers()[name]
+        argv = []
+        for a in sub._actions:
+            if a.required and a.dest not in FLAG_VALUES:
+                argv += [a.option_strings[0], "x"]
+        for flag, dest in flags.items():
+            argv += [flag, FLAG_VALUES[dest][0]]
+        args = build_parser().parse_args([name, *argv])
+        for cls in classes:
+            cfg = cls(**_given(args, cls))
+            for f in fields(cls):
+                if f.name not in flags.values():
+                    continue
+                expected = FLAG_VALUES[f.name][1]
+                assert expected != f.default or f.default is MISSING
+                got = getattr(cfg, f.name)
+                assert (got, type(got)) == (expected, type(expected)), f.name
+
+
 # Command lines for the exit-code table; {ds} is a valid dataset, {tmp}
 # the test's directory, where the case's files are written first, and {art}
 # a directory holding an adaptively mined book and a head trained on it.
@@ -417,9 +503,9 @@ ENTRIES = [{"class": c, "part": 0, "local_id": 0, "member_count": 1}
 CENTROIDS = np.eye(2, 16)
 
 
-def head_json(n_classes=3):
+def head_json(n_classes=3, d_f=16):
     return json.dumps({"W1": [[0.0] * n_classes] * 2,
-                       "W2": [[0.0] * n_classes] * 16, "b": [0.0] * n_classes})
+                       "W2": [[0.0] * n_classes] * d_f, "b": [0.0] * n_classes})
 
 
 HEAD_JSON = head_json()
@@ -442,6 +528,8 @@ def book_pcmb(entries=ENTRIES, **meta):
 
 EVAL_BOOK = ["eval", "--data", "{ds}", "--head", "{tmp}/h.json", "--k", 2,
              "-o", "{tmp}/r.json", "--book"]
+# JSON nested deeper than the parser's recursion limit.
+DEEP_JSON = "[" * 200_000
 
 
 @pytest.mark.parametrize("argv, files, code", [
@@ -509,6 +597,10 @@ EVAL_BOOK = ["eval", "--data", "{ds}", "--head", "{tmp}/h.json", "--k", 2,
                  {}, 1, id="gen-seed-negative"),
     pytest.param(["eval", *MINED_BOOK_HEAD, "--k", 2, "--seed", -1,
                   "-o", "{tmp}/r.json"], {}, 1, id="eval-seed-negative"),
+    # eval's settings are checked by PipelineConfig before any file is read
+    pytest.param(["eval", *BOOK_HEAD, "--k", 1, "-o", "{tmp}/r.json"], {},
+                 (1, "stability_k must be an integer >= 2"),
+                 id="eval-k-checked-before-load"),
     pytest.param(PIPELINE_CFG, {"cfg.json": '{"seed": 2.5}'},
                  1, id="config-seed-fractional"),
     pytest.param(PIPELINE_CFG, {"cfg.json": '{"stability_k": 2.5}'},
@@ -636,12 +728,32 @@ EVAL_BOOK = ["eval", "--data", "{ds}", "--head", "{tmp}/h.json", "--k", 2,
     pytest.param(["occlude", *BOOK_HEAD, "--force", "-o", "{tmp}/c.csv"],
                  {"b.json": book_json(), "h.json": head_json(4)},
                  (1, "classes"), id="occlude-head-class-count"),
+    # a head must read the dataset's d_f non-prototypical features
+    pytest.param([*EVAL_BOOK, "{tmp}/b.json"],
+                 {"b.json": book_json(), "h.json": head_json(d_f=8)},
+                 (1, "d_f"), id="eval-head-feat-dim"),
+    pytest.param(["occlude", *BOOK_HEAD, "-o", "{tmp}/c.csv"],
+                 {"b.json": book_json(), "h.json": head_json(d_f=8)},
+                 (1, "d_f"), id="occlude-head-feat-dim"),
     # malformed book JSON
     pytest.param(["eval", *BOOK_HEAD, "-o", "{tmp}/r.json"],
                  {"b.json": '{"d_f": 16}'}, 1, id="book-without-entries"),
     pytest.param(["merge", "--book", "{tmp}/b.json", "--threshold", 5,
                   "-o", "{tmp}/m.json"], {"b.json": TRUNCATED_BOOK},
                  1, id="truncated-book"),
+    # JSON nested too deeply to parse, in any file that holds JSON
+    pytest.param([*EVAL_BOOK, "{tmp}/b.json"],
+                 {"b.json": DEEP_JSON, "h.json": HEAD_JSON},
+                 (1, "b.json: not valid JSON"), id="book-json-deep"),
+    pytest.param(["occlude", *BOOK_HEAD, "-o", "{tmp}/c.csv"],
+                 {"b.json": book_json(), "h.json": DEEP_JSON},
+                 (1, "h.json: not valid JSON"), id="head-json-deep"),
+    pytest.param(PIPELINE_CFG, {"cfg.json": DEEP_JSON},
+                 (1, "cfg.json: not valid JSON"), id="config-deep"),
+    pytest.param([*EVAL_BOOK, "{tmp}/b.pcmb"],
+                 {"b.pcmb": struct.pack("<4s2I", b"PCMB", 2, len(DEEP_JSON))
+                  + DEEP_JSON.encode(), "h.json": HEAD_JSON},
+                 (1, "b.pcmb: not valid JSON"), id="book-pcmb-header-deep"),
 ])
 def test_exit_codes(tmp_path, ds_path, capsys, argv, files, code):
     code, named = code if isinstance(code, tuple) else (code, "")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,18 @@ class TestKfold:
     def test_small_class_named(self):
         with pytest.raises(StratificationError, match="class 0"):
             split_kfold(tiny_dataset(), 3, seed=0)
+
+    def test_huge_k_refused_before_the_folds_exist(self):
+        ds = tiny_dataset()
+        tracemalloc.start()
+        try:
+            with pytest.raises(StratificationError,
+                               match="class 0 has 2 samples, fewer than k=1000000"):
+                split_kfold(ds, 10**6, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_deterministic(self):
         ds = tiny_dataset()
