@@ -8,13 +8,12 @@ well defined downstream.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import PartFeatureDataset
-from .errors import ValidationError
+from .errors import ValidationError, write_csv
 from .mining import ConceptBook
 
 
@@ -75,11 +74,6 @@ def export_cav_csv(z: np.ndarray, g: np.ndarray, labels: np.ndarray, path):
         raise ValidationError("z, g and labels row counts disagree")
     header = [f"z_{i}" for i in range(z.shape[1])]
     header += [f"g_{i}" for i in range(g.shape[1])] + ["label"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(z.shape[0]):
-            row = [repr(float(v)) for v in z[i]]
-            row += [repr(float(v)) for v in g[i]]
-            row.append(str(int(labels[i])))
-            writer.writerow(row)
+    values = np.concatenate([z, g], axis=1, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64).tolist()
+    write_csv(path, header, (v.tolist() + [c] for v, c in zip(values, labels)))

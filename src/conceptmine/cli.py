@@ -8,7 +8,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -19,7 +19,7 @@ from .cav import compute_cav_batch, export_cav_csv
 from .dataset import (PartFeatureDataset, SyntheticSpec, generate_synthetic,
                       load_dataset, save_dataset, split_kfold)
 from .errors import (CompatibilityError, ConceptMineError, ValidationError,
-                     check_int, read_json_object)
+                     check_int, read_json_object, write_csv, write_json)
 from .head import HeadTrainConfig, accuracy, load_head, save_head, train_head
 from .mining import (MergeConfig, MiningConfig, load_book, merge_centroids,
                      mine_concepts, save_book)
@@ -75,7 +75,7 @@ def pipeline_config_from_dict(raw: dict) -> PipelineConfig:
     sections = {name: _known_keys(raw.get(name, {}), cls, f"{name}.")
                 for name, cls in _SECTIONS.items()}
     seed = raw.get("seed", PipelineConfig.seed)
-    if sections["mcm"].get("seed", seed) != seed:
+    if "seed" in sections["mcm"] and sections["mcm"]["seed"] != seed:
         raise ValidationError(
             f"config key mcm.seed ({sections['mcm']['seed']!r}) must equal "
             f"seed ({seed}); the top-level seed seeds center fitting")
@@ -201,10 +201,8 @@ def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> d
                       gamma=cfg.head.gamma, meta={"config_hash": h})
         save_report(report, outdir / "metrics.json")
         save_report_csv(report, outdir / "metrics.csv")
-        with open(outdir / "training_log.csv", "w") as fh:
-            fh.write("epoch,objective\n")
-            for i, obj in enumerate(objectives):
-                fh.write(f"{i},{obj!r}\n")
+        write_csv(outdir / "training_log.csv", ["epoch", "objective"],
+                  enumerate(objectives))
 
         manifest = {
             "config": cfg_dict,
@@ -222,8 +220,7 @@ def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> d
                 "training_log": "training_log.csv",
             },
         }
-        with open(outdir / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2)
+        write_json(outdir / "manifest.json", manifest, indent=2)
         return manifest
     except ConceptMineError as e:
         raise type(e)(f"stage {stage}: {e}") from e
@@ -240,12 +237,11 @@ def cmd_gen(args) -> int:
     save_dataset(ds, out, _dataset_format(out))
     gt_path = Path(args.ground_truth) if args.ground_truth else \
         out.with_suffix(out.suffix + ".gt.json")
-    with open(gt_path, "w") as fh:
-        json.dump({
-            "planted_means": gt.planted_means.tolist(),
-            "assignment": gt.assignment.tolist(),
-            "spec": asdict(spec),
-        }, fh, sort_keys=True)
+    write_json(gt_path, {
+        "planted_means": gt.planted_means.tolist(),
+        "assignment": gt.assignment.tolist(),
+        "spec": asdict(spec),
+    })
     print(f"wrote {out} ({ds.n_samples} samples, K={ds.n_parts}, "
           f"L={ds.n_classes}, d_f={ds.feat_dim}) and {gt_path}")
     return 0
@@ -310,10 +306,8 @@ def cmd_merge(args) -> int:
             f3 = faithfulness(z, g, ds.labels, head, b, [3])[3]
             rows.append((tag, pct, cfg.level, b.d_c, acc, f3))
         csv_path = args.csv or (str(out) + ".table.csv")
-        with open(csv_path, "w") as fh:
-            fh.write("book,threshold_pct,level,d_c,accuracy,F3\n")
-            for tag, pct, level, d_c, acc, f3 in rows:
-                fh.write(f"{tag},{pct},{level},{d_c},{acc!r},{f3!r}\n")
+        write_csv(csv_path, ["book", "threshold_pct", "level", "d_c",
+                             "accuracy", "F3"], rows)
         for tag, pct, level, d_c, acc, f3 in rows:
             print(f"  {tag}: d_c={d_c} accuracy={acc:.2f}% F(3)={f3:.2f}")
     return 0
@@ -422,6 +416,7 @@ def _add_flags(parser, cls, *names, **kwargs):
             type=_FLAG_TYPES[f.type], help=f.metadata.get("help"), **kwargs)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conceptmine",

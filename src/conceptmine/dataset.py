@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (FormatError, GenerationError, StratificationError,
-                     ValidationError, check_int, check_real)
+                     ValidationError, check_int, check_real, write_csv)
 
 MAGIC = b"PCMF"
 VERSION = 1
@@ -142,10 +142,9 @@ def save_dataset(ds: PartFeatureDataset, path, format: str = "pfd"):
     """Write a dataset to ``path`` in binary PFD or CSV form."""
     ds.validate()
     path = Path(path)
+    merged = np.concatenate(
+        [ds.part_features, ds.nonproto_features[:, None, :]], axis=1)
     if format == "pfd":
-        merged = np.concatenate(
-            [ds.part_features, ds.nonproto_features[:, None, :]], axis=1
-        )
         header = _HEADER.pack(MAGIC, VERSION, ds.n_samples, ds.n_parts,
                               ds.n_classes, ds.feat_dim)
         with open(path, "wb") as fh:
@@ -153,14 +152,9 @@ def save_dataset(ds: PartFeatureDataset, path, format: str = "pfd"):
             fh.write(np.ascontiguousarray(merged, dtype="<f4").tobytes())
             fh.write(np.ascontiguousarray(ds.labels, dtype="<u4").tobytes())
     elif format == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_csv_header(ds.n_parts, ds.feat_dim))
-            for i in range(ds.n_samples):
-                row = [repr(float(v)) for v in ds.part_features[i].ravel()]
-                row += [repr(float(v)) for v in ds.nonproto_features[i]]
-                row.append(str(int(ds.labels[i])))
-                writer.writerow(row)
+        values = merged.reshape(ds.n_samples, -1)
+        write_csv(path, _csv_header(ds.n_parts, ds.feat_dim),
+                  (v.tolist() + [c] for v, c in zip(values, ds.labels.tolist())))
     else:
         raise ValidationError(f"unknown format {format!r} (expected 'pfd' or 'csv')")
 

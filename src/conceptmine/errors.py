@@ -1,7 +1,8 @@
 """Exception types shared across the package, the integer and real-number
-checks every config uses, and the JSON and binary-container readers that
-map unparsable artifact files onto them."""
+checks every config uses, the JSON and container readers that map unparsable
+files onto them, and the one writer of each artifact format."""
 
+import csv
 import json
 import math
 import numbers
@@ -55,7 +56,7 @@ def check_real(name: str, value, low: float, high: float = math.inf,
     """Refuse ``value`` unless it is a finite real number (not a bool) in
     [low, high], or in (low, high] when ``low_open``."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value > high
+            or not _finite(value) or value > high
             or (value <= low if low_open else value < low)):
         bound = f"> {low}" if low_open else f">= {low}"
         if high < math.inf:
@@ -64,9 +65,22 @@ def check_real(name: str, value, low: float, high: float = math.inf,
                               f"got {value!r}")
 
 
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _int64(text: str) -> int:
+    if not -2**63 <= (value := int(text)) < 2**63:
+        raise ValueError("an integer outside the signed 64-bit range")
+    return value
+
+
 def _json_object(raw: bytes, path) -> dict:
     try:
-        payload = json.loads(raw.decode("utf-8"))
+        payload = json.loads(raw.decode("utf-8"), parse_int=_int64)
     except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, deep nesting
         raise FormatError(f"{path}: not valid JSON ({e})") from None
     if not isinstance(payload, dict):
@@ -77,9 +91,23 @@ def _json_object(raw: bytes, path) -> dict:
 def read_json_object(path) -> dict:
     """Parse a JSON file whose top level is an object; raise FormatError
     naming the path when it is not UTF-8 JSON that parses (too deep a
-    nesting does not) or not an object."""
+    nesting or an integer outside 64 bits does not) or not an object."""
     with open(path, "rb") as fh:
         return _json_object(fh.read(), path)
+
+
+def write_json(path, obj, indent: int | None = None) -> None:
+    """Write ``obj`` as UTF-8 JSON with sorted keys."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=indent)
+
+
+def write_csv(path, header: list, rows) -> None:
+    """``header``, then ``rows``, as UTF-8 CSV in csv's default dialect."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # The binary artifact container (books, heads, centers):

@@ -9,14 +9,13 @@ increase, so the recorded objective is non-increasing by construction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (DivergenceError, FormatError, ValidationError, check_int,
                      check_real, read_container, read_json_object,
-                     write_container)
+                     write_container, write_json)
 
 HEAD_MAGIC = b"PCMH"
 
@@ -208,8 +207,7 @@ def save_head(head: SparseHead, path, format: str = "json",
     if format == "json":
         payload.update({"W1": head.W1.tolist(), "W2": head.W2.tolist(),
                         "b": head.b.tolist()})
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
+        write_json(path, payload)
     elif format == "pcmh":
         write_container(path, HEAD_MAGIC, payload, [head.W1, head.W2, head.b])
     else:

@@ -9,7 +9,6 @@ concept book of size d_c.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -17,7 +16,8 @@ import numpy as np
 
 from .dataset import PartFeatureDataset
 from .errors import (FormatError, ValidationError, check_int, check_real,
-                     read_container, read_json_object, write_container)
+                     read_container, read_json_object, write_container,
+                     write_json)
 
 log = logging.getLogger(__name__)
 
@@ -472,8 +472,7 @@ def save_book(book: ConceptBook, path, format: str = "json",
     if format == "json":
         for entry, e in zip(entries, book.entries):
             entry["centroid"] = e.centroid.tolist()
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
+        write_json(path, payload)
     elif format == "pcmb":
         write_container(path, BOOK_MAGIC, payload, [book.centroid_matrix()])
     else:

@@ -5,7 +5,6 @@ and faithfulness F(3) degrade as the occluded fraction grows.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -13,7 +12,7 @@ import numpy as np
 
 from .cav import compute_cav, compute_cav_batch
 from .dataset import PartFeatureDataset
-from .errors import ValidationError, check_real
+from .errors import ValidationError, check_real, write_csv
 from .head import SparseHead, accuracy, predict
 from .mining import ConceptBook
 from .xaimetrics import faithfulness
@@ -109,12 +108,8 @@ def occlusion_eval(ds: PartFeatureDataset, head: SparseHead, book: ConceptBook,
 
 
 def save_curve_csv(rows: list[tuple[float, float, float]], path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fraction", "accuracy", "F3"])
-        for fraction, acc, f3 in rows:
-            writer.writerow([repr(float(fraction)), repr(float(acc)),
-                             repr(float(f3))])
+    write_csv(path, ["fraction", "accuracy", "F3"],
+              np.asarray(rows, dtype=np.float64).tolist())
 
 
 def save_curve_svg(rows: list[tuple[float, float, float]], path):

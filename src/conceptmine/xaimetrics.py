@@ -5,7 +5,6 @@ minimum-cost assignment solver the stability metric needs.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import itertools
 import json
@@ -16,7 +15,7 @@ import numpy as np
 
 from .cav import _unit_rows
 from .dataset import PartFeatureDataset, split_kfold
-from .errors import ValidationError
+from .errors import ValidationError, write_csv, write_json
 from .head import SparseHead, accuracy, predict
 from .mining import ConceptBook, MiningConfig, mine_concepts
 
@@ -287,8 +286,7 @@ def metric_report(ds: PartFeatureDataset, cavs: np.ndarray, gs: np.ndarray,
 
 def save_report(report: dict, path):
     """A :func:`metric_report` as indented JSON with sorted keys."""
-    with open(path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
+    write_json(path, report, indent=2)
 
 
 def save_report_csv(report: dict, path):
@@ -300,7 +298,4 @@ def save_report_csv(report: dict, path):
             report["consistency_intra"], report["consistency_inter"]]
            + [report["faithfulness"][n] for n in ns]
            + [report["sparseness"], report["stability"]])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerow(row)
+    write_csv(path, header, [row])

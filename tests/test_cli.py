@@ -26,6 +26,12 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def crlf_lines(path):
+    """True when every line of the file at ``path`` ends in CRLF."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    return bool(lines) and all(line.endswith(b"\r\n") for line in lines)
+
+
 @pytest.fixture
 def ds_path(tmp_path):
     path = tmp_path / "ds.pfd"
@@ -94,6 +100,8 @@ class TestPipeline:
         metrics = json.load(open(artifacts / "metrics.json"))
         assert set(metrics["accuracies"]) == {"full", "prototypical_only",
                                               "nonprototypical_only"}
+        for name in ("training_log.csv", "metrics.csv"):
+            assert crlf_lines(artifacts / name), name
 
     def test_artifacts_equal_one_mine_and_one_training_run(self, tmp_path,
                                                             ds_path, artifacts):
@@ -221,6 +229,7 @@ class TestMerge:
                            "accuracy", "F3"]
         assert len(rows) == 3
         assert int(rows[2][3]) <= int(rows[1][3])  # merged d_c <= input d_c
+        assert crlf_lines(table)
 
     def test_default_level_is_config_default(self, tmp_path, ds_path,
                                              artifacts):
@@ -437,6 +446,9 @@ def subparsers():
 
 
 class TestSettingFlags:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
     def test_flags_are_pinned_and_name_fields(self):
         seen = {}
         for name, sub in subparsers().items():
@@ -530,6 +542,9 @@ EVAL_BOOK = ["eval", "--data", "{ds}", "--head", "{tmp}/h.json", "--k", 2,
              "-o", "{tmp}/r.json", "--book"]
 # JSON nested deeper than the parser's recursion limit.
 DEEP_JSON = "[" * 200_000
+# JSON integers too large for 64 bits, and the error each one raises.
+BIG, PART_2_63 = 10**400, first_entry_with(part=2**63)
+INT64 = "not valid JSON (an integer outside the signed 64-bit range)"
 
 
 @pytest.mark.parametrize("argv, files, code", [
@@ -754,6 +769,42 @@ DEEP_JSON = "[" * 200_000
                  {"b.pcmb": struct.pack("<4s2I", b"PCMB", 2, len(DEEP_JSON))
                   + DEEP_JSON.encode(), "h.json": HEAD_JSON},
                  (1, "b.pcmb: not valid JSON"), id="book-pcmb-header-deep"),
+    # JSON integers outside 64 bits, in heads, books and configs
+    pytest.param([*EVAL_BOOK, "{tmp}/b.json"],
+                 {"b.json": book_json(), "h.json": json.dumps(
+                     {**json.loads(HEAD_JSON), "W1": [[BIG, 0, 0], [0, 0, 0]]})},
+                 (1, f"h.json: {INT64}"), id="head-json-w1-beyond-64-bits"),
+    pytest.param([*EVAL_BOOK, "{tmp}/b.json"],  # the first centroid's 1.0
+                 {"b.json": book_json().replace("1.0", str(BIG), 1),
+                  "h.json": HEAD_JSON},
+                 (1, f"b.json: {INT64}"), id="book-json-centroid-beyond-64-bits"),
+    pytest.param([*EVAL_BOOK, "{tmp}/b.json"],
+                 {"b.json": book_json(eps=BIG), "h.json": HEAD_JSON},
+                 (1, f"b.json: {INT64}"), id="book-json-eps-beyond-64-bits"),
+    pytest.param(PIPELINE_CFG, {"cfg.json": f'{{"mining": {{"eps": {BIG}}}}}'},
+                 (1, f"cfg.json: {INT64}"), id="config-eps-beyond-64-bits"),
+    pytest.param(PIPELINE_CFG, {"cfg.json": f'{{"head": {{"lam": {BIG}}}}}'},
+                 (1, f"cfg.json: {INT64}"), id="config-lam-beyond-64-bits"),
+    pytest.param(["merge", "--book", "{tmp}/b.json", "--threshold", 5,
+                  "-o", "{tmp}/m.json"],
+                 {"b.json": book_json(first_entry_with(member_count=BIG))},
+                 (1, f"b.json: {INT64}"), id="merge-member-count-beyond-64-bits"),
+    pytest.param([*EVAL_BOOK, "{tmp}/b.json"],
+                 {"b.json": book_json(PART_2_63), "h.json": HEAD_JSON},
+                 (1, f"b.json: {INT64}"), id="eval-part-2-63"),
+    pytest.param(["export", *DATA_BOOK, "-o", "{tmp}/c.csv"],
+                 {"b.json": book_json(PART_2_63)},
+                 (1, f"b.json: {INT64}"), id="export-part-2-63"),
+    pytest.param(["train", *DATA_BOOK, "-o", "{tmp}/h.json"],
+                 {"b.json": book_json(PART_2_63)},
+                 (1, f"b.json: {INT64}"), id="train-part-2-63"),
+    pytest.param(["merge", "--book", "{tmp}/b.json", "--threshold", 5,
+                  "--data", "{ds}", "-o", "{tmp}/m.json"],
+                 {"b.json": book_json(PART_2_63)},
+                 (1, f"b.json: {INT64}"), id="merge-data-part-2-63"),
+    # a NaN top-level seed is refused by the center-fitting config
+    pytest.param(PIPELINE_CFG, {"cfg.json": '{"seed": NaN}'},
+                 (1, "seed"), id="config-seed-nan"),
 ])
 def test_exit_codes(tmp_path, ds_path, capsys, argv, files, code):
     code, named = code if isinstance(code, tuple) else (code, "")

@@ -41,7 +41,7 @@ REAL_FIELDS = [
 @pytest.mark.parametrize("make, field, value", [
     pytest.param(make, label.split(".")[1], value, id=f"{label}-{value!r}")
     for label, make, out_of_range in REAL_FIELDS
-    for value in [True, False, "0.5", math.nan, math.inf, -math.inf,
+    for value in [True, False, "0.5", math.nan, math.inf, -math.inf, 10**400,
                   *out_of_range]])
 def test_real_fields_refuse_bad_values(make, field, value):
     with pytest.raises(ValidationError, match=field):
