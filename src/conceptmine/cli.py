@@ -18,8 +18,9 @@ import numpy as np
 from .cav import compute_cav_batch, export_cav_csv
 from .dataset import (PartFeatureDataset, SyntheticSpec, generate_synthetic,
                       load_dataset, save_dataset, split_kfold)
-from .errors import (CompatibilityError, ConceptMineError, ValidationError,
-                     check_int, read_json_object, write_csv, write_json)
+from .errors import (SEED_MAX, CompatibilityError, ConceptMineError,
+                     ValidationError, check_int, read_json_object, write_csv,
+                     write_json)
 from .head import HeadTrainConfig, accuracy, load_head, save_head, train_head
 from .mining import (MergeConfig, MiningConfig, load_book, merge_centroids,
                      mine_concepts, save_book)
@@ -43,7 +44,7 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_int("seed", self.seed, 0)
+        check_int("seed", self.seed, 0, SEED_MAX)
         check_int("stability_k", self.stability_k, 2)
         self.faithfulness_ns = tuple(self.faithfulness_ns)
         for n in self.faithfulness_ns:

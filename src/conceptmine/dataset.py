@@ -22,8 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (FormatError, GenerationError, StratificationError,
-                     ValidationError, check_int, check_real, write_csv)
+from .errors import (SEED_MAX, FormatError, GenerationError,
+                     StratificationError, ValidationError, check_int,
+                     check_real, write_csv)
 
 MAGIC = b"PCMF"
 VERSION = 1
@@ -125,7 +126,7 @@ class SyntheticSpec:
         for name in ("n_classes", "n_parts", "feat_dim", "samples_per_class",
                      "concepts_per_cell"):
             check_int(name, getattr(self, name), 1)
-        check_int("seed", self.seed, 0)
+        check_int("seed", self.seed, 0, SEED_MAX)
         for name in ("noise_sigma", "min_separation"):
             check_real(name, getattr(self, name), 0)
 
@@ -312,7 +313,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[PartFeatureDataset, GroundT
 def split_kfold(ds: PartFeatureDataset, k: int, seed: int) -> list[np.ndarray]:
     """Stratified k-fold split; returns k disjoint sorted index arrays."""
     check_int("k", k, 2)
-    check_int("seed", seed, 0)
+    check_int("seed", seed, 0, SEED_MAX)
     counts = np.bincount(ds.labels, minlength=ds.n_classes)
     if counts.min() < k:  # refused before the k fold lists exist
         c = int(np.argmax(counts < k))

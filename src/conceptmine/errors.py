@@ -44,11 +44,18 @@ class CompatibilityError(ConceptMineError):
     """Artifacts do not belong together (dimension or config-hash mismatch)."""
 
 
-def check_int(name: str, value, low: int):
-    """Refuse ``value`` unless it is an integer (not a bool) >= ``low``."""
+# The largest seed: every seed is written into JSON artifacts, whose
+# integers must fit in signed 64 bits.
+SEED_MAX = 2**63 - 1
+
+
+def check_int(name: str, value, low: int, high: int | None = None):
+    """Refuse ``value`` unless it is an integer (not a bool) >= ``low`` and,
+    when ``high`` is given, <= ``high``."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < low):
-        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+            or value < low or (high is not None and value > high)):
+        bound = f">= {low}" if high is None else f">= {low} and <= {high}"
+        raise ValidationError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 def check_real(name: str, value, low: float, high: float = math.inf,

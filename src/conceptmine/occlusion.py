@@ -49,13 +49,12 @@ def _occlusion_order(z: np.ndarray, g: np.ndarray, head: SparseHead,
     return np.argsort(-scores, axis=1, kind="stable")
 
 
-def _occlude(parts: np.ndarray, order: np.ndarray, fraction: float) -> np.ndarray:
-    """Copy of ``parts`` [n, K, d_f] with each sample's top
-    ceil(fraction * K) parts of ``order`` zeroed."""
-    out = parts.copy()
-    n_occ = math.ceil(fraction * out.shape[1])
-    out[np.arange(out.shape[0])[:, None], order[:, :n_occ]] = 0.0
-    return out
+def _top_parts(order: np.ndarray, fraction: float) -> np.ndarray:
+    """Mask [n, K] of each sample's top ceil(fraction * K) parts of ``order``."""
+    hit = np.zeros(order.shape, dtype=bool)
+    n_occ = math.ceil(fraction * order.shape[1])
+    np.put_along_axis(hit, order[:, :n_occ], True, axis=1)
+    return hit
 
 
 def occlude_sample(sample_parts: np.ndarray, g: np.ndarray, head: SparseHead,
@@ -74,17 +73,19 @@ def occlude_sample(sample_parts: np.ndarray, g: np.ndarray, head: SparseHead,
     cav = compute_cav(parts, g, book)
     order = _occlusion_order(cav.z[None], cav.g[None], head, book,
                              parts.shape[0])
-    return _occlude(parts[None], order, fraction)[0]
+    parts[_top_parts(order, fraction)[0]] = 0.0
+    return parts
 
 
 def occlusion_eval(ds: PartFeatureDataset, head: SparseHead, book: ConceptBook,
                    cfg: OcclusionConfig) -> list[tuple[float, float, float]]:
     """Curve of (fraction, accuracy, F(3)) including the fraction-0 baseline.
 
-    For each fraction every sample is occluded from its clean response, CAVs
-    are recomputed from the occluded features, and accuracy plus F(3) are
-    re-evaluated on those occluded activations. The part ranking of every
-    sample comes from one clean CAV batch.
+    For each fraction every sample is occluded from its clean response, and
+    accuracy plus F(3) are re-evaluated on the occluded activations. Those
+    need no second CAV pass: a zeroed part has a zero unit row, so each of
+    its concepts reads exactly 0, and every other concept keeps its clean
+    value. The part ranking and the clean CAVs come from one CAV batch.
     """
     fractions = cfg.fractions
     if not fractions or fractions[0] != 0.0:
@@ -95,12 +96,7 @@ def occlusion_eval(ds: PartFeatureDataset, head: SparseHead, book: ConceptBook,
     order = _occlusion_order(clean_z, g, head, book, ds.n_parts)
     rows = []
     for fraction in fractions:
-        z = clean_z
-        if fraction > 0.0:
-            occluded = PartFeatureDataset(
-                _occlude(ds.part_features, order, fraction),
-                ds.nonproto_features, ds.labels, ds.n_classes)
-            z, _ = compute_cav_batch(occluded, book)
+        z = np.where(_top_parts(order, fraction)[:, book.parts()], 0.0, clean_z)
         acc = accuracy(z, g, labels, head)
         f3 = faithfulness(z, g, labels, head, book, [3])[3]
         rows.append((fraction, acc, f3))

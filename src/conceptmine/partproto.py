@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import PartFeatureDataset
-from .errors import (DivergenceError, ValidationError, check_int, check_real,
-                     read_container, write_container)
+from .errors import (SEED_MAX, DivergenceError, ValidationError, check_int,
+                     check_real, read_container, write_container)
 
 log = logging.getLogger(__name__)
 
@@ -40,8 +40,9 @@ class McmConfig:
         check_real("lr", self.lr, 0, low_open=True)
         for name in ("m1", "m2"):
             check_real(name, getattr(self, name), 0)
-        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
-            check_int(name, getattr(self, name), low)
+        for name in ("epochs", "batch_size"):
+            check_int(name, getattr(self, name), 1)
+        check_int("seed", self.seed, 0, SEED_MAX)
         if self.m2 <= self.m1:
             log.warning("m2=%g <= m1=%g: collapsed-margin regime", self.m2, self.m1)
 

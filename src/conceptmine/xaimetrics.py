@@ -28,58 +28,64 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _assignment_min_cost(cost: np.ndarray) -> float:
-    """Minimum total cost of a perfect row-column assignment (O(n^3)).
+def _assignment_min_costs(cost: np.ndarray) -> np.ndarray:
+    """Minimum total cost of a perfect row-column assignment for each of a
+    stack of square cost matrices [C, m, m], O(m^3) per matrix.
 
-    Runs on Python lists: up to n ~ 100 this beats both numpy scalar
-    indexing and per-row numpy calls."""
-    n = cost.shape[0]
-    if n == 0:
-        return 0.0
-    rows = np.asarray(cost, dtype=np.float64).tolist()
-    inf = float("inf")
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    match = [0] * (n + 1)  # match[j] = row assigned to col j
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        match[0] = i
-        j0 = 0
-        minv = [inf] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = match[j0]
-            row = rows[i0 - 1]
-            u0 = u[i0]
-            delta = inf
-            j1 = -1
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = row[j - 1] - u0 - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-    total = 0.0
-    for j in range(1, n + 1):
-        total += rows[match[j] - 1][j - 1]
+    The shortest-augmenting-path method with 1-based potentials (Jonker &
+    Volgenant 1987; Crouse 2016), run on all C problems at once: each scalar
+    step of a solve on its own is one elementwise step over the stack, and
+    the minimum keeps its first-index tie break. So every cost is
+    bit-identical to a solve of its matrix alone.
+
+    A problem whose path has reached a free column is frozen by the ``live``
+    mask until the next row: its end column stays put, that column counts
+    as used (so its ``way`` stays put), and it steps by delta = +0.0. The
+    potentials start at +0.0 and so are never -0.0, which makes ``u + 0.0``
+    and ``v - 0.0`` leave them bit for bit as they were.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    c, m = cost.shape[:2]
+    w = m + 1
+    # Problem t owns rows and columns [t * w, t * w + w) of the flat views;
+    # its row and column 0 are the sentinel of the 1-based method.
+    base = np.arange(c) * w
+    a = np.zeros((c * w, w))
+    a.reshape(c, w, w)[:, 1:, 1:] = cost
+    u = np.zeros((c, w))
+    v = np.zeros((c, w))
+    match = np.zeros(c * w, dtype=np.int64)  # flat column -> its row, 0 = free
+    way = np.zeros((c, w), dtype=np.int64)
+    for i in range(1, w):
+        match[base] = i
+        j0 = base.copy()  # flat columns
+        minv = np.full((c, w), np.inf)  # used columns read inf
+        used = np.zeros((c, w), dtype=bool)
+        used_row = np.zeros((c, w), dtype=bool)
+        live = np.ones(c, dtype=bool)
+        while live.any():
+            i0 = base + match[j0]
+            used.ravel()[j0] = True
+            used_row.ravel()[i0] = True
+            minv.ravel()[j0] = np.inf
+            cur = np.where(used, np.inf, a[i0] - u.ravel()[i0][:, None] - v)
+            better = cur < minv
+            minv = np.where(better, cur, minv)
+            way = np.where(better, (j0 - base)[:, None], way)
+            j1 = base + minv.argmin(axis=1)
+            delta = np.where(live, minv.ravel()[j1], 0.0)[:, None]
+            u = np.where(used_row, u + delta, u)
+            v = np.where(used, v - delta, v)
+            minv -= delta
+            j0 = np.where(live, j1, j0)
+            live &= match[j0] != 0
+        while (on := j0 != base).any():
+            j1 = base + way.ravel()[j0]
+            match[j0] = np.where(on, match[j1], match[j0])
+            j0 = np.where(on, j1, j0)
+    total = np.zeros(c)
+    for j in range(1, w):
+        total += a[base + match[base + j], j]
     return total
 
 
@@ -100,29 +106,23 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     perm = np.full(m, -1, dtype=np.int64)
     if m == 0:
         return perm
-    best = _assignment_min_cost(cost)
+    best = float(_assignment_min_costs(cost[None])[0])
     tol = 1e-9 * max(1.0, abs(best))
 
-    available = list(range(m))
+    available = np.arange(m)
     prefix = 0.0
     for i in range(m):
-        fallback = (np.inf, available[0])
-        chosen = None
-        for j in available:
-            rest_cols = [c for c in available if c != j]
-            sub = cost[np.ix_(range(i + 1, m), rest_cols)]
-            total = prefix + cost[i, j] + (_assignment_min_cost(sub)
-                                           if sub.size else 0.0)
-            if total <= best + tol:
-                chosen = j
-                break
-            if total < fallback[0]:
-                fallback = (total, j)
-        if chosen is None:
-            chosen = fallback[1]  # float accumulation edge; keep optimality
+        # Row i takes each available column in turn; one batched solve gives
+        # the best cost of the rows below it on the columns left over.
+        rest = np.array([np.delete(available, t) for t in range(len(available))])
+        sub = _assignment_min_costs(cost[i + 1:][:, rest].transpose(1, 0, 2))
+        totals = prefix + cost[i, available] + sub
+        fits = totals <= best + tol
+        # No fit is a float accumulation edge; keep optimality.
+        chosen = available[fits.argmax() if fits.any() else totals.argmin()]
         perm[i] = chosen
         prefix += cost[i, chosen]
-        available.remove(chosen)
+        available = available[available != chosen]
     return perm
 
 
@@ -167,6 +167,33 @@ def _cells(book: ConceptBook) -> dict[tuple[int, int], tuple]:
             for key, c in cells.items()}
 
 
+# Entries of the largest temporary of one cost stack, its [C, m, m, d_f]
+# centroid comparison; it caps how many problems share one solve.
+_STACK_ENTRIES = 1 << 20
+
+
+def _cost_stack(problems: list[tuple], m: int) -> np.ndarray:
+    """Costs 1 - sim [C, m, m] of C cell pairs, each padded to size m.
+
+    Each pair's similarities come from its own ``ua @ ub.T``, so they do not
+    depend on how the pairs are stacked; padding rows and columns cost 1."""
+    c = len(problems)
+    d = problems[0][0].shape[1]
+    rows = np.zeros((3, c, m, d))  # ca, ua and cb, zero-padded
+    sim = np.zeros((c, m, m))
+    for t, (ca, ua, cb, ub) in enumerate(problems):
+        rows[0, t, :len(ca)] = ca
+        rows[1, t, :len(ua)] = ua
+        rows[2, t, :len(cb)] = cb
+        sim[t, :len(ua), :len(ub)] = ua @ ub.T
+    sim = np.clip(sim, 0.0, 1.0)
+    # Identical nonzero centroids must score exactly 1; a padding row has a
+    # zero unit row, so it never does.
+    same = (rows[0][:, :, None] == rows[2][:, None]).all(axis=3)
+    sim[same & rows[1].any(axis=2)[:, :, None]] = 1.0
+    return 1.0 - sim
+
+
 def stability(ds: PartFeatureDataset, k: int, mining: MiningConfig,
               seed: int) -> float:
     """Mean matched cosine similarity of per-cell centroids mined on k folds.
@@ -178,25 +205,27 @@ def stability(ds: PartFeatureDataset, k: int, mining: MiningConfig,
     are clamped at 0 so the score lies in [0, 100]. 100 means all folds
     mine identical books.
     As every cost is 1 - sim, the m matched similarities of a cell sum to
-    m - min_cost: only the optimal cost is needed, not the assignment.
+    m - min_cost: only the optimal cost is needed, not the assignment. The
+    (pair, cell) problems are grouped by padded size m, each group is solved
+    in batches whose centroid comparison holds at most ``_STACK_ENTRIES``
+    entries, and the per-cell sums are added in (pair, cell) order.
     """
     books = [_cells(b)
              for b in mine_concepts(ds, mining, folds=split_kfold(ds, k, seed))]
-    matched = 0.0
-    slots = 0
-    for cells_a, cells_b in itertools.combinations(books, 2):
-        for key, (ca, ua) in cells_a.items():
-            cb, ub = cells_b[key]
-            sim = np.clip(ua @ ub.T, 0.0, 1.0)
-            # Identical nonzero centroids must score exactly 1.
-            same = (ca[:, None] == cb[None]).all(axis=2)
-            sim[same & ua.any(axis=1)[:, None]] = 1.0
-            m = max(sim.shape)
-            cost = np.ones((m, m))
-            cost[:sim.shape[0], :sim.shape[1]] -= sim
-            matched += m - _assignment_min_cost(cost)
-            slots += m
-    return 100.0 * matched / slots
+    problems = [(*pair_a, *cells_b[key])
+                for cells_a, cells_b in itertools.combinations(books, 2)
+                for key, pair_a in cells_a.items()]
+    sizes = np.array([max(len(p[0]), len(p[2])) for p in problems])
+    matched = np.empty(len(problems))
+    for m in np.unique(sizes).tolist():
+        idx = np.flatnonzero(sizes == m)
+        step = max(1, _STACK_ENTRIES // (m * m * ds.feat_dim))
+        for lo in range(0, len(idx), step):
+            part = idx[lo:lo + step]
+            cost = _cost_stack([problems[t] for t in part], m)
+            matched[part] = m - _assignment_min_costs(cost)
+    # cumsum adds one term at a time, in order, unlike sum's pairwise tree.
+    return 100.0 * float(np.cumsum(matched)[-1]) / int(sizes.sum())
 
 
 def consistency(cavs: np.ndarray, labels: np.ndarray) -> tuple[float, float]:

@@ -4,7 +4,10 @@ These deliberately use different machinery than the production code:
 DBSCAN via union-find over core points instead of label propagation,
 squared distances via the direct n x n x d broadcast instead of the Gram
 form, books and stability mined one cell and one fold at a time instead
-of in batches, assignment via exhaustive permutation search, stability via the
+of in batches, assignment via exhaustive permutation search, the minimum
+assignment cost of one matrix at a time on Python lists
+(``reference_assignment_min_cost``, the form the batched solver must match
+bit for bit, and the solver of ``reference_stability``), stability via the
 lexicographic assignment of every cell, occlusion one sample at a time,
 the MCC loss as straight-line scalar loops, head training as plain
 constant-step gradient descent, and consistency from the full n x n Gram
@@ -31,8 +34,7 @@ from conceptmine.head import (_MAX_HALVINGS, SparseHead, _smooth_objective_and_g
                               concept_contributions, head_forward, predict,
                               soft_threshold)
 from conceptmine.mining import ConceptBook, ConceptEntry, MergeConfig, mine_concepts
-from conceptmine.xaimetrics import (_assignment_min_cost, _cells, faithfulness,
-                                    hungarian)
+from conceptmine.xaimetrics import _cells, faithfulness, hungarian
 
 
 def brute_force_dbscan(points, eps, min_pts):
@@ -150,9 +152,62 @@ def reference_stability(ds, k, params, seed):
             m = max(sim.shape)
             cost = np.ones((m, m))
             cost[:sim.shape[0], :sim.shape[1]] -= sim
-            matched += m - _assignment_min_cost(cost)
+            matched += m - reference_assignment_min_cost(cost)
             slots += m
     return 100.0 * matched / slots
+
+
+def reference_assignment_min_cost(cost):
+    """Minimum total cost of one perfect row-column assignment (O(n^3)),
+    solved on Python lists one augmenting path at a time."""
+    n = cost.shape[0]
+    if n == 0:
+        return 0.0
+    rows = np.asarray(cost, dtype=np.float64).tolist()
+    inf = float("inf")
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    match = [0] * (n + 1)  # match[j] = row assigned to col j
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        match[0] = i
+        j0 = 0
+        minv = [inf] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = match[j0]
+            row = rows[i0 - 1]
+            u0 = u[i0]
+            delta = inf
+            j1 = -1
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = row[j - 1] - u0 - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if match[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    total = 0.0
+    for j in range(1, n + 1):
+        total += rows[match[j] - 1][j - 1]
+    return total
 
 
 def canonical_labels(labels):

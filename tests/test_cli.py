@@ -805,6 +805,13 @@ INT64 = "not valid JSON (an integer outside the signed 64-bit range)"
     # a NaN top-level seed is refused by the center-fitting config
     pytest.param(PIPELINE_CFG, {"cfg.json": '{"seed": NaN}'},
                  (1, "seed"), id="config-seed-nan"),
+    # a seed of 2^63 could not be written back into a JSON config
+    pytest.param(["pipeline", "--data", "{ds}", "--seed", 2**63, "-o", "{tmp}/run"],
+                 {}, (1, "seed"), id="pipeline-seed-2-63"),
+    pytest.param(["gen", "--seed", 2**63, "-o", "{tmp}/g.pfd"],
+                 {}, (1, "seed"), id="gen-seed-2-63"),
+    pytest.param(["eval", *MINED_BOOK_HEAD, "--seed", 2**63, "-o", "{tmp}/r.json"],
+                 {}, (1, "seed"), id="eval-seed-2-63"),
 ])
 def test_exit_codes(tmp_path, ds_path, capsys, argv, files, code):
     code, named = code if isinstance(code, tuple) else (code, "")

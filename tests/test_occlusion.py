@@ -4,15 +4,15 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from conceptmine import occlusion
 from conceptmine.cav import compute_cav, compute_cav_batch
 from conceptmine.dataset import PartFeatureDataset, SyntheticSpec, generate_synthetic
 from conceptmine.errors import ValidationError
-from conceptmine.head import HeadTrainConfig, train_head
-from conceptmine.mining import MiningConfig, mine_concepts
-from conceptmine.occlusion import (OcclusionConfig, _occlude,
-                                   _occlusion_order, occlude_sample,
-                                   occlusion_eval, save_curve_csv,
-                                   save_curve_svg)
+from conceptmine.head import HeadTrainConfig, accuracy, train_head
+from conceptmine.mining import ConceptBook, MiningConfig, mine_concepts
+from conceptmine.occlusion import (OcclusionConfig, _occlusion_order,
+                                   _top_parts, occlude_sample, occlusion_eval,
+                                   save_curve_csv, save_curve_svg)
 from oracles import per_sample_occlusion, per_sample_occlusion_curve
 
 
@@ -95,8 +95,9 @@ class TestOcclusionEval:
         order = _occlusion_order(z, g, head, book, ds.n_parts)
         for f in fractions:
             want = per_sample_occlusion(ds, head, book, f)
+            hit = _top_parts(order, f)
             np.testing.assert_array_equal(
-                _occlude(ds.part_features, order, f), want)
+                np.where(hit[:, :, None], 0.0, ds.part_features), want)
             for i in (0, ds.n_samples - 1):
                 np.testing.assert_array_equal(
                     occlude_sample(ds.part_features[i],
@@ -104,6 +105,43 @@ class TestOcclusionEval:
                     want[i])
         assert (occlusion_eval(ds, head, book, OcclusionConfig(fractions))
                 == per_sample_occlusion_curve(ds, head, book, fractions))
+
+    @pytest.mark.parametrize("case", ["part-without-concepts",
+                                      "zero-part-vectors"])
+    def test_masked_cavs_match_reference(self, case, monkeypatch):
+        ds, book, head = fitted(seed=14)
+        if case == "part-without-concepts":
+            # Part 2 keeps its features but has no concepts: it ranks last
+            # and, once occluded, moves no CAV entry.
+            book = ConceptBook(book.feat_dim,
+                               [e for e in book.entries if e.part != 2])
+            z, g = compute_cav_batch(ds, book)
+            head = train_head(z, g, ds.labels,
+                              HeadTrainConfig(lam=0.001, gamma=0.5, epochs=60))
+        else:
+            # All-zero part vectors read 0 on every concept before occlusion.
+            parts = ds.part_features.copy()
+            parts[:5] = 0.0  # whole samples
+            parts[5:20, 1] = 0.0  # one part of others
+            ds = PartFeatureDataset(parts, ds.nonproto_features, ds.labels,
+                                    ds.n_classes)
+        fractions = (0.25, 0.5, 1.0)
+        seen = []
+
+        def recording_accuracy(z, *args):
+            seen.append(z)
+            return accuracy(z, *args)
+
+        monkeypatch.setattr(occlusion, "accuracy", recording_accuracy)
+        rows = occlusion_eval(ds, head, book, OcclusionConfig(fractions))
+        assert rows == per_sample_occlusion_curve(ds, head, book, fractions)
+        # The masked CAVs equal those recomputed from occluded features.
+        assert len(seen) == 1 + len(fractions)
+        for f, z in zip((0.0, *fractions), seen):
+            occluded = PartFeatureDataset(
+                per_sample_occlusion(ds, head, book, f).astype(np.float32),
+                ds.nonproto_features, ds.labels, ds.n_classes)
+            np.testing.assert_array_equal(z, compute_cav_batch(occluded, book)[0])
 
     def test_fraction_zero_only_equals_clean(self):
         ds, book, head = fitted(seed=7)

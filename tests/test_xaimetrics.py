@@ -3,16 +3,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conceptmine import xaimetrics
 from conceptmine.cav import compute_cav_batch
 from conceptmine.dataset import PartFeatureDataset, SyntheticSpec, generate_synthetic
 from conceptmine.errors import ValidationError
 from conceptmine.head import HeadTrainConfig, SparseHead, train_head
 from conceptmine.mining import MiningConfig, mine_concepts
-from conceptmine.xaimetrics import (config_hash, consistency, faithfulness,
-                                    hungarian, metric_report, save_report,
+from conceptmine.xaimetrics import (_assignment_min_costs, config_hash,
+                                    consistency, faithfulness, hungarian,
+                                    metric_report, save_report,
                                     save_report_csv, sparseness, stability)
 from oracles import (exhaustive_assignment, lexicographic_stability,
-                     pairwise_consistency)
+                     pairwise_consistency, reference_assignment_min_cost,
+                     reference_stability)
 
 
 def orthogonal_concept_setup(n_classes=4, per_class=10, d_f=32, seed=0):
@@ -35,6 +38,54 @@ def orthogonal_concept_setup(n_classes=4, per_class=10, d_f=32, seed=0):
         w1[idx, e.class_id] = 1.0
     head = SparseHead(w1, np.zeros((d_f, n_classes)), np.zeros(n_classes))
     return ds, book, z, g, head
+
+
+def cost_stack(kind, c, m, rng):
+    """A [c, m, m] stack of assignment problems of one kind."""
+    if kind == "random":
+        return rng.uniform(0, 1, size=(c, m, m))
+    if kind == "ties":  # an integer lattice rounded to 0.1
+        return np.round(rng.integers(0, 4, size=(c, m, m)) * 0.1, 1)
+    if kind == "zero-rows":
+        cost = rng.uniform(0, 1, size=(c, m, m))
+        rows = rng.integers(0, 2, size=(c, m)).astype(bool)
+        cost[rows] = 0.0
+        return cost
+    return np.full((c, m, m), 0.7)  # all equal
+
+
+class TestBatchedAssignment:
+    """The batched solver against exhaustive search (cost) and against the
+    list solver one matrix at a time (bit for bit)."""
+
+    @pytest.mark.parametrize("kind", ["random", "ties", "zero-rows", "equal"])
+    @pytest.mark.parametrize("m", range(9))
+    def test_matches_exhaustive_and_list_solver(self, kind, m):
+        rng = np.random.default_rng(m)
+        cost = cost_stack(kind, 5 if m == 8 else 20, m, rng)
+        got = _assignment_min_costs(cost)
+        want = np.array([reference_assignment_min_cost(c) for c in cost])
+        assert got.shape == (len(cost),)
+        assert got.tobytes() == want.tobytes()
+        for c, value in zip(cost, got):
+            assert value == pytest.approx(exhaustive_assignment(c)[0],
+                                          rel=0, abs=1e-12)
+
+    def test_problems_finishing_on_different_steps(self):
+        # With 1 - I every row finds a free column in one step; with an
+        # all-equal or upper-triangular matrix row i takes i steps.
+        m = 6
+        rng = np.random.default_rng(3)
+        mixed = np.stack([1.0 - np.eye(m), np.full((m, m), 0.7),
+                          np.triu(np.ones((m, m))),
+                          *rng.uniform(0, 1, size=(4, m, m)),
+                          *cost_stack("ties", 4, m, rng)])
+        for cost in (mixed, mixed[::-1]):
+            want = np.array([reference_assignment_min_cost(c) for c in cost])
+            assert _assignment_min_costs(cost).tobytes() == want.tobytes()
+
+    def test_empty_stack(self):
+        assert _assignment_min_costs(np.zeros((0, 4, 4))).shape == (0,)
 
 
 class TestHungarian:
@@ -153,6 +204,33 @@ class TestStability:
         ds = duplicated_location_dataset()
         s = stability(ds, 2, MiningConfig(eps=0.05, min_pts=1), seed=3)
         assert s == 100.0
+
+    def test_identical_zero_centroids_score_zero(self):
+        # Class 0's only part is all zeros, so every fold mines the same
+        # all-zero centroid there. A zero vector has no direction: that
+        # pair scores 0, not the 1 of identical nonzero centroids, and the
+        # nonzero class 1 cell scores 1.
+        n, d_f = 20, 8
+        parts = np.zeros((n, 1, d_f), dtype=np.float32)
+        parts[10:, 0, 0] = 1.0
+        labels = np.repeat(np.arange(2, dtype=np.uint32), 10)
+        ds = PartFeatureDataset(parts, np.zeros((n, d_f), np.float32),
+                                labels, 2)
+        params = MiningConfig(eps=0.05, min_pts=1)
+        got = stability(ds, 2, params, seed=0)
+        assert got == reference_stability(ds, 2, params, seed=0)
+        assert got == 50.0
+
+    def test_split_size_classes_give_the_same_score(self, monkeypatch):
+        # One problem per batch scores exactly as whole size classes do.
+        ds, _ = generate_synthetic(SyntheticSpec(
+            n_classes=2, n_parts=2, feat_dim=16, samples_per_class=60,
+            concepts_per_cell=4, noise_sigma=0.05, seed=5))
+        params = MiningConfig(eps=0.3, min_pts=3)
+        whole = stability(ds, 4, params, seed=2)
+        monkeypatch.setattr(xaimetrics, "_STACK_ENTRIES", 1)
+        assert stability(ds, 4, params, seed=2) == whole
+        assert whole == reference_stability(ds, 4, params, seed=2)
 
     def test_planted_low_noise_high_stability(self):
         spec = SyntheticSpec(n_classes=3, n_parts=2, feat_dim=16,
