@@ -45,6 +45,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_int("seed", self.seed, 0, SEED_MAX)
+        if self.mcm.seed != self.seed:  # the top-level seed seeds center fitting
+            self.mcm = replace(self.mcm, seed=self.seed)
         check_int("stability_k", self.stability_k, 2)
         self.faithfulness_ns = tuple(self.faithfulness_ns)
         for n in self.faithfulness_ns:
@@ -80,7 +82,6 @@ def pipeline_config_from_dict(raw: dict) -> PipelineConfig:
         raise ValidationError(
             f"config key mcm.seed ({sections['mcm']['seed']!r}) must equal "
             f"seed ({seed}); the top-level seed seeds center fitting")
-    sections["mcm"] = {**sections["mcm"], "seed": seed}
     try:
         return PipelineConfig(**{**raw, **{name: cls(**sections[name])
                                           for name, cls in _SECTIONS.items()}})

@@ -104,9 +104,10 @@ def read_json_object(path) -> dict:
 
 
 def write_json(path, obj, indent: int | None = None) -> None:
-    """Write ``obj`` as UTF-8 JSON with sorted keys."""
+    """Write ``obj`` as UTF-8 JSON with sorted keys, encoded by ``json.dumps``:
+    ``json.dump`` streams through the Python encoder, never the C one."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=indent)
+        fh.write(json.dumps(obj, sort_keys=True, indent=indent))
 
 
 def write_csv(path, header: list, rows) -> None:

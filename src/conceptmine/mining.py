@@ -301,32 +301,15 @@ def dbscan(points: np.ndarray, mining: MiningConfig) -> np.ndarray:
     return labels[0]
 
 
-def _cell_entries(cell: np.ndarray, labels: np.ndarray, class_id: int,
-                  part: int) -> list[ConceptEntry]:
-    """The concepts of one clustered cell: one per cluster at its mean, or
-    one at the cell mean when every point is noise."""
-    n_clusters = int(labels.max()) + 1
-    if n_clusters == 0:
-        return [ConceptEntry(class_id, part, 0, cell.mean(axis=0),
-                             cell.shape[0])]
-    # Members grouped by cluster in ascending index, noise first. The sum
-    # over rows divided by the count is how ndarray.mean computes the mean.
-    members = cell[np.argsort(labels, kind="stable")]
-    bounds = np.cumsum(np.bincount(labels + 1)).tolist()
-    return [ConceptEntry(class_id, part, l,
-                         np.add.reduce(members[lo:hi], axis=0) / (hi - lo), hi - lo)
-            for l, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
-
-
 def mine_concepts(ds: PartFeatureDataset, mining: MiningConfig = MiningConfig(),
                   folds: list[np.ndarray] | None = None
                   ) -> ConceptBook | list[ConceptBook]:
     """Cluster every (class, part) cell and collect cluster-mean centroids.
 
-    Noise points contribute to no centroid. A cell whose clustering yields
-    nothing falls back to a single centroid at the cell mean, so every cell
-    contributes at least one concept. Without ``mining.eps`` each cell uses
-    scale-adaptive defaults. Entries are ordered by (class, part, local id).
+    Noise points contribute to no centroid, and a cell that is all noise
+    is one cluster of the whole cell, so every cell contributes at least
+    one concept. Without ``mining.eps`` each cell uses scale-adaptive
+    defaults. Entries are ordered by (class, part, local id).
 
     With ``folds`` (sample-index arrays, as from ``split_kfold``)
     returns one book per fold instead, each equal to the book of
@@ -350,7 +333,7 @@ def mine_concepts(ds: PartFeatureDataset, mining: MiningConfig = MiningConfig(),
     # Cell c = (set * n_classes + class) * n_parts + part.
     sizes = np.repeat([len(idx) for idx in members], n_parts)
     order = np.argsort(-sizes, kind="stable")
-    entries: list = [None] * len(sizes)
+    entries: list = [[] for _ in sizes]
     start = 0
     while start < len(order):
         m = int(sizes[order[start]])
@@ -361,23 +344,37 @@ def mine_concepts(ds: PartFeatureDataset, mining: MiningConfig = MiningConfig(),
         for r, c in enumerate(cells):
             sample[r, :counts[r]] = members[c // n_parts]
         x = ds.part_features[sample, (cells % n_parts)[:, None]].astype(np.float64)
-        x[np.arange(m) >= counts[:, None]] = 0.0
+        padding = np.arange(m) >= counts[:, None]
+        x[padding] = 0.0
         labels, eps, min_pts = _dbscan_cells(x, counts, mining)
-        for r, c in enumerate(cells):
-            s, rest = divmod(int(c), per_set)
-            j, p = divmod(rest, n_parts)
-            cell, cell_labels = x[r, :counts[r]], labels[r, :counts[r]]
-            entries[c] = _cell_entries(cell, cell_labels, j, p)
-            if log.isEnabledFor(logging.DEBUG):
-                log.debug("cell set=%d class=%d part=%d n=%d eps=%.6g "
-                          "min_pts=%d clusters=%d noise=%d", s, j, p,
-                          len(cell), eps[r], min_pts[r], cell_labels.max() + 1,
-                          np.count_nonzero(cell_labels == NOISE))
+        clusters = labels.max(axis=1) + 1
+        if log.isEnabledFor(logging.DEBUG):
+            noise = np.count_nonzero((labels == NOISE) & ~padding, axis=1)
+            for r, c in enumerate(cells.tolist()):
+                log.debug("cell set=%d class=%d part=%d n=%d eps=%.6g min_pts=%d "
+                          "clusters=%d noise=%d", c // per_set,
+                          c // n_parts % ds.n_classes, c % n_parts, counts[r],
+                          eps[r], min_pts[r], clusters[r], noise[r])
+        # An all-noise cell is one cluster 0 of the whole cell; padding stays
+        # noise. Points are grouped by (cell, cluster), in ascending index.
+        labels[clusters == 0] = 0
+        labels[padding] = NOISE
+        member = np.flatnonzero(labels != NOISE)
+        key = cells[member // m] * m + labels.ravel()[member]
+        points = -x.reshape(-1, d)[member[np.argsort(key, kind="stable")]]
+        key, runs = np.unique(key, return_counts=True)
+        starts = np.cumsum(runs) - runs
+        # Subtracting the negated rows one by one after the first is the
+        # row-by-row sum ndarray.mean takes (add.reduceat sums pairwise).
+        points[starts] *= -1
+        means = np.subtract.reduceat(points, starts, axis=0) / runs[:, None]
+        for k, n, mean in zip(key.tolist(), runs.tolist(), means):
+            c, l = divmod(k, m)
+            entries[c].append(ConceptEntry(*divmod(c % per_set, n_parts), l, mean, n))
     books = []
     for s in range(len(sets)):
-        book = ConceptBook(feat_dim=d)
-        for cell_entries in entries[s * per_set:(s + 1) * per_set]:
-            book.entries.extend(cell_entries)
+        book = ConceptBook(feat_dim=d, entries=[
+            e for cell in entries[s * per_set:(s + 1) * per_set] for e in cell])
         book.validate()
         books.append(book)
     return books[0] if folds is None else books

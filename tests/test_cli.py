@@ -9,7 +9,7 @@ import pytest
 
 from conceptmine.cav import compute_cav_batch
 from conceptmine.cli import (PipelineConfig, _given, build_parser, main,
-                             pipeline_config_from_dict)
+                             pipeline_config_from_dict, run_pipeline)
 from conceptmine.errors import ValidationError
 from conceptmine.dataset import (SyntheticSpec, generate_synthetic,
                                  load_dataset, save_dataset)
@@ -155,6 +155,21 @@ class TestPipeline:
             pipeline_config_from_dict({"seed": 3, "mcm": {"seed": 5}})
         with pytest.raises(ValidationError, match="mcm.seed"):
             pipeline_config_from_dict({"mcm": {"seed": 1}})
+
+    def test_library_seed_seeds_center_fitting(self, tmp_path, ds_path):
+        lib, cli = tmp_path / "lib", tmp_path / "cli"
+        run_pipeline(load_dataset(ds_path),
+                     PipelineConfig(seed=7, stability_k=2), lib)
+        assert run("pipeline", "--data", ds_path, "--seed", 7, "--k", 2,
+                   "-o", cli) == 0
+        centers = (cli / "centers.pcmc").read_bytes()
+        assert (lib / "centers.pcmc").read_bytes() == centers
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            json.load(open(lib / "manifest.json"))["config"]))
+        assert run("pipeline", "--data", ds_path, "--config", cfg_path,
+                   "-o", tmp_path / "again") == 0
+        assert (tmp_path / "again" / "centers.pcmc").read_bytes() == centers
 
     def test_default_config_hash_pinned(self):
         cfg = pipeline_config_from_dict({})

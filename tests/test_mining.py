@@ -269,6 +269,41 @@ class TestMineConcepts:
         assert e.member_count == 3
         np.testing.assert_allclose(e.centroid, pts.mean(axis=0))
 
+    def test_debug_log_has_one_line_per_cell(self, caplog):
+        far = np.diag([10.0, 20.0, 30.0])  # mutually >= 10 apart
+        near = np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [0.0, 0.01, 0.0]])
+        parts = np.stack([
+            np.vstack([near, [[5.0, 5.0, 5.0]], far]),  # part 0
+            np.vstack([near, near[:1], near[:2], [[9.0, 9.0, 9.0]]]),  # part 1
+        ], axis=1)
+        ds = PartFeatureDataset(parts, np.zeros((7, 3)),
+                                np.array([0, 0, 0, 0, 1, 1, 1], dtype=np.uint32), 2)
+        with caplog.at_level("DEBUG", logger="conceptmine.mining"):
+            book = mine_concepts(ds, MiningConfig(eps=0.1, min_pts=2))
+        assert sorted(r.getMessage() for r in caplog.records) == [
+            f"cell set=0 class={j} part={p} n={n} eps=0.1 min_pts=2 "
+            f"clusters={clusters} noise={noise}"
+            for j, p, n, clusters, noise in [(0, 0, 4, 1, 1), (0, 1, 4, 1, 0),
+                                             (1, 0, 3, 0, 3), (1, 1, 3, 1, 1)]]
+        (e,) = [e for e in book.entries if (e.class_id, e.part) == (1, 0)]
+        assert (e.local_id, e.member_count) == (0, 3)
+        np.testing.assert_array_equal(e.centroid, far.mean(axis=0))
+
+    @pytest.mark.parametrize("d_f", [2, 5])
+    def test_means_match_reference_on_wide_ranging_features(self, d_f):
+        """Values from about 1e-8 to 1e8 in one column round in the float64
+        sums, so a summation order other than row by row shows in the bits,
+        and so does the sign of a zero sum."""
+        rng = np.random.default_rng(d_f)
+        parts = (rng.lognormal(0.0, 6.0, (60, 2, d_f))
+                 * rng.choice([-1, 1], (60, 2, d_f)))
+        parts[:, 1, 0] = rng.choice([0.0, -0.0], 60)
+        ds = PartFeatureDataset(parts, np.zeros((60, d_f)),
+                                np.repeat(np.arange(3), 20).astype(np.uint32), 3)
+        for params in (MiningConfig(eps=1e12), MiningConfig()):
+            assert book_bytes(mine_concepts(ds, params)) == \
+                book_bytes(reference_mine_concepts(ds, params))
+
     def test_single_cell_single_concept(self):
         ds, _ = generate_synthetic(SyntheticSpec(
             n_classes=1, n_parts=1, feat_dim=8, samples_per_class=20,
