@@ -1,6 +1,6 @@
 """Command-line front end: dataset generation, the staged pipeline
-(center fitting, then one concept-mining pass and one sparse-head training
-run), and report/merge/occlusion utilities.
+(center fitting, in a forked child beside one concept-mining pass and one
+sparse-head training run), and report/merge/occlusion utilities.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -8,8 +8,14 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import copy
 import functools
+import logging
+import os
+import pickle
+import signal
 import sys
+import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -29,6 +35,8 @@ from .partproto import McmConfig, fit_prototype_centers, save_centers
 from .xaimetrics import (config_hash, faithfulness, metric_report, save_report,
                          save_report_csv)
 
+log = logging.getLogger(__name__)
+
 
 @dataclass
 class PipelineConfig:
@@ -46,7 +54,10 @@ class PipelineConfig:
     def __post_init__(self):
         check_int("seed", self.seed, 0, SEED_MAX)
         if self.mcm.seed != self.seed:  # the top-level seed seeds center fitting
-            self.mcm = replace(self.mcm, seed=self.seed)
+            # A copy, not dataclasses.replace: McmConfig's checks (and its
+            # collapsed-margin warning) ran when the caller built it.
+            self.mcm = copy.copy(self.mcm)
+            self.mcm.seed = self.seed
         check_int("stability_k", self.stability_k, 2)
         self.faithfulness_ns = tuple(self.faithfulness_ns)
         for n in self.faithfulness_ns:
@@ -152,14 +163,69 @@ def _given(values, cls) -> dict:
             if f.name not in _SECTIONS and values.get(f.name) is not None}
 
 
+def _start_fit(ds: PartFeatureDataset, mcm: McmConfig):
+    """Start ``fit_prototype_centers(ds, mcm)`` in a forked child and return
+    ``collect``: ``collect()`` waits for the child and returns its centers or
+    raises its error unchanged; ``collect(kill=True)`` ends the child and
+    returns None. Where ``os.fork`` does not exist the fit runs now."""
+    if not hasattr(os, "fork"):
+        centers = fit_prototype_centers(ds, mcm)
+        return lambda kill=False: centers
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1  # a child that cannot send its result says so by its status
+        try:
+            os.close(read_end)
+            start = time.perf_counter()
+            try:
+                result = ("ok", fit_prototype_centers(ds, mcm))
+            except Exception as e:
+                result = ("err", e)
+            with open(write_end, "wb") as fh:
+                pickle.dump((*result, time.perf_counter() - start), fh)
+            code = 0
+        finally:  # never return into the caller's stack or flush its stdio
+            os._exit(code)
+    os.close(write_end)
+
+    def collect(kill=False):
+        start = time.perf_counter()
+        try:
+            if kill:
+                os.kill(pid, signal.SIGKILL)
+            with open(read_end, "rb") as fh:
+                data = fh.read()
+        finally:
+            _, status = os.waitpid(pid, 0)
+        if kill:
+            return None
+        try:  # bytes our own child wrote: none, cut off, or a whole result
+            kind, value, fit_s = pickle.loads(data)
+        except Exception:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"signal {-code}" if code < 0 else f"exit status {code}"
+            raise ConceptMineError(
+                f"center fitting ended without a result ({how})") from None
+        log.debug("fit-centers: %.3f s in the child, %.3f s waited for it",
+                  fit_s, time.perf_counter() - start)
+        if kind == "err":
+            raise value
+        return value
+    return collect
+
+
 def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> dict:
     """Fit centers, mine the concept book, train the head, evaluate metrics,
     and write all artifacts to ``outdir``. Returns the manifest dict.
 
     The part features are fixed inputs and mining is a pure function of
     them, so the book is mined once and the head trained once for all
-    epochs at ``beta * lr``. The stability folds are checked before any
-    costly stage runs or ``outdir`` is created.
+    epochs at ``beta * lr``. Nothing but the centers file reads the
+    centers, so they are fitted in a forked child (:func:`_start_fit`)
+    while this process mines, trains and scores; every file is written
+    here. The stability folds are checked before any costly stage runs or
+    ``outdir`` is created.
     """
     cfg_dict = cfg.to_dict()
     h = config_hash(cfg_dict)
@@ -173,25 +239,37 @@ def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> d
         outdir.mkdir(parents=True, exist_ok=True)
 
         stage = "fit-centers"
-        centers = fit_prototype_centers(ds, cfg.mcm)
+        collect = _start_fit(ds, cfg.mcm)
+        try:
+            stage = "mine"
+            book = mine_concepts(ds, cfg.mining)
+            z, g = compute_cav_batch(ds, book)
 
-        stage = "mine"
-        book = mine_concepts(ds, cfg.mining)
-        z, g = compute_cav_batch(ds, book)
+            stage = "train"
+            objectives = []
 
-        stage = "train"
-        objectives = []
+            def on_epoch(epoch, objective, step, pre_prox, w1):
+                objectives.append(objective)
 
-        def on_epoch(epoch, objective, step, pre_prox, w1):
-            objectives.append(objective)
+            head = train_head(z, g, ds.labels,
+                              replace(cfg.head, lr=cfg.head.beta * cfg.head.lr),
+                              on_epoch)
 
-        head = train_head(z, g, ds.labels,
-                          replace(cfg.head, lr=cfg.head.beta * cfg.head.lr),
-                          on_epoch)
-
-        stage = "metrics"
-        report = metric_report(ds, z, g, book, head, cfg.stability_k, cfg.mining,
-                               cfg.seed, list(cfg.faithfulness_ns), cfg_dict)
+            stage = "metrics"
+            report = metric_report(ds, z, g, book, head, cfg.stability_k,
+                                   cfg.mining, cfg.seed,
+                                   list(cfg.faithfulness_ns), cfg_dict)
+        except Exception:
+            # The fit stage comes first, so its error wins over this one.
+            failed, stage = stage, "fit-centers"
+            collect()
+            stage = failed
+            raise
+        except BaseException:  # an interrupt ends the fit without waiting
+            collect(kill=True)
+            raise
+        stage = "fit-centers"
+        centers = collect()
 
         stage = "write-artifacts"
         meta = {"config_hash": h, **asdict(cfg.mining)}
@@ -225,7 +303,9 @@ def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> d
         write_json(outdir / "manifest.json", manifest, indent=2)
         return manifest
     except ConceptMineError as e:
-        raise type(e)(f"stage {stage}: {e}") from e
+        err = copy.copy(e)  # keeps attributes such as DivergenceError.epoch
+        err.args = (f"stage {stage}: {e}",)
+        raise err from e
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,12 @@ def predict(z: np.ndarray, g: np.ndarray, head: SparseHead) -> np.ndarray:
 def accuracy(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,
              head: SparseHead) -> float:
     """Percent of samples whose predicted class equals their label."""
-    y = np.asarray(labels, dtype=np.int64)
-    return 100.0 * float(np.mean(predict(cavs, gs, head) == y))
+    return percent_correct(predict(cavs, gs, head), labels)
+
+
+def percent_correct(pred: np.ndarray, labels: np.ndarray) -> float:
+    """Percent of predicted classes ``pred`` equal to their labels."""
+    return 100.0 * float(np.mean(pred == np.asarray(labels, dtype=np.int64)))
 
 
 def elastic_net_penalty(W1: np.ndarray, lam: float, gamma: float) -> float:

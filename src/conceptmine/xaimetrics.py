@@ -16,7 +16,7 @@ import numpy as np
 from .cav import _unit_rows
 from .dataset import PartFeatureDataset, split_kfold
 from .errors import ValidationError, write_csv, write_json
-from .head import SparseHead, accuracy, predict
+from .head import SparseHead, accuracy, percent_correct, predict
 from .mining import ConceptBook, MiningConfig, mine_concepts
 
 log = logging.getLogger(__name__)
@@ -139,8 +139,9 @@ def faithfulness(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,
             f"CAV width {z.shape[1]} does not match book d_c={book.d_c} "
             f"and head d_c={head.W1.shape[0]}"
         )
-    base_acc = accuracy(z, g, y, head)
-    contrib = z * head.W1[:, predict(z, g, head)].T  # [n, d_c]
+    pred = predict(z, g, head)  # one clean pass: base accuracy and ranking class
+    base_acc = percent_correct(pred, y)
+    contrib = z * head.W1[:, pred].T  # [n, d_c]
     order = np.argsort(-contrib, axis=1, kind="stable")
 
     drops: dict[int, float] = {}

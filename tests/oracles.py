@@ -127,13 +127,21 @@ def reference_mine_concepts(ds, params):
             labels = brute_force_dbscan(cell, _distance_threshold(cell, eps),
                                         min_pts)
             if labels.max() < 0:
-                book.entries.append(
-                    ConceptEntry(j, p, 0, cell.mean(axis=0), n))
+                book.entries.append(ConceptEntry(j, p, 0, _row_mean(cell), n))
             for l in range(labels.max() + 1):
                 members = cell[labels == l]
                 book.entries.append(
-                    ConceptEntry(j, p, l, members.mean(axis=0), len(members)))
+                    ConceptEntry(j, p, l, _row_mean(members), len(members)))
     return book
+
+
+def _row_mean(rows):
+    """The mean of ``rows`` summed one row after another, at every width
+    (``ndarray.mean`` sums a single column pairwise)."""
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total / len(rows)
 
 
 def reference_stability(ds, k, params, seed):

@@ -17,6 +17,7 @@ from conceptmine.head import HeadTrainConfig, save_head, train_head
 from conceptmine.mining import (MergeConfig, MiningConfig, load_book,
                                 mine_concepts, save_book)
 from conceptmine.occlusion import OcclusionConfig
+from conceptmine.partproto import McmConfig
 from conceptmine.xaimetrics import config_hash
 
 from oracles import pack_container
@@ -155,6 +156,19 @@ class TestPipeline:
             pipeline_config_from_dict({"seed": 3, "mcm": {"seed": 5}})
         with pytest.raises(ValidationError, match="mcm.seed"):
             pipeline_config_from_dict({"mcm": {"seed": 1}})
+
+    def test_seed_mirror_warns_once(self, caplog):
+        """The collapsed-margin warning comes from building the McmConfig,
+        not again from giving it the top-level seed."""
+        mcm = {"m1": 2.0, "m2": 1.0}
+        with caplog.at_level("WARNING", logger="conceptmine.partproto"):
+            cfg = pipeline_config_from_dict({"seed": 7, "mcm": mcm})
+        assert [r.getMessage() for r in caplog.records] == [
+            "m2=1 <= m1=2: collapsed-margin regime"]
+        assert cfg.mcm.seed == 7
+        given = McmConfig(**mcm)
+        assert PipelineConfig(seed=5, mcm=given).mcm.seed == 5
+        assert given.seed == 0  # the caller's config is not changed
 
     def test_library_seed_seeds_center_fitting(self, tmp_path, ds_path):
         lib, cli = tmp_path / "lib", tmp_path / "cli"

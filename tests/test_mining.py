@@ -289,17 +289,19 @@ class TestMineConcepts:
         assert (e.local_id, e.member_count) == (0, 3)
         np.testing.assert_array_equal(e.centroid, far.mean(axis=0))
 
-    @pytest.mark.parametrize("d_f", [2, 5])
+    @pytest.mark.parametrize("d_f", [1, 2, 5])
     def test_means_match_reference_on_wide_ranging_features(self, d_f):
         """Values from about 1e-8 to 1e8 in one column round in the float64
         sums, so a summation order other than row by row shows in the bits,
-        and so does the sign of a zero sum."""
+        and so does the sign of a zero sum. Cells of 100 float32 values make
+        the pairwise sum of ``ndarray.mean`` (at d_f = 1) and of
+        ``np.add.reduceat`` differ in the bits of an eps-1e12 book."""
         rng = np.random.default_rng(d_f)
-        parts = (rng.lognormal(0.0, 6.0, (60, 2, d_f))
-                 * rng.choice([-1, 1], (60, 2, d_f)))
-        parts[:, 1, 0] = rng.choice([0.0, -0.0], 60)
-        ds = PartFeatureDataset(parts, np.zeros((60, d_f)),
-                                np.repeat(np.arange(3), 20).astype(np.uint32), 3)
+        parts = (rng.lognormal(0.0, 6.0, (300, 2, d_f))
+                 * rng.choice([-1, 1], (300, 2, d_f)))
+        parts[:, 1, 0] = rng.choice([0.0, -0.0], 300)
+        ds = PartFeatureDataset(parts, np.zeros((300, d_f)),
+                                np.repeat(np.arange(3), 100).astype(np.uint32), 3)
         for params in (MiningConfig(eps=1e12), MiningConfig()):
             assert book_bytes(mine_concepts(ds, params)) == \
                 book_bytes(reference_mine_concepts(ds, params))

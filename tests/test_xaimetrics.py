@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conceptmine import head as head_module
 from conceptmine import xaimetrics
 from conceptmine.cav import compute_cav_batch
 from conceptmine.dataset import PartFeatureDataset, SyntheticSpec, generate_synthetic
@@ -175,6 +176,20 @@ class TestFaithfulness:
         ds, book, z, g, head = orthogonal_concept_setup()
         with pytest.raises(ValidationError):
             faithfulness(z[:, :-1], g, ds.labels, head, book, [1])
+
+    def test_one_predict_per_nonzero_n_and_one_clean(self, monkeypatch):
+        """The clean base accuracy and the ranking class share one predict."""
+        ds, book, z, g, head = orthogonal_concept_setup()
+        calls, predict = [], head_module.predict
+
+        def counted(*args):
+            calls.append(args)
+            return predict(*args)
+
+        for module in (head_module, xaimetrics):
+            monkeypatch.setattr(module, "predict", counted)
+        faithfulness(z, g, ds.labels, head, book, [0, 1, 2, 3])
+        assert len(calls) == 3 + 1
 
 
 def duplicated_location_dataset(seed=0, copies=30):
