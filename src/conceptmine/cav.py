@@ -62,7 +62,7 @@ def compute_cav(sample_parts: np.ndarray, g: np.ndarray,
 def compute_cav_batch(ds: PartFeatureDataset,
                       book: ConceptBook) -> tuple[np.ndarray, np.ndarray]:
     """CAV matrix [n_samples, d_c] and pass-through g matrix [n_samples, d_f]."""
-    z = _cav_core(ds.part_features.astype(np.float64), book)
+    z = _cav_core(ds.part_features, book)  # upcasts one part at a time
     return z, ds.nonproto_features.astype(np.float64)
 
 

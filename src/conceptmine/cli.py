@@ -1,6 +1,6 @@
 """Command-line front end: dataset generation, the staged pipeline
-(center fitting, in a forked child beside one concept-mining pass and one
-sparse-head training run), and report/merge/occlusion utilities.
+(the center fit's descent, in a forked child beside one concept-mining pass
+and one sparse-head training run), and report/merge/occlusion utilities.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -31,7 +31,8 @@ from .head import HeadTrainConfig, accuracy, load_head, save_head, train_head
 from .mining import (MergeConfig, MiningConfig, load_book, merge_centroids,
                      mine_concepts, save_book)
 from .occlusion import OcclusionConfig, occlusion_eval, save_curve_csv, save_curve_svg
-from .partproto import McmConfig, fit_prototype_centers, save_centers
+from .partproto import (McmConfig, best_epoch, descend, fit_prototype_centers,
+                        save_centers)
 from .xaimetrics import (config_hash, faithfulness, metric_report, save_report,
                          save_report_csv)
 
@@ -163,55 +164,98 @@ def _given(values, cls) -> dict:
             if f.name not in _SECTIONS and values.get(f.name) is not None}
 
 
+# Record tags on the fit pipe: a snapshot is its tag and the raw float64
+# bytes of one [K, d_f] centers array; the last record is its tag and a
+# pickled ("ok" | "err", None | error, fit_s).
+_SNAPSHOT, _RESULT = b"c", b"r"
+# Pipe capacity asked for: Linux's default cap for unprivileged processes.
+# With the default 64 KiB a pipeline-M child blocks after about 21 epochs.
+_PIPE_BYTES = 1 << 20
+
+
 def _start_fit(ds: PartFeatureDataset, mcm: McmConfig):
-    """Start ``fit_prototype_centers(ds, mcm)`` in a forked child and return
-    ``collect``: ``collect()`` waits for the child and returns its centers or
-    raises its error unchanged; ``collect(kill=True)`` ends the child and
-    returns None. Where ``os.fork`` does not exist the fit runs now."""
+    """Start the center fit and return ``collect``: ``collect()`` returns the
+    fitted centers or raises the fit's error unchanged; ``collect(kill=True)``
+    ends the fit and returns None.
+
+    A forked child runs only :func:`descend` and sends each snapshot down a
+    pipe. ``collect`` scores them with :func:`best_epoch` as it reads them,
+    so this process holds one snapshot at a time and the pipe's capacity
+    bounds the child's lead. A divergence found here kills the child and
+    wins over any error the child raised after it. Where ``os.fork`` does
+    not exist the fit runs now.
+    """
     if not hasattr(os, "fork"):
         centers = fit_prototype_centers(ds, mcm)
         return lambda kill=False: centers
+    import fcntl  # POSIX only, like os.fork
+
     read_end, write_end = os.pipe()
+    try:  # best effort: keep whatever capacity the OS grants
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (AttributeError, OSError):
+        pass
     pid = os.fork()
     if pid == 0:
         code = 1  # a child that cannot send its result says so by its status
         try:
             os.close(read_end)
             start = time.perf_counter()
-            try:
-                result = ("ok", fit_prototype_centers(ds, mcm))
-            except Exception as e:
-                result = ("err", e)
             with open(write_end, "wb") as fh:
+                try:
+                    for c in descend(ds, mcm):
+                        fh.write(_SNAPSHOT + c.tobytes())
+                        fh.flush()
+                    result = ("ok", None)
+                except Exception as e:
+                    result = ("err", e)
+                fh.write(_RESULT)
                 pickle.dump((*result, time.perf_counter() - start), fh)
             code = 0
         finally:  # never return into the caller's stack or flush its stdio
             os._exit(code)
     os.close(write_end)
+    shape = (ds.n_parts, ds.feat_dim)
+    size = 8 * ds.n_parts * ds.feat_dim
+    status = None
 
-    def collect(kill=False):
-        start = time.perf_counter()
-        try:
+    def reap(kill):
+        nonlocal status
+        if status is None:
             if kill:
                 os.kill(pid, signal.SIGKILL)
-            with open(read_end, "rb") as fh:
-                data = fh.read()
-        finally:
-            _, status = os.waitpid(pid, 0)
-        if kill:
-            return None
+            status = os.waitpid(pid, 0)[1]
+        return status
+
+    def trajectory(fh, start):
+        while (tag := fh.read(1)) == _SNAPSHOT:
+            snapshot = fh.read(size)
+            if len(snapshot) < size:
+                break
+            yield np.frombuffer(snapshot).reshape(shape)
         try:  # bytes our own child wrote: none, cut off, or a whole result
-            kind, value, fit_s = pickle.loads(data)
+            if tag != _RESULT:
+                raise EOFError
+            kind, value, fit_s = pickle.loads(fh.read())
         except Exception:
-            code = os.waitstatus_to_exitcode(status)
+            code = os.waitstatus_to_exitcode(reap(kill=False))
             how = f"signal {-code}" if code < 0 else f"exit status {code}"
             raise ConceptMineError(
                 f"center fitting ended without a result ({how})") from None
+        reap(kill=False)
         log.debug("fit-centers: %.3f s in the child, %.3f s waited for it",
                   fit_s, time.perf_counter() - start)
         if kind == "err":
             raise value
-        return value
+
+    def collect(kill=False):
+        fh = open(read_end, "rb")
+        try:
+            if not kill:
+                return best_epoch(ds, mcm, trajectory(fh, time.perf_counter()))
+        finally:  # a child not yet reaped is one this process stopped reading
+            reap(kill=True)
+            fh.close()
     return collect
 
 
@@ -222,9 +266,9 @@ def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> d
     The part features are fixed inputs and mining is a pure function of
     them, so the book is mined once and the head trained once for all
     epochs at ``beta * lr``. Nothing but the centers file reads the
-    centers, so they are fitted in a forked child (:func:`_start_fit`)
-    while this process mines, trains and scores; every file is written
-    here. The stability folds are checked before any costly stage runs or
+    centers, so a forked child runs their descent (:func:`_start_fit`)
+    while this process mines, trains and scores the run; this process then
+    scores the child's epochs, keeps the best and writes every file. The stability folds are checked before any costly stage runs or
     ``outdir`` is created.
     """
     cfg_dict = cfg.to_dict()

@@ -13,9 +13,9 @@ import numpy as np
 from .cav import compute_cav, compute_cav_batch
 from .dataset import PartFeatureDataset
 from .errors import ValidationError, check_real, write_csv
-from .head import SparseHead, accuracy, predict
+from .head import SparseHead, predict
 from .mining import ConceptBook
-from .xaimetrics import faithfulness
+from .xaimetrics import _accuracy_and_faithfulness
 
 
 @dataclass
@@ -97,9 +97,8 @@ def occlusion_eval(ds: PartFeatureDataset, head: SparseHead, book: ConceptBook,
     rows = []
     for fraction in fractions:
         z = np.where(_top_parts(order, fraction)[:, book.parts()], 0.0, clean_z)
-        acc = accuracy(z, g, labels, head)
-        f3 = faithfulness(z, g, labels, head, book, [3])[3]
-        rows.append((fraction, acc, f3))
+        acc, drops = _accuracy_and_faithfulness(z, g, labels, head, book, [3])
+        rows.append((fraction, acc, drops[3]))
     return rows
 
 

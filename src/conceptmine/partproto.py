@@ -6,6 +6,12 @@ pushes distinct centers at least m2 apart:
     mean_i sum_p ( [||f_ip - c_p|| - m1]_+  +  (1/K) sum_{q!=p} [m2 - ||c_p - c_q||]_+ )
 
 Only the centers are trainable; part features are fixed inputs.
+
+Fitting is two steps that can run in different processes: :func:`descend`
+runs mini-batch gradient descent and yields the centers at every epoch
+boundary without computing a loss, and :func:`best_epoch` scores those
+snapshots on the full data and keeps the best. ``cli.run_pipeline`` runs
+the descent in a forked child and scores its snapshots in the parent.
 """
 
 from __future__ import annotations
@@ -76,10 +82,12 @@ def _pair_hinges(centers: np.ndarray, m2: float):
     return diff, dist, active
 
 
-def _check_batch(batch, centers: PrototypeCenters) -> np.ndarray:
-    """The batch as float64 [B, K, d_f], refusing an empty batch or one whose
-    per-sample shape is not the centers' shape."""
-    batch = np.asarray(batch, dtype=np.float64)
+def _check_batch(batch, centers: PrototypeCenters,
+                 dtype=np.float64) -> np.ndarray:
+    """The batch as a [B, K, d_f] array of ``dtype`` (None keeps its own),
+    refusing an empty batch or one whose per-sample shape is not the
+    centers' shape."""
+    batch = np.asarray(batch, dtype=dtype)
     if batch.ndim != 3 or batch.shape[0] == 0:
         raise ValidationError(f"empty or malformed batch of shape {batch.shape}")
     if batch.shape[1:] != centers.centers.shape:
@@ -94,16 +102,17 @@ def mcc_loss(batch: np.ndarray, centers: PrototypeCenters,
              m1: float, m2: float) -> float:
     """Marginal cluster-center loss, averaged over the batch.
 
-    The intra term is computed in blocks of ``_LOSS_ROWS`` samples, so a
-    large batch never allocates its full [B, K, d_f] residual.
+    The intra term is computed in blocks of ``_LOSS_ROWS`` samples, each
+    upcast to float64 on its own (exact for float32 input), so a large
+    batch never allocates its full [B, K, d_f] residual or float64 copy.
     """
-    batch = _check_batch(batch, centers)
+    batch = _check_batch(batch, centers, dtype=None)
     c = centers.centers
     k = c.shape[0]
 
     rows = np.empty(batch.shape[0])  # per-sample intra hinge sums
     for start in range(0, batch.shape[0], _LOSS_ROWS):
-        block = batch[start:start + _LOSS_ROWS]
+        block = batch[start:start + _LOSS_ROWS].astype(np.float64, copy=False)
         intra_dist = _norms(block - c[None, :, :])  # [b, K]
         rows[start:start + len(block)] = np.maximum(intra_dist - m1, 0.0).sum(axis=1)
     intra = rows.mean()
@@ -146,14 +155,15 @@ def mcc_gradients(batch: np.ndarray, centers: PrototypeCenters,
     return grad
 
 
-def fit_prototype_centers(ds: PartFeatureDataset, cfg: McmConfig,
-                          init: PrototypeCenters | None = None) -> PrototypeCenters:
-    """Fit centers by mini-batch gradient descent on the MCC loss.
+def descend(ds: PartFeatureDataset, cfg: McmConfig,
+            init: PrototypeCenters | None = None):
+    """Mini-batch gradient descent on the MCC loss, as a generator.
 
     Centers start at the per-part feature means plus seeded jitter unless
-    ``init`` is given. The returned centers are the best (lowest full-data
-    loss) seen at any epoch boundary, so the final loss never exceeds the
-    initial one. Deterministic per cfg.seed.
+    ``init`` is given. Yields the [K, d_f] float64 centers before the first
+    epoch and after each of the ``cfg.epochs`` epochs, ``epochs + 1`` arrays
+    that are never written to afterwards. Computes no loss. Deterministic
+    per cfg.seed.
     """
     feats = ds.part_features.astype(np.float64)
     rng = np.random.default_rng(cfg.seed)
@@ -161,32 +171,52 @@ def fit_prototype_centers(ds: PartFeatureDataset, cfg: McmConfig,
         c = init.centers.copy()
     else:
         c = feats.mean(axis=0) + 0.01 * rng.standard_normal((ds.n_parts, ds.feat_dim))
-
-    def full_loss(centers_arr):
-        return mcc_loss(feats, PrototypeCenters(centers_arr), cfg.m1, cfg.m2)
-
-    best = c.copy()
-    best_loss = full_loss(c)
+    yield c
     n = ds.n_samples
-    for epoch in range(cfg.epochs):
+    for _ in range(cfg.epochs):
         # Indexing each batch out of feats measured faster than making one
         # shuffled copy of feats per epoch (a fresh multi-MB allocation).
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            g = mcc_gradients(feats[idx], PrototypeCenters(c), cfg.m1, cfg.m2)
-            c = c - cfg.lr * g
-        loss = full_loss(c)
-        if not np.isfinite(loss):
-            raise DivergenceError(
-                f"non-finite MCC loss at epoch {epoch} (lr={cfg.lr})",
-                epoch=epoch, lr=cfg.lr,
-            )
-        log.debug("epoch %d: mcc loss %.6g", epoch, loss)
-        if loss < best_loss:
-            best_loss = loss
-            best = c.copy()
-    return PrototypeCenters(best)
+        # A diverging step overflows; best_epoch reports it as a typed error.
+        with np.errstate(over="ignore"):
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                g = mcc_gradients(feats[idx], PrototypeCenters(c), cfg.m1, cfg.m2)
+                c = c - cfg.lr * g
+        yield c
+
+
+def best_epoch(ds: PartFeatureDataset, cfg: McmConfig,
+               trajectory) -> PrototypeCenters:
+    """The lowest full-data-loss centers of ``trajectory``, the snapshots
+    that :func:`descend` yields, scored one at a time as they arrive.
+
+    Raises :class:`DivergenceError` at the first non-finite loss after an
+    epoch. The first snapshot (the start) is never refused, so the result's
+    loss never exceeds the start's.
+    """
+    best = best_loss = None
+    for epoch, c in enumerate(trajectory, -1):
+        with np.errstate(over="ignore"):
+            loss = mcc_loss(ds.part_features, PrototypeCenters(c), cfg.m1, cfg.m2)
+        if epoch >= 0:
+            if not np.isfinite(loss):
+                raise DivergenceError(
+                    f"non-finite MCC loss at epoch {epoch} (lr={cfg.lr})",
+                    epoch=epoch, lr=cfg.lr,
+                )
+            log.debug("epoch %d: mcc loss %.6g", epoch, loss)
+        if best is None or loss < best_loss:
+            best, best_loss = c, loss
+    # A copy: a snapshot read from the fit pipe is a read-only view of its bytes.
+    return PrototypeCenters(np.array(best, dtype=np.float64))
+
+
+def fit_prototype_centers(ds: PartFeatureDataset, cfg: McmConfig,
+                          init: PrototypeCenters | None = None) -> PrototypeCenters:
+    """Fit centers by mini-batch gradient descent on the MCC loss and return
+    the best (lowest full-data loss) seen at any epoch boundary."""
+    return best_epoch(ds, cfg, descend(ds, cfg, init))
 
 
 def save_centers(pc: PrototypeCenters, path, format: str = "pcmc"):

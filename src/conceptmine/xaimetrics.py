@@ -131,6 +131,13 @@ def faithfulness(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,
                  n_list: list[int]) -> dict[int, float]:
     """Accuracy drop (percentage points) after deleting each sample's top-n
     concepts, ranked by contribution to its predicted class on clean inputs."""
+    return _accuracy_and_faithfulness(cavs, gs, labels, head, book, n_list)[1]
+
+
+def _accuracy_and_faithfulness(cavs, gs, labels, head: SparseHead,
+                               book: ConceptBook, n_list: list[int]):
+    """``(accuracy(cavs, ...), faithfulness(cavs, ...))`` from one clean
+    ``predict``, for callers that report both."""
     z = np.asarray(cavs, dtype=np.float64)
     g = np.asarray(gs, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -156,7 +163,7 @@ def faithfulness(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,
         z_mod = z.copy()
         np.put_along_axis(z_mod, order[:, :n], 0.0, axis=1)
         drops[n_req] = base_acc - accuracy(z_mod, g, y, head)
-    return drops
+    return base_acc, drops
 
 
 def _cells(book: ConceptBook) -> dict[tuple[int, int], tuple]:

@@ -1,10 +1,12 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conceptmine.cav import (compute_cav, compute_cav_batch, export_cav_csv)
-from conceptmine.dataset import SyntheticSpec, generate_synthetic
+from conceptmine.cav import (_cav_core, compute_cav, compute_cav_batch,
+                             export_cav_csv)
+from conceptmine.dataset import PartFeatureDataset, SyntheticSpec, generate_synthetic
 from conceptmine.errors import ValidationError
 from conceptmine.mining import ConceptBook, ConceptEntry, MiningConfig, mine_concepts
 
@@ -76,6 +78,25 @@ class TestBatch:
         for i in range(ds.n_samples):
             single = compute_cav(ds.part_features[i], ds.nonproto_features[i], book)
             np.testing.assert_allclose(z[i], single.z, rtol=0, atol=1e-12)
+
+    def test_parts_are_upcast_one_at_a_time(self):
+        # pipeline-M size: a float64 copy of the [n, K, d_f] input is 6.1 MB.
+        rng = np.random.default_rng(0)
+        n, k, d_f = 2000, 6, 64
+        ds = PartFeatureDataset(rng.normal(size=(n, k, d_f)),
+                                rng.normal(size=(n, d_f)),
+                                np.arange(n, dtype=np.uint32) % 2, 2)
+        book = book_from(rng.normal(size=(k, 2, d_f)), d_f)
+        copy_bytes = ds.part_features.size * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            z, _ = compute_cav_batch(ds, book)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < copy_bytes
+        upcast_first = _cav_core(ds.part_features.astype(np.float64), book)
+        assert z.tobytes() == upcast_first.tobytes()
 
     def test_bounded(self, planted):
         ds, _ = planted(seed=2)

@@ -8,11 +8,14 @@ from conceptmine import occlusion
 from conceptmine.cav import compute_cav, compute_cav_batch
 from conceptmine.dataset import PartFeatureDataset, SyntheticSpec, generate_synthetic
 from conceptmine.errors import ValidationError
-from conceptmine.head import HeadTrainConfig, accuracy, train_head
+from conceptmine import head as head_module
+from conceptmine import xaimetrics
+from conceptmine.head import HeadTrainConfig, train_head
 from conceptmine.mining import ConceptBook, MiningConfig, mine_concepts
 from conceptmine.occlusion import (OcclusionConfig, _occlusion_order,
                                    _top_parts, occlude_sample, occlusion_eval,
                                    save_curve_csv, save_curve_svg)
+from conceptmine.xaimetrics import _accuracy_and_faithfulness
 from oracles import per_sample_occlusion, per_sample_occlusion_curve
 
 
@@ -128,11 +131,12 @@ class TestOcclusionEval:
         fractions = (0.25, 0.5, 1.0)
         seen = []
 
-        def recording_accuracy(z, *args):
+        def recording_scores(z, *args):
             seen.append(z)
-            return accuracy(z, *args)
+            return _accuracy_and_faithfulness(z, *args)
 
-        monkeypatch.setattr(occlusion, "accuracy", recording_accuracy)
+        monkeypatch.setattr(occlusion, "_accuracy_and_faithfulness",
+                            recording_scores)
         rows = occlusion_eval(ds, head, book, OcclusionConfig(fractions))
         assert rows == per_sample_occlusion_curve(ds, head, book, fractions)
         # The masked CAVs equal those recomputed from occluded features.
@@ -142,6 +146,23 @@ class TestOcclusionEval:
                 per_sample_occlusion(ds, head, book, f).astype(np.float32),
                 ds.nonproto_features, ds.labels, ds.n_classes)
             np.testing.assert_array_equal(z, compute_cav_batch(occluded, book)[0])
+
+    def test_two_predicts_per_curve_point_and_one_for_the_ranking(
+            self, monkeypatch):
+        """Each point's accuracy is F(3)'s clean base accuracy: one predict
+        on the occluded CAVs, one on those with their top 3 deleted."""
+        ds, book, head = fitted(seed=9)
+        calls, predict = [], head_module.predict
+
+        def counted(*args):
+            calls.append(args)
+            return predict(*args)
+
+        for module in (head_module, xaimetrics, occlusion):
+            monkeypatch.setattr(module, "predict", counted)
+        rows = occlusion_eval(ds, head, book, OcclusionConfig((0.1, 0.2, 0.3)))
+        assert len(rows) == 4
+        assert len(calls) == 1 + 2 * len(rows)
 
     def test_fraction_zero_only_equals_clean(self):
         ds, book, head = fitted(seed=7)

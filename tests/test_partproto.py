@@ -1,12 +1,13 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from conceptmine.dataset import PartFeatureDataset, SyntheticSpec, generate_synthetic
-from conceptmine.errors import FormatError, ValidationError
-from conceptmine.partproto import (McmConfig, PrototypeCenters,
-                                   fit_prototype_centers, load_centers,
+from conceptmine.errors import DivergenceError, FormatError, ValidationError
+from conceptmine.partproto import (McmConfig, PrototypeCenters, best_epoch,
+                                   descend, fit_prototype_centers, load_centers,
                                    mcc_gradients, mcc_loss, save_centers)
 from oracles import (central_difference_grad, mcc_instance_away_from_kinks,
                      mcc_loss_reference, reference_fit_prototype_centers,
@@ -57,6 +58,22 @@ class TestMccLoss:
             tracemalloc.stop()
         assert peak < residual_bytes / 2
         assert loss == unblocked_mcc_loss(feats, centers.centers, 0.3, 1.5)
+
+    def test_float32_input_is_upcast_one_block_at_a_time(self):
+        # pipeline-M size. The upcast is exact, so the loss is the float64
+        # input's bit for bit, and no whole float64 copy is ever made.
+        rng = np.random.default_rng(1)
+        feats = rng.normal(size=(2000, 6, 64)).astype(np.float32)
+        centers = PrototypeCenters(rng.normal(size=(6, 64)))
+        copy_bytes = feats.size * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            loss = mcc_loss(feats, centers, 0.3, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < copy_bytes / 2
+        assert loss == mcc_loss(feats.astype(np.float64), centers, 0.3, 1.5)
 
     def test_zero_iff_margins_satisfied(self):
         rng = np.random.default_rng(1)
@@ -217,6 +234,67 @@ class TestFitMatchesReference:
         got = fit_prototype_centers(ds, cfg, init=PrototypeCenters(init))
         assert got.centers.tobytes() == \
             reference_fit_prototype_centers(ds, cfg, init=init).tobytes()
+
+
+class TestDescentAndScoring:
+    def test_descend_yields_the_start_and_every_epoch(self, planted):
+        ds, _ = planted()
+        snapshots = list(descend(ds, McmConfig(epochs=4)))
+        assert len(snapshots) == 5
+        assert all(c.shape == (ds.n_parts, ds.feat_dim) for c in snapshots)
+        assert all(c.dtype == np.float64 for c in snapshots)
+
+    def test_descend_starts_at_init(self, planted):
+        ds, _ = planted()
+        init = np.ones((ds.n_parts, ds.feat_dim))
+        first = next(descend(ds, McmConfig(epochs=2), PrototypeCenters(init)))
+        assert first.tobytes() == init.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("regime", sorted(FIT_REGIMES))
+    def test_best_epoch_of_descend_matches_reference(self, planted, seed, regime):
+        ds, _ = planted(seed=seed)
+        cfg = McmConfig(epochs=5, seed=seed, **FIT_REGIMES[regime])
+        got = best_epoch(ds, cfg, descend(ds, cfg))
+        assert got.centers.tobytes() == \
+            reference_fit_prototype_centers(ds, cfg).tobytes()
+
+    def test_best_epoch_picks_the_lowest_loss_snapshot(self, planted):
+        ds, _ = planted()
+        cfg = McmConfig()
+        good = ds.part_features.astype(np.float64).mean(axis=0)
+        trajectory = [good + 3.0, good + 1.0, good, good + 2.0]
+        got = best_epoch(ds, cfg, iter(trajectory))
+        assert got.centers.tobytes() == good.tobytes()
+
+    def test_non_finite_start_is_not_refused(self, planted):
+        ds, _ = planted()
+        start = np.full((ds.n_parts, ds.feat_dim), 1e300)
+        got = best_epoch(ds, McmConfig(), iter([start]))
+        assert got.centers.tobytes() == start.tobytes()
+
+    def test_diverging_fit_is_typed_and_silent(self, planted):
+        ds, _ = planted()
+        cfg = McmConfig(lr=1e300, epochs=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as info:
+                fit_prototype_centers(ds, cfg)
+        assert (info.value.epoch, info.value.lr) == (0, 1e300)
+
+    def test_best_epoch_stops_at_the_first_divergence(self, planted):
+        ds, _ = planted()
+        ok = np.zeros((ds.n_parts, ds.feat_dim))
+        seen = []
+
+        def trajectory():
+            for c in (ok, ok, np.full_like(ok, 1e300), ok):
+                seen.append(c)
+                yield c
+
+        with pytest.raises(DivergenceError, match="at epoch 1 ") as info:
+            best_epoch(ds, McmConfig(lr=0.5), trajectory())
+        assert (info.value.epoch, info.value.lr, len(seen)) == (1, 0.5, 3)
 
 
 class TestCentersIo:
