@@ -180,8 +180,8 @@ def _start_fit(ds: PartFeatureDataset, mcm: McmConfig):
 
     A forked child runs only :func:`descend` and sends each snapshot down a
     pipe. ``collect`` scores them with :func:`best_epoch` as it reads them,
-    so this process holds one snapshot at a time and the pipe's capacity
-    bounds the child's lead. A divergence found here kills the child and
+    so this process holds one group of snapshots at a time and the pipe's
+    capacity bounds the child's lead. A divergence found here kills the child and
     wins over any error the child raised after it. Where ``os.fork`` does
     not exist the fit runs now.
     """

@@ -28,7 +28,13 @@ from .errors import (SEED_MAX, DivergenceError, ValidationError, check_int,
 log = logging.getLogger(__name__)
 
 CENTERS_MAGIC = b"PCMC"
-_LOSS_ROWS = 256  # samples per block of the full-data loss
+_LOSS_ROWS = 256  # samples per block of the full-data loss and its bounds
+_GROUP = 16  # snapshots bounded by one Gram pass over the features
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+# Centers up to _SCREEN in magnitude cannot overflow the loss or its bounds
+# beside float32 features; _TINY exceeds any underflow error of a distance.
+_SCREEN = 2.0 ** 400
+_TINY = 2.0 ** -900
 
 
 @dataclass
@@ -73,13 +79,10 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
-def _pair_hinges(centers: np.ndarray, m2: float):
-    """Pairwise center distances and the active-hinge mask (d < m2, p != q)."""
+def _pair_dists(centers: np.ndarray):
+    """Pairwise center differences [K, K, d_f] and distances [K, K]."""
     diff = centers[:, None, :] - centers[None, :, :]
-    dist = _norms(diff)
-    active = dist < m2
-    np.fill_diagonal(active, False)
-    return diff, dist, active
+    return diff, _norms(diff)
 
 
 def _check_batch(batch, centers: PrototypeCenters,
@@ -98,54 +101,58 @@ def _check_batch(batch, centers: PrototypeCenters,
     return batch
 
 
+def _pair_term(c: np.ndarray, m2: float) -> np.float64:
+    """The pair term of the loss, (1/K) sum_{p != q} [m2 - ||c_p - c_q||]_+."""
+    pair_h = np.maximum(m2 - _pair_dists(c)[1], 0.0)
+    np.fill_diagonal(pair_h, 0.0)
+    return pair_h.sum() / c.shape[0]
+
+
 def mcc_loss(batch: np.ndarray, centers: PrototypeCenters,
              m1: float, m2: float) -> float:
     """Marginal cluster-center loss, averaged over the batch.
 
     The intra term is computed in blocks of ``_LOSS_ROWS`` samples, each
-    upcast to float64 on its own (exact for float32 input), so a large
-    batch never allocates its full [B, K, d_f] residual or float64 copy.
+    subtracted in float64 (exact for float32 input) into one reused
+    residual buffer, so a large batch never allocates its full
+    [B, K, d_f] residual or float64 copy.
     """
     batch = _check_batch(batch, centers, dtype=None)
     c = centers.centers
+    n = batch.shape[0]
+
+    rows = np.empty(n)  # per-sample intra hinge sums
+    buffer = np.empty((min(n, _LOSS_ROWS),) + c.shape)
+    for start in range(0, n, _LOSS_ROWS):
+        resid = buffer[:min(_LOSS_ROWS, n - start)]
+        np.subtract(batch[start:start + _LOSS_ROWS], c, out=resid,
+                    dtype=np.float64)
+        resid *= resid
+        intra_dist = np.sqrt(np.add.reduce(resid, axis=-1))  # [b, K]
+        rows[start:start + len(resid)] = np.maximum(intra_dist - m1, 0.0).sum(axis=1)
+    return float(rows.mean() + _pair_term(c, m2))
+
+
+def _gradient(batch: np.ndarray, c: np.ndarray, m1: float, m2: float,
+              off_diagonal: np.ndarray) -> np.ndarray:
+    """The MCC gradient at centers ``c`` for a [B, K, d_f] batch of any real
+    dtype, upcast to float64 (exact for float32) before the subtraction;
+    ``off_diagonal`` is ``~np.eye(K, dtype=bool)``."""
     k = c.shape[0]
-
-    rows = np.empty(batch.shape[0])  # per-sample intra hinge sums
-    for start in range(0, batch.shape[0], _LOSS_ROWS):
-        block = batch[start:start + _LOSS_ROWS].astype(np.float64, copy=False)
-        intra_dist = _norms(block - c[None, :, :])  # [b, K]
-        rows[start:start + len(block)] = np.maximum(intra_dist - m1, 0.0).sum(axis=1)
-    intra = rows.mean()
-
-    _, dist, _ = _pair_hinges(c, m2)
-    pair_h = np.maximum(m2 - dist, 0.0)
-    np.fill_diagonal(pair_h, 0.0)
-    pair = pair_h.sum() / k
-    return float(intra + pair)
-
-
-def mcc_gradients(batch: np.ndarray, centers: PrototypeCenters,
-                  m1: float, m2: float) -> np.ndarray:
-    """Gradient of :func:`mcc_loss` with respect to the centers, [K, d_f].
-
-    Hinge derivatives are taken as 0 at the kink; the unit direction between
-    coincident centers is taken as the zero vector.
-    """
-    batch = _check_batch(batch, centers)
-    c = centers.centers
-    k = c.shape[0]
-
-    resid = batch - c[None, :, :]  # [B, K, d]
+    # A copy and an in-place subtraction measured faster than a casting
+    # np.subtract on a batch of 32.
+    resid = batch.astype(np.float64)  # [B, K, d]
+    resid -= c
     dist = _norms(resid)
     active = dist > m1
-    safe = np.where(dist > 0, dist, 1.0)
-    unit = resid / safe[:, :, None]
-    if not active.all():  # multiplying by an all-True mask changes nothing
-        unit *= active[:, :, None]
-    grad = -unit.sum(axis=0) / batch.shape[0]
+    resid /= np.where(dist > 0, dist, 1.0)[:, :, None]  # unit directions
+    if np.count_nonzero(active) < active.size:  # an all-True mask changes nothing
+        resid *= active[:, :, None]
+    grad = -resid.sum(axis=0) / batch.shape[0]
 
-    diff, pdist, pactive = _pair_hinges(c, m2)
-    if not pactive.any():  # the pair term would add -0.0 everywhere
+    diff, pdist = _pair_dists(c)
+    pactive = (pdist < m2) & off_diagonal
+    if not np.count_nonzero(pactive):  # the pair term would add -0.0 everywhere
         return grad
     psafe = np.where(pdist > 0, pdist, 1.0)
     punit = np.where(pactive[:, :, None] & (pdist[:, :, None] > 0),
@@ -155,6 +162,18 @@ def mcc_gradients(batch: np.ndarray, centers: PrototypeCenters,
     return grad
 
 
+def mcc_gradients(batch: np.ndarray, centers: PrototypeCenters,
+                  m1: float, m2: float) -> np.ndarray:
+    """Gradient of :func:`mcc_loss` with respect to the centers, [K, d_f].
+
+    Hinge derivatives are taken as 0 at the kink; the unit direction between
+    coincident centers is taken as the zero vector.
+    """
+    batch = _check_batch(batch, centers, dtype=None)
+    k = centers.centers.shape[0]
+    return _gradient(batch, centers.centers, m1, m2, ~np.eye(k, dtype=bool))
+
+
 def descend(ds: PartFeatureDataset, cfg: McmConfig,
             init: PrototypeCenters | None = None):
     """Mini-batch gradient descent on the MCC loss, as a generator.
@@ -162,52 +181,165 @@ def descend(ds: PartFeatureDataset, cfg: McmConfig,
     Centers start at the per-part feature means plus seeded jitter unless
     ``init`` is given. Yields the [K, d_f] float64 centers before the first
     epoch and after each of the ``cfg.epochs`` epochs, ``epochs + 1`` arrays
-    that are never written to afterwards. Computes no loss. Deterministic
-    per cfg.seed.
+    that are never written to afterwards. Computes no loss and calls no
+    BLAS routine. Deterministic per cfg.seed.
     """
-    feats = ds.part_features.astype(np.float64)
+    feats = ds.part_features  # float32: each step upcasts only its batch
     rng = np.random.default_rng(cfg.seed)
     if init is not None:
         c = init.centers.copy()
     else:
-        c = feats.mean(axis=0) + 0.01 * rng.standard_normal((ds.n_parts, ds.feat_dim))
+        c = (feats.astype(np.float64).mean(axis=0)
+             + 0.01 * rng.standard_normal((ds.n_parts, ds.feat_dim)))
     yield c
+    off_diagonal = ~np.eye(ds.n_parts, dtype=bool)
     n = ds.n_samples
     for _ in range(cfg.epochs):
         # Indexing each batch out of feats measured faster than making one
         # shuffled copy of feats per epoch (a fresh multi-MB allocation).
         order = rng.permutation(n)
-        # A diverging step overflows; best_epoch reports it as a typed error.
-        with np.errstate(over="ignore"):
+        # A diverging step overflows, and later steps then meet inf - inf;
+        # best_epoch reports the snapshot as a typed error.
+        with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, cfg.batch_size):
-                idx = order[start:start + cfg.batch_size]
-                g = mcc_gradients(feats[idx], PrototypeCenters(c), cfg.m1, cfg.m2)
-                c = c - cfg.lr * g
+                batch = feats[order[start:start + cfg.batch_size]]
+                c = c - cfg.lr * _gradient(batch, c, cfg.m1, cfg.m2, off_diagonal)
         yield c
+
+
+def _loss_bounds(feats: np.ndarray, cs: np.ndarray, m1: float, m2: float):
+    """Bounds ``(lo, hi)``, each [G], on the value ``mcc_loss(feats, c, m1, m2)``
+    returns for each snapshot ``c`` of ``cs [G, K, d_f]``, from one batched
+    Gram ``matmul`` per row block of ``feats [n, K, d_f]``.
+
+    With u the unit roundoff and S = |f|^2 + |c|^2 for one feature f and its
+    center c, ``gram = |f|^2 + |c|^2 - 2 f.c`` lies within (2d + 3) u S of the
+    exact s = |f - c|^2 in any summation order, to first order; ``band =
+    4 (d + 3) u S + _TINY`` holds it with room for the second-order terms and
+    for underflow, as ``mining._sq_dist_blocks`` argues. So the hinge
+    h = [sqrt(s) - m1]_+ lies between [sqrt(gram - band) - m1]_+ and
+    [sqrt(gram + band) - m1]_+ (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 3).
+
+    Where ``sqrt(gram + band) * grow <= m1`` the hinge is 0, and so is the
+    value :func:`mcc_loss` computes for it: its distance is within
+    (d/2 + 2) u of sqrt(s), relatively. Every other ("live") hinge it
+    computes within (d + 6) u (sqrt(gram + band) + m1) of h, and its two
+    sums and the division add (n + K + 1) u of T = (1/n) sum over live
+    hinges of (sqrt(gram + band) + m1); the bounds' own sums of nK terms
+    add (nK + 4) u T. ``err = 4 (nK + d + 8) u T`` covers both twice, since
+    n + K <= nK + 1. So its intra term lies in [low - err, high + err], and
+    because rounding is monotone, the loss, that term plus the pair term
+    rounded once, lies in [lo, hi]. Where no hinge is live, err is 0 and
+    lo == hi is the loss itself. No overflow: :func:`best_epoch` scores
+    larger centers exactly.
+    """
+    n, k, d = feats.shape
+    scale = 4.0 * (d + 3) * _UNIT_ROUNDOFF
+    grow = 1.0 + 2.0 * (d + 8) * _UNIT_ROUNDOFF
+    csq = np.einsum("gkd,gkd->kg", cs, cs)[:, None, :]  # [K, 1, G]
+    ct = np.ascontiguousarray(cs.transpose(1, 2, 0))  # [K, d, G]
+    sums = np.zeros((3, len(cs)))  # low hinges, high hinges, T; per snapshot
+    buffer = np.empty((k, min(n, _LOSS_ROWS), d))
+    for start in range(0, n, _LOSS_ROWS):
+        f = buffer[:, :min(_LOSS_ROWS, n - start)]
+        np.copyto(f, feats[start:start + _LOSS_ROWS].transpose(1, 0, 2))
+        norms = np.einsum("krd,krd->kr", f, f)[:, :, None] + csq  # [K, r, G]
+        gram = f @ ct
+        gram *= 2.0
+        np.subtract(norms, gram, out=gram)
+        band = np.multiply(norms, scale, out=norms)
+        band += _TINY
+        high = np.sqrt(gram + band)
+        gram -= band
+        low = np.sqrt(np.maximum(gram, 0.0, out=gram), out=gram)
+        live = high * grow > m1
+        sums[0] += np.maximum(low - m1, 0.0).sum(axis=(0, 1))
+        sums[2] += np.where(live, high + m1, 0.0).sum(axis=(0, 1))
+        high -= m1
+        sums[1] += np.maximum(high, 0.0, out=high).sum(axis=(0, 1))
+    low, high, t = sums / n
+    err = 4.0 * (n * k + d + 8) * _UNIT_ROUNDOFF * t
+    pair = np.array([_pair_term(c, m2) for c in cs])
+    return np.maximum(low - err, 0.0) + pair, (high + err) + pair
 
 
 def best_epoch(ds: PartFeatureDataset, cfg: McmConfig,
                trajectory) -> PrototypeCenters:
     """The lowest full-data-loss centers of ``trajectory``, the snapshots
-    that :func:`descend` yields, scored one at a time as they arrive.
+    that :func:`descend` yields, read one at a time as they arrive.
+
+    The snapshots are scored in groups of ``_GROUP``. :func:`_loss_bounds`
+    brackets the loss of each, and in epoch order only those whose lower
+    bound reaches both the best exact loss so far and the group's smallest
+    upper bound are scored exactly by :func:`mcc_loss`. No other snapshot
+    can have a lower loss, so the first lowest-loss snapshot wins, as if
+    every one had been scored exactly. A snapshot that is not finite, or
+    whose magnitude could overflow the loss, is scored exactly as it is
+    read, after the group before it.
 
     Raises :class:`DivergenceError` at the first non-finite loss after an
-    epoch. The first snapshot (the start) is never refused, so the result's
-    loss never exceeds the start's.
+    epoch, without reading further. The first snapshot (the start) is never
+    refused, so the result's loss never exceeds the start's.
     """
-    best = best_loss = None
-    for epoch, c in enumerate(trajectory, -1):
+    feats = ds.part_features
+    best, best_loss, exact_calls = None, np.inf, 0
+    group = []  # (epoch, centers) not yet scored
+
+    def diverged(epoch):
+        return DivergenceError(
+            f"non-finite MCC loss at epoch {epoch} (lr={cfg.lr})",
+            epoch=epoch, lr=cfg.lr)
+
+    def exact(epoch, c):
+        nonlocal exact_calls
+        exact_calls += 1
         with np.errstate(over="ignore"):
-            loss = mcc_loss(ds.part_features, PrototypeCenters(c), cfg.m1, cfg.m2)
+            loss = mcc_loss(feats, PrototypeCenters(c), cfg.m1, cfg.m2)
+        if epoch >= 0 and not np.isfinite(loss):
+            raise diverged(epoch)
+        return loss
+
+    def consider(epoch, c, loss):
+        nonlocal best, best_loss
         if epoch >= 0:
-            if not np.isfinite(loss):
-                raise DivergenceError(
-                    f"non-finite MCC loss at epoch {epoch} (lr={cfg.lr})",
-                    epoch=epoch, lr=cfg.lr,
-                )
             log.debug("epoch %d: mcc loss %.6g", epoch, loss)
         if best is None or loss < best_loss:
             best, best_loss = c, loss
+
+    def settle():
+        if not group:
+            return
+        lo, hi = _loss_bounds(feats, np.stack([c for _, c in group]),
+                              cfg.m1, cfg.m2)
+        limit = hi.min()
+        for (epoch, c), low, high in zip(group, lo, hi):
+            if low <= min(best_loss, limit):
+                consider(epoch, c, exact(epoch, c))
+            elif epoch >= 0:
+                log.debug("epoch %d: mcc loss in [%.6g, %.6g]", epoch, low, high)
+        group.clear()
+
+    epoch = -2  # the start is epoch -1
+    for epoch, c in enumerate(trajectory, -1):
+        c = np.asarray(c, dtype=np.float64)
+        if c.shape != feats.shape[1:]:
+            raise ValidationError(f"centers of shape {c.shape} do not match "
+                                  f"the parts' {feats.shape[1:]}")
+        if np.abs(c).max() <= _SCREEN:
+            group.append((epoch, c))
+            if len(group) == _GROUP:
+                settle()
+            continue
+        # Not finite, or too large to bound: scored now, so that a divergence
+        # is raised before the next snapshot is read.
+        if epoch >= 0 and not np.isfinite(c).all():
+            raise diverged(epoch)
+        loss = exact(epoch, c)  # refuses a non-finite start as invalid centers
+        settle()
+        consider(epoch, c, loss)
+    settle()
+    log.debug("scored %d snapshots, %d of them exactly", epoch + 2, exact_calls)
     # A copy: a snapshot read from the fit pipe is a read-only view of its bytes.
     return PrototypeCenters(np.array(best, dtype=np.float64))
 

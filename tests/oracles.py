@@ -17,7 +17,9 @@ full residual, every gradient recomputed); the fast loops must reproduce
 them bit for bit. ``reference_merge_centroids`` is the straightforward form
 of the Ward merge (separate one-entry, no-merge and rebuild returns, set
 members, a loop that tests for a live pair on its own); ``merge_centroids``
-must reproduce it bit for bit. ``pack_container`` builds the binary artifact container
+must reproduce it bit for bit. ``reference_best_epoch`` scores every
+snapshot of a trajectory exactly, where ``best_epoch`` bounds them first.
+``pack_container`` builds the binary artifact container
 field by field from its documented layout.
 """
 
@@ -30,10 +32,12 @@ import numpy as np
 
 from conceptmine.cav import _unit_rows, compute_cav, compute_cav_batch
 from conceptmine.dataset import PartFeatureDataset, split_kfold, subset
+from conceptmine.errors import DivergenceError
 from conceptmine.head import (_MAX_HALVINGS, SparseHead, _smooth_objective_and_grads,
                               concept_contributions, head_forward, predict,
                               soft_threshold)
 from conceptmine.mining import ConceptBook, ConceptEntry, MergeConfig, mine_concepts
+from conceptmine.partproto import PrototypeCenters, mcc_loss
 from conceptmine.xaimetrics import _cells, faithfulness, hungarian
 
 
@@ -472,6 +476,27 @@ def reference_fit_prototype_centers(ds, cfg, init=None):
             best_loss = loss
             best = c.copy()
     return best
+
+
+def reference_best_epoch(ds, cfg, trajectory):
+    """The first lowest-``mcc_loss`` snapshot of ``trajectory``, scoring every
+    one on the full data as it is read. A non-finite snapshot or loss after
+    the start raises DivergenceError at once; a non-finite start raises
+    ValidationError, and a finite start is kept whatever its loss."""
+    best = best_loss = None
+    for epoch, c in enumerate(trajectory, -1):
+        if epoch >= 0 and not np.isfinite(c).all():
+            loss = math.nan
+        else:
+            with np.errstate(over="ignore"):
+                loss = mcc_loss(ds.part_features, PrototypeCenters(c), cfg.m1, cfg.m2)
+        if epoch >= 0 and not np.isfinite(loss):
+            raise DivergenceError(
+                f"non-finite MCC loss at epoch {epoch} (lr={cfg.lr})",
+                epoch=epoch, lr=cfg.lr)
+        if best is None or loss < best_loss:
+            best, best_loss = c, loss
+    return PrototypeCenters(np.array(best, dtype=np.float64))
 
 
 def reference_train_head(cavs, gs, labels, cfg, on_epoch=None):

@@ -207,8 +207,9 @@ def test_trajectory_larger_than_the_pipe(tiny, tmp_path, monkeypatch):
 
 
 def test_parent_memory_does_not_grow_with_epochs(tiny, tmp_path):
-    """The parent scores one snapshot at a time: a 3,000-epoch trajectory
-    (387 KB on the pipe) costs it no more memory than a 10-epoch one."""
+    """The parent scores one group of snapshots at a time: a 3,000-epoch
+    trajectory (387 KB on the pipe) costs it no more memory than a 10-epoch
+    one."""
     peaks = []
     for epochs in (10, 10, 3000):  # the first run warms up; its peak is unused
         cfg = PipelineConfig(stability_k=2, head=HeadTrainConfig(epochs=3),

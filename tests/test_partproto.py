@@ -1,17 +1,22 @@
+import logging
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conceptmine.dataset import PartFeatureDataset, SyntheticSpec, generate_synthetic
 from conceptmine.errors import DivergenceError, FormatError, ValidationError
-from conceptmine.partproto import (McmConfig, PrototypeCenters, best_epoch,
-                                   descend, fit_prototype_centers, load_centers,
+from conceptmine.partproto import (_GROUP, _LOSS_ROWS, McmConfig, PrototypeCenters,
+                                   _loss_bounds, best_epoch, descend,
+                                   fit_prototype_centers, load_centers,
                                    mcc_gradients, mcc_loss, save_centers)
 from oracles import (central_difference_grad, mcc_instance_away_from_kinks,
-                     mcc_loss_reference, reference_fit_prototype_centers,
-                     unblocked_mcc_loss)
+                     mcc_loss_reference, reference_best_epoch,
+                     reference_fit_prototype_centers, unblocked_mcc_loss)
 
 random_instance = mcc_instance_away_from_kinks
 
@@ -295,6 +300,118 @@ class TestDescentAndScoring:
         with pytest.raises(DivergenceError, match="at epoch 1 ") as info:
             best_epoch(ds, McmConfig(lr=0.5), trajectory())
         assert (info.value.epoch, info.value.lr, len(seen)) == (1, 0.5, 3)
+
+
+@st.composite
+def scoring_cases(draw):
+    """A dataset, a config and a trajectory that stress the bounded scoring:
+    exact ties and one-ulp neighbours, Gram cancellation (everything shifted
+    by 1e6), margins that leave every hinge inactive (the bounds then meet),
+    d_f = 1, K = 1, a sample count that is not a multiple of the row block,
+    more snapshots than one group, and a huge, an infinite or a NaN one."""
+    n = draw(st.sampled_from([1, 7, _LOSS_ROWS + 9]))
+    k = draw(st.sampled_from([1, 2, 3]))
+    d = draw(st.sampled_from([1, 2, 5]))
+    shift = draw(st.sampled_from([0.0, 1e6]))
+    spread = draw(st.sampled_from([0.01, 1.0]))
+    cfg = McmConfig(m1=draw(st.sampled_from([0.0, 0.3, 1.0])),
+                    m2=draw(st.sampled_from([0.0, 1.5, 50.0])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    feats = (shift + spread * rng.standard_normal((n, k, d))).astype(np.float32)
+    ds = PartFeatureDataset(feats, np.zeros((n, d)), np.zeros(n), 1)
+    mean = feats.astype(np.float64).mean(axis=0)
+    snapshots = []
+    for _ in range(draw(st.integers(1, 2 * _GROUP + 3))):
+        kind = draw(st.sampled_from(["fresh", "repeat", "ulp"]) if snapshots
+                    else st.just("fresh"))
+        if kind == "fresh":
+            jitter = draw(st.sampled_from([1e-6, 1e-3, 0.1]))
+            snapshots.append(mean + jitter * spread * rng.standard_normal((k, d)))
+        else:
+            base = snapshots[draw(st.integers(0, len(snapshots) - 1))]
+            if kind == "ulp":
+                base = np.nextafter(base, draw(st.sampled_from([np.inf, -np.inf])))
+            snapshots.append(base.copy())
+    special = draw(st.sampled_from([None, None, 1e300, np.inf, np.nan]))
+    if special is not None:
+        at = draw(st.integers(0, len(snapshots) - 1))
+        snapshots[at] = np.full((k, d), special)
+    return ds, cfg, snapshots
+
+
+def outcome(score, ds, cfg, snapshots):
+    """What ``score`` returns or raises on the snapshots, and how many of
+    them it read."""
+    read = []
+
+    def trajectory():
+        for c in snapshots:
+            read.append(c)
+            yield c
+
+    try:
+        with np.errstate(invalid="ignore"):
+            result = score(ds, cfg, trajectory()).centers.tobytes()
+    except (DivergenceError, ValidationError) as e:
+        result = (type(e), str(e), getattr(e, "epoch", None))
+    return result, len(read)
+
+
+class TestBoundedScoring:
+    @settings(max_examples=300, deadline=None)
+    @given(scoring_cases())
+    def test_matches_scoring_every_snapshot(self, case):
+        assert outcome(best_epoch, *case) == outcome(reference_best_epoch, *case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(scoring_cases())
+    def test_bounds_hold_the_loss(self, case):
+        ds, cfg, snapshots = case
+        finite = [c for c in snapshots if np.abs(c).max() <= 1e6 + 1]
+        if finite:
+            lo, hi = _loss_bounds(ds.part_features, np.stack(finite), cfg.m1, cfg.m2)
+            losses = [mcc_loss(ds.part_features, PrototypeCenters(c), cfg.m1, cfg.m2)
+                      for c in finite]
+            assert (lo <= losses).all() and (losses <= hi).all()
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_snapshot_is_a_divergence(self, planted, value):
+        ds, _ = planted()
+        ok = np.zeros((ds.n_parts, ds.feat_dim))
+        bad = ok.copy()
+        bad[-1, -1] = value
+        for snapshot in (np.full_like(ok, value), bad):
+            with pytest.raises(DivergenceError, match="at epoch 0 ") as info:
+                best_epoch(ds, McmConfig(), iter([ok, snapshot]))
+            assert (info.value.epoch, info.value.lr) == (0, 0.05)
+
+    def test_snapshot_of_another_shape_refused(self, planted):
+        ds, _ = planted()
+        ok = np.zeros((ds.n_parts, ds.feat_dim))
+        with pytest.raises(ValidationError, match="do not match"):
+            best_epoch(ds, McmConfig(), iter([ok, ok[:, :-1]]))
+
+    def test_debug_lines_give_exact_losses_and_bounds(self, planted, caplog):
+        ds, _ = planted()
+        cfg = McmConfig(epochs=2 * _GROUP)
+        with caplog.at_level(logging.DEBUG, logger="conceptmine.partproto"):
+            got = best_epoch(ds, cfg, descend(ds, cfg))
+        *lines, summary = [r.getMessage() for r in caplog.records
+                           if r.name == "conceptmine.partproto"]
+        total, exact = map(int, re.fullmatch(
+            r"scored (\d+) snapshots, (\d+) of them exactly", summary).groups())
+        assert total == 2 * _GROUP + 1 and 1 <= exact < total
+        exact_lines = 0
+        for epoch, line in enumerate(lines):
+            bounded = re.fullmatch(rf"epoch {epoch}: mcc loss in \[(\S+), (\S+)\]", line)
+            if bounded:
+                assert float(bounded[1]) <= float(bounded[2])
+            else:
+                assert re.fullmatch(rf"epoch {epoch}: mcc loss \S+", line)
+                exact_lines += 1
+        assert len(lines) == 2 * _GROUP and exact_lines in (exact - 1, exact)
+        assert f"mcc loss {mcc_loss(ds.part_features, got, cfg.m1, cfg.m2):.6g}" \
+            in caplog.text
 
 
 class TestCentersIo:
