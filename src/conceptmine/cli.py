@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import functools
 import logging
@@ -164,13 +165,22 @@ def _given(values, cls) -> dict:
             if f.name not in _SECTIONS and values.get(f.name) is not None}
 
 
-# Record tags on the fit pipe: a snapshot is its tag and the raw float64
-# bytes of one [K, d_f] centers array; the last record is its tag and a
-# pickled ("ok" | "err", None | error, fit_s).
-_SNAPSHOT, _RESULT = b"c", b"r"
 # Pipe capacity asked for: Linux's default cap for unprivileged processes.
-# With the default 64 KiB a pipeline-M child blocks after about 21 epochs.
+# With the default 64 KiB a pipeline-M child blocks after about 20 epochs.
 _PIPE_BYTES = 1 << 20
+
+
+@contextlib.contextmanager
+def _stage(name: str):
+    """Run the body as stage ``name``: its :class:`ConceptMineError` is
+    re-raised as a copy that keeps its type and attributes (such as
+    ``DivergenceError.epoch``) and whose message starts ``stage <name>: ``."""
+    try:
+        yield
+    except ConceptMineError as e:
+        err = copy.copy(e)
+        err.args = (f"stage {name}: {e}",)
+        raise err from e
 
 
 def _start_fit(ds: PartFeatureDataset, mcm: McmConfig):
@@ -178,10 +188,11 @@ def _start_fit(ds: PartFeatureDataset, mcm: McmConfig):
     fitted centers or raises the fit's error unchanged; ``collect(kill=True)``
     ends the fit and returns None.
 
-    A forked child runs only :func:`descend` and sends each snapshot down a
-    pipe. ``collect`` scores them with :func:`best_epoch` as it reads them,
-    so this process holds one group of snapshots at a time and the pipe's
-    capacity bounds the child's lead. A divergence found here kills the child and
+    A forked child runs only :func:`descend` and pickles each snapshot down
+    a pipe, then its error (or None) and its descent time. ``collect``
+    scores the snapshots with :func:`best_epoch` as it reads them, so this
+    process holds one group of snapshots at a time and the pipe's capacity
+    bounds the child's lead. A divergence found here kills the child and
     wins over any error the child raised after it. Where ``os.fork`` does
     not exist the fit runs now.
     """
@@ -202,21 +213,18 @@ def _start_fit(ds: PartFeatureDataset, mcm: McmConfig):
             os.close(read_end)
             start = time.perf_counter()
             with open(write_end, "wb") as fh:
+                error = None
                 try:
                     for c in descend(ds, mcm):
-                        fh.write(_SNAPSHOT + c.tobytes())
+                        pickle.dump(c, fh)
                         fh.flush()
-                    result = ("ok", None)
                 except Exception as e:
-                    result = ("err", e)
-                fh.write(_RESULT)
-                pickle.dump((*result, time.perf_counter() - start), fh)
+                    error = e
+                pickle.dump((error, time.perf_counter() - start), fh)
             code = 0
         finally:  # never return into the caller's stack or flush its stdio
             os._exit(code)
     os.close(write_end)
-    shape = (ds.n_parts, ds.feat_dim)
-    size = 8 * ds.n_parts * ds.feat_dim
     status = None
 
     def reap(kill):
@@ -228,15 +236,10 @@ def _start_fit(ds: PartFeatureDataset, mcm: McmConfig):
         return status
 
     def trajectory(fh, start):
-        while (tag := fh.read(1)) == _SNAPSHOT:
-            snapshot = fh.read(size)
-            if len(snapshot) < size:
-                break
-            yield np.frombuffer(snapshot).reshape(shape)
-        try:  # bytes our own child wrote: none, cut off, or a whole result
-            if tag != _RESULT:
-                raise EOFError
-            kind, value, fit_s = pickle.loads(fh.read())
+        try:  # what our own child wrote: snapshots, then a result unless cut off
+            while isinstance(msg := pickle.load(fh), np.ndarray):
+                yield msg
+            error, fit_s = msg
         except Exception:
             code = os.waitstatus_to_exitcode(reap(kill=False))
             how = f"signal {-code}" if code < 0 else f"exit status {code}"
@@ -245,8 +248,8 @@ def _start_fit(ds: PartFeatureDataset, mcm: McmConfig):
         reap(kill=False)
         log.debug("fit-centers: %.3f s in the child, %.3f s waited for it",
                   fit_s, time.perf_counter() - start)
-        if kind == "err":
-            raise value
+        if error is not None:
+            raise error
 
     def collect(kill=False):
         fh = open(read_end, "rb")
@@ -268,28 +271,28 @@ def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> d
     epochs at ``beta * lr``. Nothing but the centers file reads the
     centers, so a forked child runs their descent (:func:`_start_fit`)
     while this process mines, trains and scores the run; this process then
-    scores the child's epochs, keeps the best and writes every file. The stability folds are checked before any costly stage runs or
-    ``outdir`` is created.
+    scores the child's epochs, keeps the best and writes every file. The
+    stability folds are checked before any costly stage runs or ``outdir``
+    is created. An error names the stage it came from (:func:`_stage`).
     """
     cfg_dict = cfg.to_dict()
     h = config_hash(cfg_dict)
 
-    stage = "preflight"
-    try:
+    with _stage("preflight"):
         if ds.n_classes < 2:
             raise ValidationError(
                 f"consistency needs at least 2 classes, got {ds.n_classes}")
         split_kfold(ds, cfg.stability_k, cfg.seed)
         outdir.mkdir(parents=True, exist_ok=True)
 
-        stage = "fit-centers"
+    with _stage("fit-centers"):
         collect = _start_fit(ds, cfg.mcm)
-        try:
-            stage = "mine"
+    try:
+        with _stage("mine"):
             book = mine_concepts(ds, cfg.mining)
             z, g = compute_cav_batch(ds, book)
 
-            stage = "train"
+        with _stage("train"):
             objectives = []
 
             def on_epoch(epoch, objective, step, pre_prox, w1):
@@ -299,23 +302,22 @@ def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> d
                               replace(cfg.head, lr=cfg.head.beta * cfg.head.lr),
                               on_epoch)
 
-            stage = "metrics"
+        with _stage("metrics"):
             report = metric_report(ds, z, g, book, head, cfg.stability_k,
                                    cfg.mining, cfg.seed,
                                    list(cfg.faithfulness_ns), cfg_dict)
-        except Exception:
-            # The fit stage comes first, so its error wins over this one.
-            failed, stage = stage, "fit-centers"
+    except Exception:
+        # The fit stage comes first, so its error wins over this one.
+        with _stage("fit-centers"):
             collect()
-            stage = failed
-            raise
-        except BaseException:  # an interrupt ends the fit without waiting
-            collect(kill=True)
-            raise
-        stage = "fit-centers"
+        raise
+    except BaseException:  # an interrupt ends the fit without waiting
+        collect(kill=True)
+        raise
+    with _stage("fit-centers"):
         centers = collect()
 
-        stage = "write-artifacts"
+    with _stage("write-artifacts"):
         meta = {"config_hash": h, **asdict(cfg.mining)}
         save_centers(centers, outdir / "centers.pcmc", "pcmc")
         for fmt in ("json", "pcmb"):
@@ -345,11 +347,7 @@ def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> d
             },
         }
         write_json(outdir / "manifest.json", manifest, indent=2)
-        return manifest
-    except ConceptMineError as e:
-        err = copy.copy(e)  # keeps attributes such as DivergenceError.epoch
-        err.args = (f"stage {stage}: {e}",)
-        raise err from e
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +386,11 @@ def _load_pipeline_config(args) -> PipelineConfig:
 
 def cmd_pipeline(args) -> int:
     cfg = _load_pipeline_config(args)
-    try:
-        ds = _load_data(args.data)
-    except (ConceptMineError, OSError) as e:
-        raise ValidationError(f"stage load-data: {e}") from e
+    with _stage("load-data"):
+        try:
+            ds = _load_data(args.data)
+        except OSError as e:
+            raise ValidationError(str(e)) from e
     manifest = run_pipeline(ds, cfg, Path(args.output))
     acc = manifest["accuracies"]["full"]
     print(f"pipeline done: d_c={manifest['d_c']}, "

@@ -85,12 +85,10 @@ def _pair_dists(centers: np.ndarray):
     return diff, _norms(diff)
 
 
-def _check_batch(batch, centers: PrototypeCenters,
-                 dtype=np.float64) -> np.ndarray:
-    """The batch as a [B, K, d_f] array of ``dtype`` (None keeps its own),
-    refusing an empty batch or one whose per-sample shape is not the
-    centers' shape."""
-    batch = np.asarray(batch, dtype=dtype)
+def _check_batch(batch, centers: PrototypeCenters) -> np.ndarray:
+    """The batch as a [B, K, d_f] array of its own dtype, refusing an empty
+    batch or one whose per-sample shape is not the centers' shape."""
+    batch = np.asarray(batch)
     if batch.ndim != 3 or batch.shape[0] == 0:
         raise ValidationError(f"empty or malformed batch of shape {batch.shape}")
     if batch.shape[1:] != centers.centers.shape:
@@ -117,7 +115,7 @@ def mcc_loss(batch: np.ndarray, centers: PrototypeCenters,
     residual buffer, so a large batch never allocates its full
     [B, K, d_f] residual or float64 copy.
     """
-    batch = _check_batch(batch, centers, dtype=None)
+    batch = _check_batch(batch, centers)
     c = centers.centers
     n = batch.shape[0]
 
@@ -169,7 +167,7 @@ def mcc_gradients(batch: np.ndarray, centers: PrototypeCenters,
     Hinge derivatives are taken as 0 at the kink; the unit direction between
     coincident centers is taken as the zero vector.
     """
-    batch = _check_batch(batch, centers, dtype=None)
+    batch = _check_batch(batch, centers)
     k = centers.centers.shape[0]
     return _gradient(batch, centers.centers, m1, m2, ~np.eye(k, dtype=bool))
 
@@ -189,7 +187,7 @@ def descend(ds: PartFeatureDataset, cfg: McmConfig,
     if init is not None:
         c = init.centers.copy()
     else:
-        c = (feats.astype(np.float64).mean(axis=0)
+        c = (feats.mean(axis=0, dtype=np.float64)
              + 0.01 * rng.standard_normal((ds.n_parts, ds.feat_dim)))
     yield c
     off_diagonal = ~np.eye(ds.n_parts, dtype=bool)

@@ -10,7 +10,7 @@ import pytest
 from conceptmine.cav import compute_cav_batch
 from conceptmine.cli import (PipelineConfig, _given, build_parser, main,
                              pipeline_config_from_dict, run_pipeline)
-from conceptmine.errors import ValidationError
+from conceptmine.errors import FormatError, ValidationError
 from conceptmine.dataset import (SyntheticSpec, generate_synthetic,
                                  load_dataset, save_dataset)
 from conceptmine.head import HeadTrainConfig, save_head, train_head
@@ -214,6 +214,26 @@ class TestPipeline:
         rc = run("pipeline", "--data", tmp_path / "nope.pfd", "-o",
                  tmp_path / "x")
         assert rc == 1
+
+    @pytest.mark.parametrize("content, error", [
+        (None, ValidationError), (b"not a dataset", FormatError),
+    ], ids=["missing", "malformed"])
+    def test_load_data_error_names_its_stage(self, tmp_path, capsys, content,
+                                             error):
+        """A file that cannot be opened is a ValidationError; a file that
+        does not parse keeps its own FormatError."""
+        data, out = tmp_path / "d.pfd", tmp_path / "x"
+        if content is not None:
+            data.write_bytes(content)
+        args = build_parser().parse_args(
+            ["pipeline", "--data", str(data), "-o", str(out)])
+        with pytest.raises(error, match="^stage load-data: ") as info:
+            args.func(args)
+        assert type(info.value) is error
+        assert run("pipeline", "--data", data, "-o", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage load-data: ")
+        assert "Traceback" not in err and not out.exists()
 
 
 class TestMineAndTrain:

@@ -113,6 +113,19 @@ def test_child_dying_without_a_result_is_a_typed_error(
     assert why in err and "Traceback" not in err
 
 
+def test_stream_cut_after_snapshots_is_a_typed_error(ds, tmp_path, monkeypatch):
+    def exit_after_snapshots(ds, cfg):
+        yield snapshot_of(ds, 0.0)
+        yield snapshot_of(ds, 0.0)
+        os._exit(3)
+
+    monkeypatch.setattr(cli, "descend", exit_after_snapshots)
+    with pytest.raises(ConceptMineError, match="^stage fit-centers: center "
+                       r"fitting ended without a result \(exit status 3\)$"):
+        run_pipeline(ds, small_config(), tmp_path / "run")
+    assert_no_child()
+
+
 def failing_mine(*args):
     raise ValidationError("bad book")
 
@@ -135,6 +148,22 @@ def test_fit_error_wins_over_a_later_stage_error(ds, tmp_path, monkeypatch):
         run_pipeline(ds, small_config(), tmp_path / "run")
     assert (info.value.epoch, info.value.lr) == (2, 0.1)
     assert_no_child()
+
+
+@pytest.mark.parametrize("name, stage", [
+    ("train_head", "train"), ("metric_report", "metrics"),
+    ("save_report", "write-artifacts"),
+])
+def test_later_stage_error_names_its_stage_once(ds, tmp_path, monkeypatch,
+                                                fit_mode, name, stage):
+    def fail(*args, **kwargs):
+        raise ValidationError("x")
+
+    monkeypatch.setattr(cli, name, fail)
+    with pytest.raises(ValidationError, match=f"^stage {stage}: x$"):
+        run_pipeline(ds, small_config(), tmp_path / "run")
+    assert_no_child()
+    assert not (tmp_path / "run" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
@@ -164,8 +193,8 @@ def test_debug_line_reports_the_fit_and_the_wait(ds, tmp_path, caplog):
     assert line.startswith("fit-centers: ") and line.endswith(" s waited for it")
 
 
-# K=2, d_f=8: each snapshot is 129 bytes on the pipe, so this many epochs send
-# more than the 1 MiB the pipe is asked to hold.
+# K=2, d_f=8: each pickled snapshot is 278 bytes on the pipe, so this many
+# epochs send 2.39 MiB, more than the 1 MiB the pipe is asked to hold.
 LONG_EPOCHS = 9000
 
 
@@ -208,7 +237,7 @@ def test_trajectory_larger_than_the_pipe(tiny, tmp_path, monkeypatch):
 
 def test_parent_memory_does_not_grow_with_epochs(tiny, tmp_path):
     """The parent scores one group of snapshots at a time: a 3,000-epoch
-    trajectory (387 KB on the pipe) costs it no more memory than a 10-epoch
+    trajectory (834 KB on the pipe) costs it no more memory than a 10-epoch
     one."""
     peaks = []
     for epochs in (10, 10, 3000):  # the first run warms up; its peak is unused

@@ -255,6 +255,24 @@ class TestDescentAndScoring:
         first = next(descend(ds, McmConfig(epochs=2), PrototypeCenters(init)))
         assert first.tobytes() == init.tobytes()
 
+    def test_descend_start_makes_no_float64_copy(self):
+        # pipeline-M size. The start is the float64 mean of the float32
+        # features bit for bit, reduced without a float64 copy of them.
+        rng = np.random.default_rng(2)
+        feats = rng.normal(size=(2000, 6, 64)).astype(np.float32)
+        ds = PartFeatureDataset(feats, feats[:, 0], np.arange(2000) % 2, 2)
+        copy_bytes = feats.size * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            start = next(descend(ds, McmConfig(seed=5)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < copy_bytes
+        jitter = 0.01 * np.random.default_rng(5).standard_normal((6, 64))
+        assert start.tobytes() == \
+            (feats.astype(np.float64).mean(axis=0) + jitter).tobytes()
+
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("regime", sorted(FIT_REGIMES))
     def test_best_epoch_of_descend_matches_reference(self, planted, seed, regime):
