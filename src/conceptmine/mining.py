@@ -129,41 +129,54 @@ class MergeConfig:
 
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_TINY = 2.0 ** -900  # exceeds any underflow error of a squared distance
 # Entries of the largest float or int temporary of one block of the kernel
 # below; it sets how many cells share a batch and how many rows of one large
 # cell share a row block.
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _sq_dist_blocks(x: np.ndarray, counts: np.ndarray):
-    """Row blocks ``(lo, gram, band)`` of the squared-distance matrices of a
-    zero-padded batch of cells ``x [B, m, d]``, cell b holding its first
-    ``counts[b]`` rows; entries that involve a padding row are ``inf``.
+def _gram_band(a: np.ndarray, bt: np.ndarray, a_sq: np.ndarray, b_sq: np.ndarray):
+    """``gram = a_sq + b_sq - 2 a @ bt``, the squared distances between the
+    rows of ``a [..., r, d]`` and the columns of ``bt [..., d, c]`` from
+    their squared norms ``a_sq [..., r, 1]`` and ``b_sq [..., 1, c]``, and a
+    ``band >= |gram - direct|`` for the float64 direct sum
+    ``sum((a_i - b_j) ** 2)`` in any summation order.
 
-    ``gram[b, r, j] = |x_i|^2 + |x_j|^2 - 2 x_i . x_j`` (i = lo + r) lies
-    within ``band`` of the direct sum ``sum((x_i - x_j) ** 2)``: the
-    dot-product error bound gives ``|gram - exact| <= (2d + 3) u S`` and
-    ``|direct - exact| <= (2d + 4) u S`` to first order, with
-    ``S = |x_i|^2 + |x_j|^2`` and unit roundoff u. ``band = 4 (d + 3) u S``
-    keeps 5uS to spare for the second-order terms, the computed norms and
-    the comparisons against the band (no underflow or overflow assumed).
-    The bound holds for any summation order, so a comparison outside the
-    band is decided as the direct sum decides it, and one inside the band
-    is decided by :func:`_exact_sq_dists`.
+    With S = |a_i|^2 + |b_j|^2 and unit roundoff u, to first order
+    ``|gram - exact| <= (2d + 3) u S`` and ``|direct - exact| <= (2d + 4) u S``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    ch. 3). ``band = 4 (d + 3) u S + _TINY`` keeps 5uS for the second-order
+    terms, the computed norms and the comparisons against the band, and
+    _TINY for underflow, at most 2^-1075 per operation. S must be finite.
     """
-    b, m, d = x.shape
+    norms = a_sq + b_sq
+    gram = a @ bt
+    gram *= 2.0
+    np.subtract(norms, gram, out=gram)
+    norms *= 4.0 * (a.shape[-1] + 3) * _UNIT_ROUNDOFF
+    norms += _TINY
+    return gram, norms
+
+
+def _sq_dist_blocks(x: np.ndarray, counts: np.ndarray):
+    """Row blocks ``(lo, gram, band)`` of :func:`_gram_band` over a
+    zero-padded batch of cells ``x [B, m, d]``, cell b holding its first
+    ``counts[b]`` rows, with ``inf`` where a padding row is involved. A
+    comparison outside the band is decided as the direct sum decides it, one
+    inside by :func:`_exact_sq_dists`."""
+    b, m, _ = x.shape
     sq = np.einsum("bij,bij->bi", x, x)
     padding = np.arange(m) >= counts[:, None]
-    scale = 4.0 * (d + 3) * _UNIT_ROUNDOFF
+    xt = x.transpose(0, 2, 1)
     step = max(1, _BLOCK_ENTRIES // (b * m))
     for lo in range(0, m, step):
         rows = slice(lo, min(lo + step, m))
-        norms = sq[:, rows, None] + sq[:, None, :]
-        gram = norms - 2.0 * (x[:, rows] @ x.transpose(0, 2, 1))
+        gram, band = _gram_band(x[:, rows], xt, sq[:, rows, None], sq[:, None, :])
         if padding.any():
             np.copyto(gram, np.inf, where=padding[:, None, :])
             np.copyto(gram, np.inf, where=padding[:, rows, None])
-        yield lo, gram, scale * norms
+        yield lo, gram, band
 
 
 def _exact_sq_dists(x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -236,10 +249,7 @@ def _dbscan_cells(x: np.ndarray, counts: np.ndarray,
     b, m, d = x.shape
     # One Gram pass serves both the eps and the neighbor decisions when the
     # whole batch fits in one block; a large cell is passed twice.
-    if b * m * m <= _BLOCK_ENTRIES:
-        blocks = list(_sq_dist_blocks(x, counts))
-    else:
-        blocks = None
+    blocks = list(_sq_dist_blocks(x, counts)) if b * m * m <= _BLOCK_ENTRIES else None
     if mining.eps is None:
         eps = _adaptive_eps(x, counts, blocks or _sq_dist_blocks(x, counts))
         min_pts = np.maximum(3, counts // 20)
@@ -291,14 +301,15 @@ def dbscan(points: np.ndarray, mining: MiningConfig) -> np.ndarray:
     included) are its neighbors. Cluster ids are assigned in first-touch
     order over ascending point index; unreachable non-core points are
     labeled NOISE (-1) and a border point joins the first cluster that
-    reaches it, so the labeling is deterministic.
+    reaches it, so the labeling is deterministic. Points that are not a
+    finite 2-D array raise :class:`ValidationError`.
     """
     points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or not np.isfinite(points).all():
+        raise ValidationError(f"points must be a finite 2-D array, got shape {points.shape}")
     if points.shape[0] == 0:
         return np.full(0, NOISE, dtype=np.int64)
-    labels, _, _ = _dbscan_cells(points[None], np.array([points.shape[0]]),
-                                 mining)
-    return labels[0]
+    return _dbscan_cells(points[None], np.array([len(points)]), mining)[0][0]
 
 
 def mine_concepts(ds: PartFeatureDataset, mining: MiningConfig = MiningConfig(),

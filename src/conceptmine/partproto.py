@@ -24,17 +24,14 @@ import numpy as np
 from .dataset import PartFeatureDataset
 from .errors import (SEED_MAX, DivergenceError, ValidationError, check_int,
                      check_real, read_container, write_container)
+from .mining import _UNIT_ROUNDOFF, _gram_band
 
 log = logging.getLogger(__name__)
 
 CENTERS_MAGIC = b"PCMC"
 _LOSS_ROWS = 256  # samples per block of the full-data loss and its bounds
 _GROUP = 16  # snapshots bounded by one Gram pass over the features
-_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
-# Centers up to _SCREEN in magnitude cannot overflow the loss or its bounds
-# beside float32 features; _TINY exceeds any underflow error of a distance.
-_SCREEN = 2.0 ** 400
-_TINY = 2.0 ** -900
+_SCREEN = 2.0 ** 400  # no larger centers can overflow the loss or its bounds
 
 
 @dataclass
@@ -208,16 +205,11 @@ def descend(ds: PartFeatureDataset, cfg: McmConfig,
 def _loss_bounds(feats: np.ndarray, cs: np.ndarray, m1: float, m2: float):
     """Bounds ``(lo, hi)``, each [G], on the value ``mcc_loss(feats, c, m1, m2)``
     returns for each snapshot ``c`` of ``cs [G, K, d_f]``, from one batched
-    Gram ``matmul`` per row block of ``feats [n, K, d_f]``.
-
-    With u the unit roundoff and S = |f|^2 + |c|^2 for one feature f and its
-    center c, ``gram = |f|^2 + |c|^2 - 2 f.c`` lies within (2d + 3) u S of the
-    exact s = |f - c|^2 in any summation order, to first order; ``band =
-    4 (d + 3) u S + _TINY`` holds it with room for the second-order terms and
-    for underflow, as ``mining._sq_dist_blocks`` argues. So the hinge
-    h = [sqrt(s) - m1]_+ lies between [sqrt(gram - band) - m1]_+ and
-    [sqrt(gram + band) - m1]_+ (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., ch. 3).
+    Gram ``matmul`` per row block of ``feats [n, K, d_f]``. The squared
+    distance s = |f - c|^2 of a feature f and its center c lies within
+    ``band`` of the ``gram`` that :func:`mining._gram_band` gives, so the
+    hinge h = [sqrt(s) - m1]_+ lies between [sqrt(gram - band) - m1]_+
+    and [sqrt(gram + band) - m1]_+.
 
     Where ``sqrt(gram + band) * grow <= m1`` the hinge is 0, and so is the
     value :func:`mcc_loss` computes for it: its distance is within
@@ -233,7 +225,6 @@ def _loss_bounds(feats: np.ndarray, cs: np.ndarray, m1: float, m2: float):
     larger centers exactly.
     """
     n, k, d = feats.shape
-    scale = 4.0 * (d + 3) * _UNIT_ROUNDOFF
     grow = 1.0 + 2.0 * (d + 8) * _UNIT_ROUNDOFF
     csq = np.einsum("gkd,gkd->kg", cs, cs)[:, None, :]  # [K, 1, G]
     ct = np.ascontiguousarray(cs.transpose(1, 2, 0))  # [K, d, G]
@@ -242,12 +233,8 @@ def _loss_bounds(feats: np.ndarray, cs: np.ndarray, m1: float, m2: float):
     for start in range(0, n, _LOSS_ROWS):
         f = buffer[:, :min(_LOSS_ROWS, n - start)]
         np.copyto(f, feats[start:start + _LOSS_ROWS].transpose(1, 0, 2))
-        norms = np.einsum("krd,krd->kr", f, f)[:, :, None] + csq  # [K, r, G]
-        gram = f @ ct
-        gram *= 2.0
-        np.subtract(norms, gram, out=gram)
-        band = np.multiply(norms, scale, out=norms)
-        band += _TINY
+        fsq = np.einsum("krd,krd->kr", f, f)[:, :, None]
+        gram, band = _gram_band(f, ct, fsq, csq)  # [K, r, G]
         high = np.sqrt(gram + band)
         gram -= band
         low = np.sqrt(np.maximum(gram, 0.0, out=gram), out=gram)

@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately use different machinery than the production code:
-DBSCAN via union-find over core points instead of label propagation,
+DBSCAN via union-find over core points instead of label propagation
+(with the neighbor test sqrt(d2) <= eps, or d2 <= eps * eps as written),
 squared distances via the direct n x n x d broadcast instead of the Gram
 form, books and stability mined one cell and one fold at a time instead
 of in batches, assignment via exhaustive permutation search, the minimum
@@ -42,20 +43,34 @@ from conceptmine.xaimetrics import _cells, faithfulness, hungarian
 
 
 def brute_force_dbscan(points, eps, min_pts):
-    """Textbook DBSCAN semantics via distance matrix + union-find.
+    """Textbook DBSCAN semantics via distance matrix + union-find: points
+    are neighbors iff their Euclidean distance is at most ``eps``."""
+    points = np.asarray(points, dtype=np.float64)
+    dist = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
+    return _union_find_dbscan(dist <= eps, min_pts)
+
+
+def squared_rule_dbscan(points, eps, min_pts):
+    """DBSCAN with the neighbor rule ``sum((a - b) ** 2) <= eps * eps`` taken
+    literally on the direct n x n x d broadcast, where
+    :func:`brute_force_dbscan` compares the square root against eps."""
+    points = np.asarray(points, dtype=np.float64)
+    sq = np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    return _union_find_dbscan(sq <= eps * eps, min_pts)
+
+
+def _union_find_dbscan(within, min_pts):
+    """Labels from the n x n neighbor mask ``within``.
 
     Core clusters are connected components of the core-core eps graph,
     numbered by their lowest core index. Border points join the
     earliest-numbered cluster among their core neighbors, which is the
     cluster whose expansion touches them first.
     """
-    points = np.asarray(points, dtype=np.float64)
-    n = len(points)
+    n = len(within)
     labels = np.full(n, -1, dtype=np.int64)
     if n == 0:
         return labels
-    dist = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
-    within = dist <= eps
     core = within.sum(axis=1) >= min_pts
 
     parent = list(range(n))

@@ -1,5 +1,6 @@
 import functools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from conceptmine.mining import (ConceptBook, ConceptEntry, MergeConfig,
 from conceptmine.xaimetrics import stability
 from oracles import (broadcast_adaptive_eps, brute_force_dbscan,
                      canonical_labels, reference_merge_centroids,
-                     reference_mine_concepts, reference_stability)
+                     reference_mine_concepts, reference_stability,
+                     squared_rule_dbscan)
 
 
 class TestDbscan:
@@ -34,6 +36,18 @@ class TestDbscan:
     def test_empty_input(self):
         labels = dbscan(np.zeros((0, 2)), MiningConfig(eps=0.5, min_pts=2))
         assert labels.shape == (0,)
+
+    @pytest.mark.parametrize("points", [
+        np.arange(4.0),
+        np.array([[0.0, 0], [0.1, 0], [np.nan, 0], [0.2, 0]]),
+        np.array([[0.0, 0], [0.1, 0], [0.2, np.inf], [0.2, 0]]),
+    ], ids=["1-D", "nan-row", "inf-row"])
+    def test_refuses_points_not_finite_2d(self, points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mining in (MiningConfig(eps=0.5, min_pts=2), MiningConfig()):
+                with pytest.raises(ValidationError, match="finite 2-D array"):
+                    dbscan(points, mining)
 
     @pytest.mark.parametrize("eps", ["abc", [1], True, None, float("nan"), 0])
     def test_params_refuse_bad_eps(self, eps):
@@ -160,6 +174,21 @@ class TestDistanceKernel:
                     np.testing.assert_array_equal(
                         dbscan(shifted, MiningConfig(eps=eps, min_pts=min_pts)),
                         brute_force_dbscan(shifted, eps, min_pts))
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-161, 1e-162])
+    def test_dbscan_at_subnormal_scales_takes_the_squared_rule(self, scale):
+        # Squared norms here are subnormal or underflow to 0, so the Gram
+        # form loses every relative digit; only the band's absolute term
+        # sends these comparisons to the direct sum.
+        rng = np.random.default_rng(0)
+        for trial in range(100):
+            n, d = int(rng.integers(3, 31)), int(rng.integers(1, 8))
+            pts = scale * rng.standard_normal((n, d))
+            eps = scale * float(rng.uniform(0.2, 2.0))
+            min_pts = int(rng.integers(2, 4))
+            np.testing.assert_array_equal(
+                dbscan(pts, MiningConfig(eps=eps, min_pts=min_pts)),
+                squared_rule_dbscan(pts, eps, min_pts), err_msg=f"trial {trial}")
 
     def test_one_large_cell_memory_bounded(self):
         # The n x n x d broadcast needed 2 x 355 MB here.

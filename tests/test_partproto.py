@@ -392,6 +392,21 @@ class TestBoundedScoring:
                       for c in finite]
             assert (lo <= losses).all() and (losses <= hi).all()
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([1, 7, _LOSS_ROWS + 9]), st.sampled_from([1, 2, 3]),
+           st.sampled_from([1, 2, 5]), st.sampled_from([1e-162, 1e-160, 1e-155]),
+           st.sampled_from([0.0, 1e6]), st.integers(0, 2**32 - 1))
+    def test_bounds_hold_the_loss_near_underflow(self, n, k, d, scale, shift, seed):
+        # float64 features and centers whose squared distances are subnormal
+        # or underflow, with margins at their scale so hinges are live.
+        rng = np.random.default_rng(seed)
+        feats = scale * (shift + rng.standard_normal((n, k, d)))
+        cs = feats.mean(axis=0) + scale * rng.standard_normal((3, k, d))
+        for m1, m2 in ((0.0, 0.0), (scale, 2 * scale)):
+            lo, hi = _loss_bounds(feats, cs, m1, m2)
+            losses = [mcc_loss(feats, PrototypeCenters(c), m1, m2) for c in cs]
+            assert (lo <= losses).all() and (losses <= hi).all()
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_snapshot_is_a_divergence(self, planted, value):
         ds, _ = planted()

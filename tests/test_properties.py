@@ -1,12 +1,15 @@
 """Property tests for the purely algebraic invariants."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conceptmine import mining
 from conceptmine.head import soft_threshold
-from conceptmine.mining import MiningConfig, dbscan
+from conceptmine.mining import MiningConfig, _sq_dist_blocks, dbscan
 from conceptmine.partproto import PrototypeCenters, mcc_loss
 from conceptmine.xaimetrics import hungarian, sparseness
 from oracles import (brute_force_dbscan, canonical_labels,
@@ -68,3 +71,25 @@ def test_dbscan_matches_brute_force(n, d, min_pts, seed):
     got = dbscan(pts, MiningConfig(eps=eps, min_pts=min_pts))
     want = brute_force_dbscan(pts, eps, min_pts)
     np.testing.assert_array_equal(canonical_labels(got), canonical_labels(want))
+
+
+@given(st.integers(1, 4), st.integers(1, 30), st.integers(1, 7),
+       st.sampled_from([1e-162, 1e-161, 1e-160, 1e-150, 1e-10, 1.0, 1e6]),
+       st.sampled_from([0.0, 1e6]), st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_gram_band_holds_the_direct_sum(b, m, d, scale, shift, seed):
+    # Cells shifted by 1e6 of their spread make the Gram form cancel; tiny
+    # scales make it underflow. Small blocks split a cell into row blocks.
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, m + 1, b)
+    x = scale * (shift + rng.standard_normal((b, m, d)))
+    x[np.arange(m) >= counts[:, None]] = 0.0
+    direct = np.sum((x[:, :, None, :] - x[:, None, :, :]) ** 2, axis=3)
+    real = np.arange(m) < counts[:, None]
+    real = real[:, :, None] & real[:, None, :]
+    with mock.patch.object(mining, "_BLOCK_ENTRIES", 64):
+        for lo, gram, band in _sq_dist_blocks(x, counts):
+            rows = slice(lo, lo + gram.shape[1])
+            inside = np.abs(gram - direct[:, rows]) <= band
+            assert inside[real[:, rows]].all()
+            assert np.isinf(gram[~real[:, rows]]).all()
