@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import PartFeatureDataset
-from .errors import ValidationError, write_csv
+from .errors import ValidationError, check_array, write_csv
 from .mining import ConceptBook
 
 
@@ -52,11 +52,8 @@ def _cav_core(parts: np.ndarray, book: ConceptBook) -> np.ndarray:
 def compute_cav(sample_parts: np.ndarray, g: np.ndarray,
                 book: ConceptBook) -> ConceptActivationVector:
     """CAV of a single sample: [K, d_f] part features plus its g vector."""
-    sample_parts = np.asarray(sample_parts, dtype=np.float64)
-    if sample_parts.ndim != 2:
-        raise ValidationError(f"sample parts must be 2-D, got {sample_parts.shape}")
-    z = _cav_core(sample_parts[None, :, :], book)[0]
-    return ConceptActivationVector(z=z, g=np.array(g, dtype=np.float64))
+    z = _cav_core(check_array("sample_parts", sample_parts, 2)[None], book)[0]
+    return ConceptActivationVector(z=z, g=check_array("g", g, 1).copy())
 
 
 def compute_cav_batch(ds: PartFeatureDataset,
@@ -68,12 +65,12 @@ def compute_cav_batch(ds: PartFeatureDataset,
 
 def export_cav_csv(z: np.ndarray, g: np.ndarray, labels: np.ndarray, path):
     """Interchange CSV: one row per sample, d_c z-columns, d_f g-columns, label."""
-    z = np.asarray(z)
-    g = np.asarray(g)
-    if z.shape[0] != g.shape[0] or z.shape[0] != len(labels):
+    z = check_array("z", z, 2)
+    g = check_array("g", g, 2)
+    labels = check_array("labels", labels, 1, np.int64)
+    if not len(z) == len(g) == len(labels):
         raise ValidationError("z, g and labels row counts disagree")
     header = [f"z_{i}" for i in range(z.shape[1])]
     header += [f"g_{i}" for i in range(g.shape[1])] + ["label"]
-    values = np.concatenate([z, g], axis=1, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64).tolist()
-    write_csv(path, header, (v.tolist() + [c] for v, c in zip(values, labels)))
+    values = np.concatenate([z, g], axis=1)
+    write_csv(path, header, (v.tolist() + [c] for v, c in zip(values, labels.tolist())))

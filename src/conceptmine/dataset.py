@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (SEED_MAX, FormatError, GenerationError,
-                     StratificationError, ValidationError, check_int,
-                     check_real, write_csv)
+                     StratificationError, ValidationError, check_array,
+                     check_int, check_real, write_csv)
 
 MAGIC = b"PCMF"
 VERSION = 1
@@ -44,9 +44,11 @@ class PartFeatureDataset:
     n_classes: int
 
     def __post_init__(self):
-        self.part_features = np.asarray(self.part_features, dtype=np.float32)
-        self.nonproto_features = np.asarray(self.nonproto_features, dtype=np.float32)
-        self.labels = np.asarray(self.labels, dtype=np.uint32)
+        self.part_features = check_array("part_features", self.part_features, 3,
+                                         np.float32)
+        self.nonproto_features = check_array("nonproto_features",
+                                             self.nonproto_features, 2, np.float32)
+        self.labels = check_array("labels", self.labels, 1, np.uint32)
         self.n_classes = int(self.n_classes)
         self.validate()
 
@@ -64,24 +66,14 @@ class PartFeatureDataset:
 
     def validate(self):
         """Raise ValidationError on any invariant violation."""
-        if self.part_features.ndim != 3:
-            raise ValidationError(
-                f"part_features must be 3-D [n, K, d_f], got shape {self.part_features.shape}"
-            )
         n, k, d_f = self.part_features.shape
         check_int("n_parts", k, 1)
         check_int("feat_dim", d_f, 1)
-        if self.nonproto_features.shape != (n, d_f):
+        if self.nonproto_features.shape != (n, d_f) or self.labels.shape != (n,):
             raise ValidationError(
-                f"nonproto_features shape {self.nonproto_features.shape} "
-                f"inconsistent with part_features {(n, d_f)}"
-            )
-        if self.labels.shape != (n,):
-            raise ValidationError(
-                f"labels shape {self.labels.shape} inconsistent with n_samples={n}"
-            )
-        if self.n_classes < 1:
-            raise ValidationError(f"n_classes must be >= 1, got {self.n_classes}")
+                f"part_features {(n, k, d_f)} need nonproto_features {(n, d_f)} and "
+                f"labels {(n,)}, got {self.nonproto_features.shape} and {self.labels.shape}")
+        check_int("n_classes", self.n_classes, 1)
         for name, arr in (("part_features", self.part_features),
                           ("nonproto_features", self.nonproto_features)):
             bad = ~np.isfinite(arr)
@@ -330,7 +322,7 @@ def split_kfold(ds: PartFeatureDataset, k: int, seed: int) -> list[np.ndarray]:
 
 def subset(ds: PartFeatureDataset, indices: np.ndarray) -> PartFeatureDataset:
     """Dataset restricted to ``indices`` (class set must stay complete)."""
-    indices = np.asarray(indices, dtype=np.int64)
+    indices = check_array("indices", indices, 1, np.int64)
     return PartFeatureDataset(
         part_features=ds.part_features[indices],
         nonproto_features=ds.nonproto_features[indices],

@@ -1,6 +1,7 @@
 """Exception types shared across the package, the integer and real-number
-checks every config uses, the JSON and container readers that map unparsable
-files onto them, and the one writer of each artifact format."""
+checks every config uses, the array check every public entry point uses, the
+JSON and container readers that map unparsable files onto them, and the one
+writer of each artifact format."""
 
 import csv
 import json
@@ -70,6 +71,25 @@ def check_real(name: str, value, low: float, high: float = math.inf,
             bound += f" and <= {high}"
         raise ValidationError(f"{name} must be a finite number {bound}, "
                               f"got {value!r}")
+
+
+def check_array(name: str, value, ndim: int, dtype=np.float64,
+                finite: bool = False) -> np.ndarray:
+    """``np.asarray(value, dtype)`` (``dtype=None`` keeps its own), refused
+    unless it converts from bools, ints or floats (not strings or objects)
+    to ``ndim`` dimensions and, when ``finite``, holds no NaN or infinity."""
+    try:
+        if (source := np.asarray(value).dtype).kind not in "biuf":
+            raise TypeError(f"dtype {source}")
+        array = np.asarray(value, dtype=dtype)
+        if array.ndim != ndim:
+            raise ValueError(f"shape {array.shape}")
+        if finite and not np.isfinite(array).all():
+            raise ValueError("a non-finite entry")
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValidationError(f"{name} must be a {'finite ' if finite else ''}"
+                              f"{ndim}-D array of real numbers, got {e}") from None
+    return array
 
 
 def _finite(value) -> bool:

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DivergenceError, FormatError, ValidationError, check_int,
-                     check_real, read_container, read_json_object,
-                     write_container, write_json)
+from .errors import (DivergenceError, FormatError, ValidationError,
+                     check_array, check_int, check_real, read_container,
+                     read_json_object, write_container, write_json)
 
 HEAD_MAGIC = b"PCMH"
 
@@ -34,19 +34,14 @@ class SparseHead:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.W1 = np.asarray(self.W1, dtype=np.float64)
-        self.W2 = np.asarray(self.W2, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        if self.W1.ndim != 2 or self.W2.ndim != 2 or self.b.ndim != 1:
-            raise ValidationError("head weights have wrong rank")
+        self.W1 = check_array("W1", self.W1, 2, finite=True)
+        self.W2 = check_array("W2", self.W2, 2, finite=True)
+        self.b = check_array("b", self.b, 1, finite=True)
         if not (self.W1.shape[1] == self.W2.shape[1] == self.b.shape[0]):
             raise ValidationError(
                 f"inconsistent class counts: W1 {self.W1.shape}, "
                 f"W2 {self.W2.shape}, b {self.b.shape}"
             )
-        for name, arr in (("W1", self.W1), ("W2", self.W2), ("b", self.b)):
-            if not np.isfinite(arr).all():
-                raise ValidationError(f"{name} contains non-finite values")
 
     @property
     def n_classes(self) -> int:
@@ -71,8 +66,8 @@ class HeadTrainConfig:
 
 def head_forward(z: np.ndarray, g: np.ndarray, head: SparseHead) -> np.ndarray:
     """Logits for one sample. Prediction is argmax (lowest index wins ties)."""
-    z = np.asarray(z, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
+    z = check_array("z", z, 1)
+    g = check_array("g", g, 1)
     if z.shape != (head.W1.shape[0],) or g.shape != (head.W2.shape[0],):
         raise ValidationError(
             f"input dims z{z.shape}/g{g.shape} do not match head "
@@ -82,8 +77,8 @@ def head_forward(z: np.ndarray, g: np.ndarray, head: SparseHead) -> np.ndarray:
 
 
 def predict(z: np.ndarray, g: np.ndarray, head: SparseHead) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
+    z = check_array("z", z, 2)
+    g = check_array("g", g, 2)
     if z.shape[1] != head.W1.shape[0] or g.shape[1] != head.W2.shape[0]:
         raise ValidationError("batch dims do not match head")
     return np.argmax(z @ head.W1 + g @ head.W2 + head.b, axis=1)
@@ -97,16 +92,14 @@ def accuracy(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,
 
 def percent_correct(pred: np.ndarray, labels: np.ndarray) -> float:
     """Percent of predicted classes ``pred`` equal to their labels."""
-    return 100.0 * float(np.mean(pred == np.asarray(labels, dtype=np.int64)))
+    return 100.0 * float(np.mean(pred == check_array("labels", labels, 1, np.int64)))
 
 
 def elastic_net_penalty(W1: np.ndarray, lam: float, gamma: float) -> float:
     """lambda * ((1 - gamma) * 0.5 * ||W1||_F^2 + gamma * ||W1||_1)."""
-    if lam < 0:
-        raise ValidationError(f"lambda must be >= 0, got {lam}")
-    if not 0 <= gamma <= 1:
-        raise ValidationError(f"gamma must be in [0, 1], got {gamma}")
-    W1 = np.asarray(W1, dtype=np.float64)
+    check_real("lam", lam, 0)
+    check_real("gamma", gamma, 0, 1)
+    W1 = check_array("W1", W1, 2)
     return float(lam * ((1 - gamma) * 0.5 * np.sum(W1 * W1)
                         + gamma * np.sum(np.abs(W1))))
 
@@ -145,10 +138,10 @@ def train_head(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,
     deterministic. ``on_epoch(epoch, objective, step, pre_prox, w1)`` is
     invoked after every epoch, exposing the pre-threshold W1 for diagnostics.
     """
-    z = np.asarray(cavs, dtype=np.float64)
-    g = np.asarray(gs, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if z.ndim != 2 or g.ndim != 2 or z.shape[0] != g.shape[0] or len(y) != z.shape[0]:
+    z = check_array("cavs", cavs, 2)
+    g = check_array("gs", gs, 2)
+    y = check_array("labels", labels, 1, np.int64)
+    if not len(z) == len(g) == len(y):
         raise ValidationError("cavs, gs and labels shapes are inconsistent")
     n_classes = int(y.max()) + 1
     if z.shape[0] < n_classes:
@@ -197,7 +190,7 @@ def concept_contributions(z: np.ndarray, head: SparseHead, c: int) -> np.ndarray
     """Per-concept evidence for class c: z_k * W1[k, c]."""
     if not 0 <= c < head.n_classes:
         raise IndexError(f"class {c} out of range [0, {head.n_classes})")
-    z = np.asarray(z, dtype=np.float64)
+    z = check_array("z", z, 1)
     if z.shape != (head.W1.shape[0],):
         raise ValidationError(f"z shape {z.shape} does not match head d_c")
     return z * head.W1[:, c]

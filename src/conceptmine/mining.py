@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import PartFeatureDataset
-from .errors import (FormatError, ValidationError, check_int, check_real,
-                     read_container, read_json_object, write_container,
-                     write_json)
+from .errors import (FormatError, ValidationError, check_array, check_int,
+                     check_real, read_container, read_json_object,
+                     write_container, write_json)
 
 log = logging.getLogger(__name__)
 
@@ -87,10 +87,10 @@ class ConceptBook:
             if key in seen:
                 raise ValidationError(f"duplicate concept key {key}")
             seen.add(key)
-            if e.centroid.shape != (self.feat_dim,):
-                raise ValidationError(
-                    f"concept {key} centroid shape {e.centroid.shape} != ({self.feat_dim},)"
-                )
+            got = getattr(e.centroid, "shape", type(e.centroid).__name__)
+            if not isinstance(e.centroid, np.ndarray) or got != (self.feat_dim,):
+                raise ValidationError(f"concept {key} centroid {got} is not an "
+                                      f"ndarray of shape ({self.feat_dim},)")
         finite = np.isfinite(self.centroid_matrix()).all(axis=1)
         if not finite.all():
             e = self.entries[int(np.argmin(finite))]
@@ -164,15 +164,21 @@ def _sq_dist_blocks(x: np.ndarray, counts: np.ndarray):
     zero-padded batch of cells ``x [B, m, d]``, cell b holding its first
     ``counts[b]`` rows, with ``inf`` where a padding row is involved. A
     comparison outside the band is decided as the direct sum decides it, one
-    inside by :func:`_exact_sq_dists`."""
+    inside by :func:`_exact_sq_dists`. An entry whose Gram form overflows
+    (float64 points past about 1e154, so never mining's float32 features in
+    a padded cell) reads gram 0 and band inf: the direct sum decides it."""
     b, m, _ = x.shape
     sq = np.einsum("bij,bij->bi", x, x)
+    overflow = sq.max() >= 2.0 ** 1020  # else every Gram term is finite
     padding = np.arange(m) >= counts[:, None]
     xt = x.transpose(0, 2, 1)
     step = max(1, _BLOCK_ENTRIES // (b * m))
     for lo in range(0, m, step):
         rows = slice(lo, min(lo + step, m))
         gram, band = _gram_band(x[:, rows], xt, sq[:, rows, None], sq[:, None, :])
+        if overflow:
+            lost = ~np.isfinite(gram + band)
+            gram[lost], band[lost] = 0.0, np.inf
         if padding.any():
             np.copyto(gram, np.inf, where=padding[:, None, :])
             np.copyto(gram, np.inf, where=padding[:, rows, None])
@@ -233,6 +239,8 @@ def _neighbor_min(within: np.ndarray, values: np.ndarray, fill: int) -> np.ndarr
     return out
 
 
+# A squared distance or eps * eps that overflows is inf, as in the direct sum.
+@np.errstate(over="ignore", invalid="ignore")
 def _dbscan_cells(x: np.ndarray, counts: np.ndarray,
                   mining: MiningConfig):
     """DBSCAN labels ``[B, m]`` of a zero-padded batch of cells, with the
@@ -304,9 +312,7 @@ def dbscan(points: np.ndarray, mining: MiningConfig) -> np.ndarray:
     reaches it, so the labeling is deterministic. Points that are not a
     finite 2-D array raise :class:`ValidationError`.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or not np.isfinite(points).all():
-        raise ValidationError(f"points must be a finite 2-D array, got shape {points.shape}")
+    points = check_array("points", points, 2, finite=True)
     if points.shape[0] == 0:
         return np.full(0, NOISE, dtype=np.int64)
     return _dbscan_cells(points[None], np.array([len(points)]), mining)[0][0]
@@ -331,9 +337,11 @@ def mine_concepts(ds: PartFeatureDataset, mining: MiningConfig = MiningConfig(),
     """
     ds.validate()
     sets = ([np.arange(ds.n_samples)] if folds is None
-            else [np.asarray(f, dtype=np.int64) for f in folds])
+            else [check_array(f"fold {s}", f, 1, np.int64) for s, f in enumerate(folds)])
     members = []  # sample indices of each (set, class)
     for s, rows in enumerate(sets):
+        if ((rows < 0) | (rows >= ds.n_samples)).any():
+            raise ValidationError(f"fold {s} holds an index outside [0, {ds.n_samples})")
         in_set = ds.labels[rows]
         for j in range(ds.n_classes):
             members.append(rows[in_set == j])

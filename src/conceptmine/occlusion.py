@@ -12,7 +12,7 @@ import numpy as np
 
 from .cav import compute_cav, compute_cav_batch
 from .dataset import PartFeatureDataset
-from .errors import ValidationError, check_real, write_csv
+from .errors import ValidationError, check_array, check_real, write_csv
 from .head import SparseHead, predict
 from .mining import ConceptBook
 from .xaimetrics import _accuracy_and_faithfulness
@@ -65,9 +65,8 @@ def occlude_sample(sample_parts: np.ndarray, g: np.ndarray, head: SparseHead,
     the sample's predicted class (clean response); at least one part is
     zeroed whenever fraction > 0. Labels and g are never touched.
     """
-    if not 0 <= fraction <= 1:
-        raise ValidationError(f"fraction must be in [0, 1], got {fraction}")
-    parts = np.array(sample_parts, dtype=np.float64)
+    check_real("fraction", fraction, 0, 1)
+    parts = check_array("sample_parts", sample_parts, 2).copy()
     if fraction == 0:
         return parts
     cav = compute_cav(parts, g, book)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import PartFeatureDataset
-from .errors import (SEED_MAX, DivergenceError, ValidationError, check_int,
-                     check_real, read_container, write_container)
+from .errors import (SEED_MAX, DivergenceError, ValidationError, check_array,
+                     check_int, check_real, read_container, write_container)
 from .mining import _UNIT_ROUNDOFF, _gram_band
 
 log = logging.getLogger(__name__)
@@ -63,11 +63,7 @@ class PrototypeCenters:
     centers: np.ndarray
 
     def __post_init__(self):
-        self.centers = np.asarray(self.centers, dtype=np.float64)
-        if self.centers.ndim != 2:
-            raise ValidationError(f"centers must be 2-D, got {self.centers.shape}")
-        if not np.isfinite(self.centers).all():
-            raise ValidationError("centers contain non-finite values")
+        self.centers = check_array("centers", self.centers, 2, finite=True)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -85,14 +81,10 @@ def _pair_dists(centers: np.ndarray):
 def _check_batch(batch, centers: PrototypeCenters) -> np.ndarray:
     """The batch as a [B, K, d_f] array of its own dtype, refusing an empty
     batch or one whose per-sample shape is not the centers' shape."""
-    batch = np.asarray(batch)
-    if batch.ndim != 3 or batch.shape[0] == 0:
-        raise ValidationError(f"empty or malformed batch of shape {batch.shape}")
-    if batch.shape[1:] != centers.centers.shape:
-        raise ValidationError(
-            f"batch shape {batch.shape[1:]} does not match centers "
-            f"{centers.centers.shape}"
-        )
+    batch = check_array("batch", batch, 3, dtype=None)
+    if not len(batch) or batch.shape[1:] != centers.centers.shape:
+        raise ValidationError(f"batch of shape {batch.shape} is empty or does "
+                              f"not match centers {centers.centers.shape}")
     return batch
 
 
@@ -307,7 +299,7 @@ def best_epoch(ds: PartFeatureDataset, cfg: McmConfig,
 
     epoch = -2  # the start is epoch -1
     for epoch, c in enumerate(trajectory, -1):
-        c = np.asarray(c, dtype=np.float64)
+        c = check_array("centers", c, 2)
         if c.shape != feats.shape[1:]:
             raise ValidationError(f"centers of shape {c.shape} do not match "
                                   f"the parts' {feats.shape[1:]}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .cav import _unit_rows
 from .dataset import PartFeatureDataset, split_kfold
-from .errors import ValidationError, write_csv, write_json
+from .errors import ValidationError, check_array, write_csv, write_json
 from .head import SparseHead, accuracy, percent_correct, predict
 from .mining import ConceptBook, MiningConfig, mine_concepts
 
@@ -97,11 +97,9 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     still allows the remaining rows to reach the global optimum (ties
     resolved within a tolerance of 1e-9 relative to the optimal cost).
     """
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+    cost = check_array("cost", cost, 2, finite=True)
+    if cost.shape[0] != cost.shape[1]:
         raise ValidationError(f"cost matrix must be square, got {cost.shape}")
-    if not np.isfinite(cost).all():
-        raise ValidationError("cost matrix contains non-finite values")
     m = cost.shape[0]
     perm = np.full(m, -1, dtype=np.int64)
     if m == 0:
@@ -138,9 +136,9 @@ def _accuracy_and_faithfulness(cavs, gs, labels, head: SparseHead,
                                book: ConceptBook, n_list: list[int]):
     """``(accuracy(cavs, ...), faithfulness(cavs, ...))`` from one clean
     ``predict``, for callers that report both."""
-    z = np.asarray(cavs, dtype=np.float64)
-    g = np.asarray(gs, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    z = check_array("cavs", cavs, 2)
+    g = check_array("gs", gs, 2)
+    y = check_array("labels", labels, 1, np.int64)
     if z.shape[1] != book.d_c or z.shape[1] != head.W1.shape[0]:
         raise ValidationError(
             f"CAV width {z.shape[1]} does not match book d_c={book.d_c} "
@@ -244,8 +242,8 @@ def consistency(cavs: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     inside class c sum to ||s_c||^2 - sum_i ||u_i||^2, and the cross-class
     pairs to ||sum_c s_c||^2 - sum_c ||s_c||^2. Time and memory are O(n d_c);
     no n x n matrix is formed."""
-    z = np.asarray(cavs, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    z = check_array("cavs", cavs, 2)
+    y = check_array("labels", labels, 1, np.int64)
     classes, inverse, sizes = np.unique(y, return_inverse=True, return_counts=True)
     if len(classes) < 2:
         raise ValidationError("consistency needs at least 2 classes")
@@ -269,7 +267,7 @@ def consistency(cavs: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
 
 def sparseness(cavs: np.ndarray) -> float:
     """Mean Hoyer sparseness of CAV rows, in [0, 100]; all-zero rows count 100."""
-    z = np.asarray(cavs, dtype=np.float64)
+    z = check_array("cavs", cavs, 2)
     d_c = z.shape[1]
     if d_c < 2:
         raise ValidationError(f"sparseness needs d_c >= 2, got {d_c}")

@@ -5,11 +5,12 @@ DBSCAN via union-find over core points instead of label propagation
 (with the neighbor test sqrt(d2) <= eps, or d2 <= eps * eps as written),
 squared distances via the direct n x n x d broadcast instead of the Gram
 form, books and stability mined one cell and one fold at a time instead
-of in batches, assignment via exhaustive permutation search, the minimum
-assignment cost of one matrix at a time on Python lists
-(``reference_assignment_min_cost``, the form the batched solver must match
-bit for bit, and the solver of ``reference_stability``), stability via the
-lexicographic assignment of every cell, occlusion one sample at a time,
+of in batches, stability's cells grouped entry by entry
+(``_reference_cells``) instead of by ``xaimetrics._cells``, assignment via
+exhaustive permutation search, the minimum assignment cost of one matrix
+at a time on Python lists (``reference_assignment_min_cost``, the form the
+batched solver must match bit for bit, and the solver of
+``reference_stability``), stability via the lexicographic assignment of every cell, occlusion one sample at a time,
 the MCC loss as straight-line scalar loops, head training as plain
 constant-step gradient descent, and consistency from the full n x n Gram
 matrix. The ``reference_*`` loops are the straightforward forms of the fast
@@ -39,7 +40,7 @@ from conceptmine.head import (_MAX_HALVINGS, SparseHead, _smooth_objective_and_g
                               soft_threshold)
 from conceptmine.mining import ConceptBook, ConceptEntry, MergeConfig, mine_concepts
 from conceptmine.partproto import PrototypeCenters, mcc_loss
-from conceptmine.xaimetrics import _cells, faithfulness, hungarian
+from conceptmine.xaimetrics import faithfulness, hungarian
 
 
 def brute_force_dbscan(points, eps, min_pts):
@@ -163,10 +164,24 @@ def _row_mean(rows):
     return total / len(rows)
 
 
+def _reference_cells(book):
+    """Per (class, part) cell, grouped entry by entry: its centroid matrix
+    and the unit centroids, each scaled by its own norm (zero stays zero)."""
+    cells = {}
+    for e in book.entries:
+        norm = math.sqrt(float(np.sum(e.centroid * e.centroid)))
+        unit = e.centroid / norm if norm > 0 else np.zeros_like(e.centroid)
+        centroids, units = cells.setdefault((e.class_id, e.part), ([], []))
+        centroids.append(e.centroid)
+        units.append(unit)
+    return {key: (np.array(c), np.array(u)) for key, (c, u) in cells.items()}
+
+
 def reference_stability(ds, k, params, seed):
-    """Stability with every fold book from :func:`reference_mine_concepts`
-    and each fold pair scored cell by cell."""
-    books = [_cells(reference_mine_concepts(subset(ds, f), params))
+    """Stability with every fold book from :func:`reference_mine_concepts`,
+    its cells grouped by :func:`_reference_cells`, and each fold pair scored
+    cell by cell."""
+    books = [_reference_cells(reference_mine_concepts(subset(ds, f), params))
              for f in split_kfold(ds, k, seed)]
     matched = 0.0
     slots = 0

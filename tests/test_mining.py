@@ -190,6 +190,21 @@ class TestDistanceKernel:
                 dbscan(pts, MiningConfig(eps=eps, min_pts=min_pts)),
                 squared_rule_dbscan(pts, eps, min_pts), err_msg=f"trial {trial}")
 
+    def test_dbscan_past_squared_norm_overflow_takes_the_squared_rule(self):
+        # Squared norms near 3e310 overflow, so the Gram form is inf - inf;
+        # the squared distances, near 1e304, do not. Fixed and adaptive eps.
+        rng = np.random.default_rng(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for cell in range(50):
+                pts = 1e155 * (1 + 1e-3 * rng.standard_normal((10, 3)))
+                for eps, min_pts, mining in (
+                        (2e152, 2, MiningConfig(eps=2e152, min_pts=2)),
+                        (broadcast_adaptive_eps(pts), 3, MiningConfig())):
+                    np.testing.assert_array_equal(
+                        dbscan(pts, mining), squared_rule_dbscan(pts, eps, min_pts),
+                        err_msg=f"cell {cell}, eps {eps}")
+
     def test_one_large_cell_memory_bounded(self):
         # The n x n x d broadcast needed 2 x 355 MB here.
         rng = np.random.default_rng(0)
@@ -265,6 +280,13 @@ class TestBatchedMining:
         ds, _ = planted(n_classes=2, samples_per_class=10)
         with pytest.raises(ValidationError, match="class 1 has no samples"):
             mine_concepts(ds, MiningConfig(), folds=[np.arange(10), np.arange(20)])
+
+    @pytest.mark.parametrize("index", [-1, 20, 2**40])
+    def test_fold_index_out_of_range_refused(self, planted, index):
+        ds, _ = planted(n_classes=2, samples_per_class=10)
+        fold = np.append(np.arange(20), index)
+        with pytest.raises(ValidationError, match=r"fold 1 holds an index outside \[0, 20\)"):
+            mine_concepts(ds, MiningConfig(), folds=[np.arange(20), fold])
 
 
 class TestMineConcepts:
@@ -370,6 +392,12 @@ class TestMineConcepts:
             e(0, [0.0, 1.0]), e(1, [2.0, bad]), e(2, [bad, 0.0])])
         with pytest.raises(ValidationError,
                            match=r"concept \(1, 0, 1\) centroid is non-finite"):
+            book.validate()
+
+    def test_validate_refuses_a_centroid_not_an_ndarray(self):
+        book = ConceptBook(feat_dim=2, entries=[ConceptEntry(0, 0, 0, [1.0, 2.0], 1)])
+        with pytest.raises(ValidationError,
+                           match=r"concept \(0, 0, 0\) centroid list is not an ndarray"):
             book.validate()
 
 
