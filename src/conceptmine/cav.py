@@ -67,7 +67,7 @@ def export_cav_csv(z: np.ndarray, g: np.ndarray, labels: np.ndarray, path):
     """Interchange CSV: one row per sample, d_c z-columns, d_f g-columns, label."""
     z = check_array("z", z, 2)
     g = check_array("g", g, 2)
-    labels = check_array("labels", labels, 1, np.int64)
+    labels = check_array("labels", labels, 1, np.int64, high=len(z))
     if not len(z) == len(g) == len(labels):
         raise ValidationError("z, g and labels row counts disagree")
     header = [f"z_{i}" for i in range(z.shape[1])]

@@ -6,7 +6,7 @@ non-prototypical vector g and a class label. The on-disk binary layout
 
     magic "PCMF" | u32 version=1 | u32 n_samples | u32 K | u32 L | u32 d_f
     | f32 features [n_samples x (K+1) x d_f]   (slot K holds g)
-    | u32 labels [n_samples]
+    | u32 labels [n_samples]                   (int64 in memory)
 
 The CSV alternative is UTF-8, with a header row and one sample per row with
 columns ``part{p}_{d}`` for p in [0,K), d in [0,d_f), then ``g_{d}``, then
@@ -40,7 +40,7 @@ class PartFeatureDataset:
 
     part_features: np.ndarray  # [n_samples, K, d_f] float32
     nonproto_features: np.ndarray  # [n_samples, d_f] float32
-    labels: np.ndarray  # [n_samples] uint32, values in [0, n_classes)
+    labels: np.ndarray  # [n_samples] int64 in [0, n_classes); <u4 on disk
     n_classes: int
 
     def __post_init__(self):
@@ -48,8 +48,6 @@ class PartFeatureDataset:
                                          np.float32)
         self.nonproto_features = check_array("nonproto_features",
                                              self.nonproto_features, 2, np.float32)
-        self.labels = check_array("labels", self.labels, 1, np.uint32)
-        self.n_classes = int(self.n_classes)
         self.validate()
 
     @property
@@ -65,7 +63,10 @@ class PartFeatureDataset:
         return self.part_features.shape[2]
 
     def validate(self):
-        """Raise ValidationError on any invariant violation."""
+        """Raise ValidationError on any invariant violation; hold labels as int64."""
+        check_int("n_classes", self.n_classes, 1)
+        self.labels = check_array("labels", self.labels, 1, np.int64,
+                                  high=self.n_classes)
         n, k, d_f = self.part_features.shape
         check_int("n_parts", k, 1)
         check_int("feat_dim", d_f, 1)
@@ -73,19 +74,12 @@ class PartFeatureDataset:
             raise ValidationError(
                 f"part_features {(n, k, d_f)} need nonproto_features {(n, d_f)} and "
                 f"labels {(n,)}, got {self.nonproto_features.shape} and {self.labels.shape}")
-        check_int("n_classes", self.n_classes, 1)
         for name, arr in (("part_features", self.part_features),
                           ("nonproto_features", self.nonproto_features)):
             bad = ~np.isfinite(arr)
             if bad.any():
                 idx = int(np.argwhere(bad)[0][0])
                 raise ValidationError(f"non-finite value in {name} at sample {idx}")
-        if n > 0 and int(self.labels.max()) >= self.n_classes:
-            idx = int(np.argmax(self.labels >= self.n_classes))
-            raise ValidationError(
-                f"label {int(self.labels[idx])} at sample {idx} "
-                f">= n_classes={self.n_classes}"
-            )
         # Labels lie in [0, n_classes), so the classes are all present iff
         # there are n_classes distinct labels. Nothing of size n_classes is
         # allocated: a corrupt header may claim 2**32 - 1 classes.
@@ -171,8 +165,7 @@ def _load_pfd(path: Path) -> PartFeatureDataset:
         raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise FormatError(f"{path}: unsupported PFD version {version}")
-    feat_bytes = 4 * n * (k + 1) * d_f
-    expected = _HEADER.size + feat_bytes + 4 * n
+    expected = _HEADER.size + 4 * n * ((k + 1) * d_f + 1)
     if len(raw) != expected:
         raise ValidationError(
             f"{path}: payload size {len(raw)} != expected {expected} "
@@ -180,12 +173,10 @@ def _load_pfd(path: Path) -> PartFeatureDataset:
         )
     merged = np.frombuffer(raw, dtype="<f4", count=n * (k + 1) * d_f,
                            offset=_HEADER.size).reshape(n, k + 1, d_f)
-    labels = np.frombuffer(raw, dtype="<u4", count=n,
-                           offset=_HEADER.size + feat_bytes)
     return PartFeatureDataset(
         part_features=merged[:, :k, :].copy(),
         nonproto_features=merged[:, k, :].copy(),
-        labels=labels.copy(),
+        labels=np.frombuffer(raw, dtype="<u4", count=n, offset=expected - 4 * n),
         n_classes=n_classes,
     )
 
@@ -214,35 +205,26 @@ def _load_csv(path: Path) -> PartFeatureDataset:
                           f"d < d_f), g_{{d}}, label in that order")
 
     n = len(rows)
-    parts = np.zeros((n, k, d_f), dtype=np.float32)
-    g = np.zeros((n, d_f), dtype=np.float32)
-    labels = np.zeros(n, dtype=np.uint32)
+    values = np.zeros((n, len(header)))
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise ValidationError(f"{path}: row {i} has {len(row)} fields, "
                                   f"expected {len(header)}")
         try:
-            vals = np.array(row[:-1], dtype=np.float64)
-            label = int(row[-1])
+            values[i] = np.array(row, dtype=np.float64)
         except ValueError:
             raise FormatError(f"{path}: row {i} has a non-numeric field") from None
-        if not 0 <= label < 2**32:
-            raise FormatError(f"{path}: row {i} has label {label}, outside "
-                              f"the uint32 range")
-        labels[i] = label
-        parts[i] = vals[: k * d_f].reshape(k, d_f)
-        g[i] = vals[k * d_f:]
 
-    # L is the number of distinct labels; labels must be the contiguous
-    # range 0..L-1, so any label >= L names a gap.
-    n_classes = len(np.unique(labels)) if n else 0
-    too_big = labels >= n_classes
-    if too_big.any():
-        i = int(np.argmax(too_big))
-        raise ValidationError(
-            f"{path}: row {i} has label {int(labels[i])} >= n_classes={n_classes}"
-        )
-    return PartFeatureDataset(parts, g, labels, n_classes)
+    # L is the number of distinct labels, so the dataset refuses any label
+    # outside 0..L-1 (a gap, a fraction, a negative); this adds the row.
+    labels = values[:, -1]
+    try:
+        return PartFeatureDataset(values[:, :k * d_f].reshape(n, k, d_f),
+                                  values[:, k * d_f:-1], labels,
+                                  len(np.unique(labels)))
+    except ValidationError as e:
+        row = "" if e.index is None else f" row {e.index}:"
+        raise ValidationError(f"{path}:{row} {e}") from None
 
 
 def _sphere_points(rng: np.random.Generator, count: int, dim: int,
@@ -287,12 +269,12 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[PartFeatureDataset, GroundT
     g_means = _sphere_points(rng, L, d_f, spec.min_separation,
                              "non-prototypical class means").astype(np.float32)
 
-    labels = np.repeat(np.arange(L, dtype=np.uint32), spec.samples_per_class)
+    labels = np.repeat(np.arange(L), spec.samples_per_class)
     assignment = rng.integers(0, G, size=(n, K))
 
-    parts = means[labels.astype(np.int64)[:, None],
-                  np.arange(K)[None, :], assignment].astype(np.float64)
-    g = g_means[labels.astype(np.int64)].astype(np.float64)
+    parts = means[labels[:, None], np.arange(K)[None, :],
+                  assignment].astype(np.float64)
+    g = g_means[labels].astype(np.float64)
     if spec.noise_sigma > 0:
         parts = parts + spec.noise_sigma * rng.standard_normal(parts.shape)
         g = g + spec.noise_sigma * rng.standard_normal(g.shape)
@@ -322,7 +304,7 @@ def split_kfold(ds: PartFeatureDataset, k: int, seed: int) -> list[np.ndarray]:
 
 def subset(ds: PartFeatureDataset, indices: np.ndarray) -> PartFeatureDataset:
     """Dataset restricted to ``indices`` (class set must stay complete)."""
-    indices = check_array("indices", indices, 1, np.int64)
+    indices = check_array("indices", indices, 1, np.int64, high=ds.n_samples)
     return PartFeatureDataset(
         part_features=ds.part_features[indices],
         nonproto_features=ds.nonproto_features[indices],

@@ -21,7 +21,12 @@ class FormatError(ConceptMineError):
 
 
 class ValidationError(ConceptMineError):
-    """Data violates a declared invariant (shape, range, finiteness)."""
+    """Data violates a declared invariant (shape, range, finiteness);
+    ``index`` is the flat position of the entry at fault, when one is named."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class GenerationError(ConceptMineError):
@@ -74,21 +79,33 @@ def check_real(name: str, value, low: float, high: float = math.inf,
 
 
 def check_array(name: str, value, ndim: int, dtype=np.float64,
-                finite: bool = False) -> np.ndarray:
+                finite: bool = False, high: int | None = None) -> np.ndarray:
     """``np.asarray(value, dtype)`` (``dtype=None`` keeps its own), refused
     unless it converts from bools, ints or floats (not strings or objects)
-    to ``ndim`` dimensions and, when ``finite``, holds no NaN or infinity."""
+    to ``ndim`` dimensions and, when ``finite``, holds no NaN or infinity.
+    With ``high`` (labels, indices) every entry must be an integer in [0, high),
+    not a bool, checked before the cast so nothing wraps, truncates or warns;
+    the refusal's ``index`` is the first entry at fault."""
+    index = None
     try:
-        if (source := np.asarray(value).dtype).kind not in "biuf":
-            raise TypeError(f"dtype {source}")
+        source = np.asarray(value)
+        if source.dtype.kind not in ("biuf" if high is None else "iuf"):
+            raise TypeError(f"dtype {source.dtype}")
+        if source.ndim != ndim:
+            raise ValueError(f"shape {source.shape}")
+        if high is not None:
+            # NaN fails every comparison; trunc leaves only integers unchanged.
+            ok = (source >= 0) & (source < high) & (np.trunc(source) == source)
+            if not ok.all():
+                index = int(np.argmin(ok))
+                raise ValueError(f"{source.flat[index].item()!r} at index {index}")
         array = np.asarray(value, dtype=dtype)
-        if array.ndim != ndim:
-            raise ValueError(f"shape {array.shape}")
         if finite and not np.isfinite(array).all():
             raise ValueError("a non-finite entry")
     except (TypeError, ValueError, OverflowError) as e:
+        kind = "real numbers" if high is None else f"integers in [0, {high})"
         raise ValidationError(f"{name} must be a {'finite ' if finite else ''}"
-                              f"{ndim}-D array of real numbers, got {e}") from None
+                              f"{ndim}-D array of {kind}, got {e}", index) from None
     return array
 
 

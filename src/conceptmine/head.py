@@ -87,12 +87,16 @@ def predict(z: np.ndarray, g: np.ndarray, head: SparseHead) -> np.ndarray:
 def accuracy(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,
              head: SparseHead) -> float:
     """Percent of samples whose predicted class equals their label."""
-    return percent_correct(predict(cavs, gs, head), labels)
+    return percent_correct(predict(cavs, gs, head), labels, head.n_classes)
 
 
-def percent_correct(pred: np.ndarray, labels: np.ndarray) -> float:
-    """Percent of predicted classes ``pred`` equal to their labels."""
-    return 100.0 * float(np.mean(pred == check_array("labels", labels, 1, np.int64)))
+def percent_correct(pred: np.ndarray, labels: np.ndarray, n_classes: int) -> float:
+    """Percent of predicted classes ``pred`` equal to their labels, one
+    label in [0, n_classes) per prediction."""
+    y = check_array("labels", labels, 1, np.int64, high=n_classes)
+    if len(y) != len(pred):
+        raise ValidationError(f"{len(y)} labels for {len(pred)} predictions")
+    return 100.0 * float(np.mean(pred == y))
 
 
 def elastic_net_penalty(W1: np.ndarray, lam: float, gamma: float) -> float:
@@ -140,14 +144,11 @@ def train_head(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,
     """
     z = check_array("cavs", cavs, 2)
     g = check_array("gs", gs, 2)
-    y = check_array("labels", labels, 1, np.int64)
+    # A label below n leaves room for a sample of every class.
+    y = check_array("labels", labels, 1, np.int64, high=len(z))
     if not len(z) == len(g) == len(y):
         raise ValidationError("cavs, gs and labels shapes are inconsistent")
     n_classes = int(y.max()) + 1
-    if z.shape[0] < n_classes:
-        raise ValidationError(
-            f"need at least one sample per class: n={z.shape[0]} < L={n_classes}"
-        )
     onehot = np.eye(n_classes)[y]
 
     w1 = np.zeros((z.shape[1], n_classes))
@@ -188,8 +189,7 @@ def train_head(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,
 
 def concept_contributions(z: np.ndarray, head: SparseHead, c: int) -> np.ndarray:
     """Per-concept evidence for class c: z_k * W1[k, c]."""
-    if not 0 <= c < head.n_classes:
-        raise IndexError(f"class {c} out of range [0, {head.n_classes})")
+    check_int("class", c, 0, head.n_classes - 1)
     z = check_array("z", z, 1)
     if z.shape != (head.W1.shape[0],):
         raise ValidationError(f"z shape {z.shape} does not match head d_c")

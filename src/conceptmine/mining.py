@@ -337,11 +337,10 @@ def mine_concepts(ds: PartFeatureDataset, mining: MiningConfig = MiningConfig(),
     """
     ds.validate()
     sets = ([np.arange(ds.n_samples)] if folds is None
-            else [check_array(f"fold {s}", f, 1, np.int64) for s, f in enumerate(folds)])
+            else [check_array(f"fold {s}", f, 1, np.int64, high=ds.n_samples)
+                  for s, f in enumerate(folds)])
     members = []  # sample indices of each (set, class)
     for s, rows in enumerate(sets):
-        if ((rows < 0) | (rows >= ds.n_samples)).any():
-            raise ValidationError(f"fold {s} holds an index outside [0, {ds.n_samples})")
         in_set = ds.labels[rows]
         for j in range(ds.n_classes):
             members.append(rows[in_set == j])

@@ -90,13 +90,12 @@ def occlusion_eval(ds: PartFeatureDataset, head: SparseHead, book: ConceptBook,
     if not fractions or fractions[0] != 0.0:
         fractions = (0.0,) + fractions
 
-    labels = ds.labels.astype(np.int64)
     clean_z, g = compute_cav_batch(ds, book)
     order = _occlusion_order(clean_z, g, head, book, ds.n_parts)
     rows = []
     for fraction in fractions:
         z = np.where(_top_parts(order, fraction)[:, book.parts()], 0.0, clean_z)
-        acc, drops = _accuracy_and_faithfulness(z, g, labels, head, book, [3])
+        acc, drops = _accuracy_and_faithfulness(z, g, ds.labels, head, book, [3])
         rows.append((fraction, acc, drops[3]))
     return rows
 

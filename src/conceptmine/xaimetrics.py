@@ -15,7 +15,7 @@ import numpy as np
 
 from .cav import _unit_rows
 from .dataset import PartFeatureDataset, split_kfold
-from .errors import ValidationError, check_array, write_csv, write_json
+from .errors import ValidationError, check_array, check_int, write_csv, write_json
 from .head import SparseHead, accuracy, percent_correct, predict
 from .mining import ConceptBook, MiningConfig, mine_concepts
 
@@ -136,16 +136,17 @@ def _accuracy_and_faithfulness(cavs, gs, labels, head: SparseHead,
                                book: ConceptBook, n_list: list[int]):
     """``(accuracy(cavs, ...), faithfulness(cavs, ...))`` from one clean
     ``predict``, for callers that report both."""
+    for n in n_list:
+        check_int("faithfulness n", n, 0)
     z = check_array("cavs", cavs, 2)
     g = check_array("gs", gs, 2)
-    y = check_array("labels", labels, 1, np.int64)
     if z.shape[1] != book.d_c or z.shape[1] != head.W1.shape[0]:
         raise ValidationError(
             f"CAV width {z.shape[1]} does not match book d_c={book.d_c} "
             f"and head d_c={head.W1.shape[0]}"
         )
     pred = predict(z, g, head)  # one clean pass: base accuracy and ranking class
-    base_acc = percent_correct(pred, y)
+    base_acc = percent_correct(pred, labels, head.n_classes)
     contrib = z * head.W1[:, pred].T  # [n, d_c]
     order = np.argsort(-contrib, axis=1, kind="stable")
 
@@ -160,7 +161,7 @@ def _accuracy_and_faithfulness(cavs, gs, labels, head: SparseHead,
             n = book.d_c
         z_mod = z.copy()
         np.put_along_axis(z_mod, order[:, :n], 0.0, axis=1)
-        drops[n_req] = base_acc - accuracy(z_mod, g, y, head)
+        drops[n_req] = base_acc - accuracy(z_mod, g, labels, head)
     return base_acc, drops
 
 
@@ -243,7 +244,9 @@ def consistency(cavs: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     pairs to ||sum_c s_c||^2 - sum_c ||s_c||^2. Time and memory are O(n d_c);
     no n x n matrix is formed."""
     z = check_array("cavs", cavs, 2)
-    y = check_array("labels", labels, 1, np.int64)
+    y = check_array("labels", labels, 1, np.int64, high=len(z))
+    if len(y) != len(z):
+        raise ValidationError(f"{len(y)} labels for {len(z)} CAV rows")
     classes, inverse, sizes = np.unique(y, return_inverse=True, return_counts=True)
     if len(classes) < 2:
         raise ValidationError("consistency needs at least 2 classes")
@@ -297,9 +300,8 @@ def metric_report(ds: PartFeatureDataset, cavs: np.ndarray, gs: np.ndarray,
     (string keys, ascending), stability over ``k`` folds, consistency,
     sparseness, and the accuracy of the full head, of its concept weights
     W1 alone and of its non-prototypical weights W2 alone."""
-    labels = ds.labels.astype(np.int64)
-    intra, inter = consistency(cavs, labels)
-    faith = faithfulness(cavs, gs, labels, head, book, n_list)
+    intra, inter = consistency(cavs, ds.labels)
+    faith = faithfulness(cavs, gs, ds.labels, head, book, n_list)
     w1_only = replace(head, W2=np.zeros_like(head.W2))
     w2_only = replace(head, W1=np.zeros_like(head.W1))
     return {
@@ -312,9 +314,9 @@ def metric_report(ds: PartFeatureDataset, cavs: np.ndarray, gs: np.ndarray,
         "consistency_inter": inter,
         "sparseness": sparseness(cavs),
         "accuracies": {
-            "full": accuracy(cavs, gs, labels, head),
-            "prototypical_only": accuracy(cavs, gs, labels, w1_only),
-            "nonprototypical_only": accuracy(cavs, gs, labels, w2_only),
+            "full": accuracy(cavs, gs, ds.labels, head),
+            "prototypical_only": accuracy(cavs, gs, ds.labels, w1_only),
+            "nonprototypical_only": accuracy(cavs, gs, ds.labels, w2_only),
         },
     }
 

@@ -1,9 +1,12 @@
 """Every public entry point that takes an array converts it through
 ``errors.check_array``: a string, a ragged list or an array of the wrong
 rank is refused with ValidationError, as is a NaN wherever finiteness is
-checked, never a bare ValueError, TypeError, OverflowError or IndexError."""
+checked, never a bare ValueError, TypeError, OverflowError or IndexError.
+Labels and indices must also be integers in range, one label per row, and
+are checked before any cast."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -115,8 +118,60 @@ def test_each_entry_point_refuses_a_malformed_array(entry, bad):
         call(BAD[bad](valid))
 
 
+# id: (a call with one malformed label, index, class or count, the message)
+PROBES = {
+    "dataset-label-fraction": (lambda: PartFeatureDataset(
+        PARTS, NONPROTO, np.array([0, 1.5, 0, 1]), 2), "got 1.5 at index 1"),
+    "dataset-label-inf": (lambda: PartFeatureDataset(
+        PARTS, NONPROTO, np.array([0, np.inf, 0, 1]), 2), "got inf at index 1"),
+    "dataset-label-past-uint32": (lambda: PartFeatureDataset(
+        PARTS, NONPROTO, np.array([0, 2**32 + 1, 0, 1]), 2),
+        "got 4294967297 at index 1"),
+    "dataset-label-nan": (lambda: PartFeatureDataset(
+        PARTS, NONPROTO, np.array([0, np.nan, 0, 1]), 2), "got nan at index 1"),
+    "dataset-label-negative-int64": (lambda: PartFeatureDataset(
+        PARTS, NONPROTO, np.array([0, -1, 0, 1]), 2), "got -1 at index 1"),
+    "dataset-n_classes-fraction": (lambda: PartFeatureDataset(
+        PARTS, NONPROTO, Y, 2.7), "n_classes must be an integer >= 1, got 2.7"),
+    "dataset-n_classes-string": (lambda: PartFeatureDataset(
+        PARTS, NONPROTO, Y, "2"), "n_classes must be an integer >= 1, got '2'"),
+    "train_head-label-negative": (lambda: train_head(
+        Z, G, np.array([-1, 0, 1, 0]), HeadTrainConfig(epochs=1)),
+        "got -1 at index 0"),
+    "train_head-label-fraction": (lambda: train_head(
+        Z, G, np.array([0, 1.7, 1, 0]), HeadTrainConfig(epochs=1)),
+        "got 1.7 at index 1"),
+    "accuracy-one-label": (lambda: accuracy(Z, G, [0], HEAD),
+                           "1 labels for 4 predictions"),
+    "accuracy-three-labels": (lambda: accuracy(Z, G, [0, 1, 0], HEAD),
+                              "3 labels for 4 predictions"),
+    "consistency-three-labels": (lambda: consistency(Z, [0, 1, 0]),
+                                 "3 labels for 4 CAV rows"),
+    "subset-negative-index": (lambda: subset(DATA, [-1]), "got -1 at index 0"),
+    "subset-index-n": (lambda: subset(DATA, [0, 4]), "got 4 at index 1"),
+    "faithfulness-negative-n": (lambda: faithfulness(Z, G, Y, HEAD, BOOK, [-1]),
+                                "faithfulness n must be an integer >= 0, got -1"),
+    "faithfulness-fractional-n": (lambda: faithfulness(Z, G, Y, HEAD, BOOK, [1.5]),
+                                  "faithfulness n must be an integer >= 0, got 1.5"),
+    "contributions-class-n": (lambda: concept_contributions(Z[0], HEAD, 2),
+                              "class must be an integer >= 0 and <= 1, got 2"),
+    "contributions-class-fraction": (lambda: concept_contributions(Z[0], HEAD, 1.5),
+                                     "class must be an integer >= 0 and <= 1"),
+    "contributions-class-bool": (lambda: concept_contributions(Z[0], HEAD, True),
+                                 "class must be an integer >= 0 and <= 1"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("probe", PROBES)
+def test_each_label_and_index_probe_is_refused(probe):
+    call, message = PROBES[probe]
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call()
+
+
 def test_dataset_refuses_a_negative_label_in_a_list():
-    # np.asarray([-1, ...], dtype=np.uint32) raises OverflowError.
+    # A label below 0 is refused before any cast, so it never wraps.
     with pytest.raises(ValidationError, match="^labels must be a 1-D array"):
         PartFeatureDataset(PARTS, NONPROTO, [0, 1, -1, 0], 2)
 
@@ -147,3 +202,20 @@ class TestCheckArray:
         got = check_array("x", [1, 2, 3], 1, np.uint32)
         assert got.dtype == np.uint32 and got.tolist() == [1, 2, 3]
         assert check_array("x", [[np.nan]], 2).shape == (1, 1)  # not finite=True
+
+    def test_integer_mode_names_the_first_entry_at_fault(self):
+        with pytest.raises(ValidationError, match=r"^x must be a 1-D array of "
+                                                  r"integers in \[0, 3\), got "
+                                                  r"3 at index 2$") as info:
+            check_array("x", np.array([0, 2, 3, 2**64 - 1], dtype=np.uint64), 1,
+                        np.int64, high=3)
+        assert info.value.index == 2
+        with pytest.raises(ValidationError, match="got dtype bool$") as info:
+            check_array("x", [True, False], 1, np.int64, high=3)
+        assert info.value.index is None
+
+    def test_integer_mode_keeps_an_int64_array_in_range(self):
+        a = np.array([0, 2, 1])
+        assert check_array("x", a, 1, np.int64, high=3) is a
+        got = check_array("x", [0.0, 2.0], 1, np.int64, high=3)
+        assert got.dtype == np.int64 and got.tolist() == [0, 2]

@@ -711,7 +711,7 @@ INT64 = "not valid JSON (an integer outside the signed 64-bit range)"
     pytest.param(["train", *DATA_BOOK, "-o", "{tmp}/h.json"],
                  {"b.json": '{"d_f": 16, "entries": []}'},
                  (1, "entry"), id="train-book-no-entries"),
-    # a CSV label must fit the dataset's uint32 labels
+    # a CSV label must be an integer in 0..L-1; the error names its row
     pytest.param(["mine", "--data", "{tmp}/x.csv", "-o", "{tmp}/b.json"],
                  {"x.csv": "part0_0,g_0,label\n0.5,0.5,-1\n"},
                  (1, "row 0"), id="csv-label-negative"),

@@ -34,6 +34,16 @@ class TestBinaryRoundTrip:
         np.testing.assert_array_equal(loaded.labels, ds.labels)
         assert loaded.n_classes == ds.n_classes
 
+    def test_labels_file_bytes_kept_and_int64_in_memory(self, tmp_path):
+        path = tmp_path / "a.pfd"
+        save_dataset(tiny_dataset(), path)
+        raw = path.read_bytes()
+        loaded = load_dataset(path)
+        assert loaded.labels.dtype == np.int64
+        save_dataset(loaded, path)
+        assert path.read_bytes()[-4 * 6:] == raw[-4 * 6:] == np.array(
+            [0, 0, 1, 1, 2, 2], dtype="<u4").tobytes()
+
     def test_file_size_formula(self, tmp_path):
         ds = tiny_dataset()
         path = tmp_path / "a.pfd"
@@ -86,6 +96,26 @@ class TestCsv:
         with pytest.raises(ValidationError, match="row 2"):
             load_dataset(path, "csv")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("label, row", [("1.5", 1), ("-1", 0), ("nan", 2),
+                                            ("1e400", 1), ("4294967297", 2)])
+    def test_bad_label_names_file_and_row(self, tmp_path, label, row):
+        path = tmp_path / "bad.csv"
+        labels = ["0", "1", "0"]
+        labels[row] = label
+        path.write_text("part0_0,g_0,label\n"
+                        + "".join(f"0.5,0.5,{c}\n" for c in labels))
+        with pytest.raises(ValidationError, match=f"bad.csv: row {row}: labels"):
+            load_dataset(path, "csv")
+
+    def test_labels_int64_after_csv_gen_and_subset(self, tmp_path):
+        path = tmp_path / "a.csv"
+        save_dataset(tiny_dataset(), path, "csv")
+        ds, _ = generate_synthetic(SyntheticSpec(n_classes=2, n_parts=1,
+                                                 feat_dim=2, samples_per_class=3))
+        for got in (load_dataset(path, "csv"), ds, subset(ds, [0, 3])):
+            assert got.labels.dtype == np.int64
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -115,7 +145,8 @@ class TestInvariants:
             PartFeatureDataset(parts, np.zeros((3, 2)), np.array([0, 1, 2]), 3)
 
     def test_label_out_of_range(self):
-        with pytest.raises(ValidationError, match="label 5"):
+        with pytest.raises(ValidationError, match=r"labels must be a 1-D array of "
+                                                  r"integers in \[0, 2\), got 5 at index 1"):
             PartFeatureDataset(np.zeros((2, 1, 2)), np.zeros((2, 2)),
                                np.array([0, 5]), 2)
 

@@ -252,7 +252,7 @@ class TestContributions:
 
     def test_class_out_of_range(self):
         head = SparseHead(np.zeros((2, 2)), np.zeros((1, 2)), np.zeros(2))
-        with pytest.raises(IndexError):
+        with pytest.raises(ValidationError, match="class must be an integer >= 0 and <= 1"):
             concept_contributions(np.zeros(2), head, 2)
 
 

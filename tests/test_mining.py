@@ -285,7 +285,8 @@ class TestBatchedMining:
     def test_fold_index_out_of_range_refused(self, planted, index):
         ds, _ = planted(n_classes=2, samples_per_class=10)
         fold = np.append(np.arange(20), index)
-        with pytest.raises(ValidationError, match=r"fold 1 holds an index outside \[0, 20\)"):
+        with pytest.raises(ValidationError, match=r"fold 1 must be a 1-D array of integers "
+                                                  r"in \[0, 20\), got -?\d+ at index 20"):
             mine_concepts(ds, MiningConfig(), folds=[np.arange(20), fold])
 
 
