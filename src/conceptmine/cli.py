@@ -17,6 +17,7 @@ import pickle
 import signal
 import sys
 import time
+import types
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -32,10 +33,9 @@ from .head import HeadTrainConfig, accuracy, load_head, save_head, train_head
 from .mining import (MergeConfig, MiningConfig, load_book, merge_centroids,
                      mine_concepts, save_book)
 from .occlusion import OcclusionConfig, occlusion_eval, save_curve_csv, save_curve_svg
-from .partproto import (McmConfig, best_epoch, descend, fit_prototype_centers,
-                        save_centers)
-from .xaimetrics import (config_hash, faithfulness, metric_report, save_report,
-                         save_report_csv)
+from .partproto import McmConfig, best_epoch, descend, save_centers
+from .xaimetrics import (_accuracy_and_faithfulness, config_hash, metric_report,
+                         save_report, save_report_csv)
 
 log = logging.getLogger(__name__)
 
@@ -183,83 +183,88 @@ def _stage(name: str):
         raise err from e
 
 
-def _start_fit(ds: PartFeatureDataset, mcm: McmConfig):
-    """Start the center fit and return ``collect``: ``collect()`` returns the
-    fitted centers or raises the fit's error unchanged; ``collect(kill=True)``
-    ends the fit and returns None.
+@contextlib.contextmanager
+def _fitting(ds: PartFeatureDataset, mcm: McmConfig):
+    """Fit the centers beside the body and set ``fit.centers`` when it ends.
 
     A forked child runs only :func:`descend` and pickles each snapshot down
-    a pipe, then its error (or None) and its descent time. ``collect``
-    scores the snapshots with :func:`best_epoch` as it reads them, so this
-    process holds one group of snapshots at a time and the pipe's capacity
-    bounds the child's lead. A divergence found here kills the child and
+    a pipe, then its error (or None) and its descent time. On exit the
+    snapshots are scored with :func:`best_epoch` as they are read, so this
+    process holds one group of them at a time and the pipe's capacity
+    bounds the child's lead; a divergence found here kills the child and
     wins over any error the child raised after it. Where ``os.fork`` does
-    not exist the fit runs now.
+    not exist the whole fit runs on exit. The fit's error wins over an
+    ``Exception`` from the body; any other exception ends the fit unscored.
     """
-    if not hasattr(os, "fork"):
-        centers = fit_prototype_centers(ds, mcm)
-        return lambda kill=False: centers
-    import fcntl  # POSIX only, like os.fork
+    fit = types.SimpleNamespace(centers=None)
+    pid = pipe = status = None
+    if hasattr(os, "fork"):
+        import fcntl  # POSIX only, like os.fork
 
-    read_end, write_end = os.pipe()
-    try:  # best effort: keep whatever capacity the OS grants
-        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-    except (AttributeError, OSError):
-        pass
-    pid = os.fork()
-    if pid == 0:
-        code = 1  # a child that cannot send its result says so by its status
-        try:
-            os.close(read_end)
-            start = time.perf_counter()
-            with open(write_end, "wb") as fh:
-                error = None
-                try:
-                    for c in descend(ds, mcm):
-                        pickle.dump(c, fh)
-                        fh.flush()
-                except Exception as e:
-                    error = e
-                pickle.dump((error, time.perf_counter() - start), fh)
-            code = 0
-        finally:  # never return into the caller's stack or flush its stdio
-            os._exit(code)
-    os.close(write_end)
-    status = None
+        read_end, write_end = os.pipe()
+        try:  # best effort: keep whatever capacity the OS grants
+            fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        except (AttributeError, OSError):
+            pass
+        pid = os.fork()
+        if pid == 0:
+            code = 1  # a child that cannot send its result says so by its status
+            try:
+                os.close(read_end)
+                start = time.perf_counter()
+                with open(write_end, "wb") as fh:
+                    error = None
+                    try:
+                        for c in descend(ds, mcm):
+                            pickle.dump(c, fh)
+                            fh.flush()
+                    except Exception as e:
+                        error = e
+                    pickle.dump((error, time.perf_counter() - start), fh)
+                code = 0
+            finally:  # never return into the caller's stack or flush its stdio
+                os._exit(code)
+        os.close(write_end)
+        pipe = open(read_end, "rb")
 
-    def reap(kill):
+    def reap():
         nonlocal status
-        if status is None:
-            if kill:
-                os.kill(pid, signal.SIGKILL)
-            status = os.waitpid(pid, 0)[1]
+        status = os.waitpid(pid, 0)[1]
         return status
 
-    def trajectory(fh, start):
+    def trajectory(start):
         try:  # what our own child wrote: snapshots, then a result unless cut off
-            while isinstance(msg := pickle.load(fh), np.ndarray):
+            while isinstance(msg := pickle.load(pipe), np.ndarray):
                 yield msg
             error, fit_s = msg
         except Exception:
-            code = os.waitstatus_to_exitcode(reap(kill=False))
+            code = os.waitstatus_to_exitcode(reap())
             how = f"signal {-code}" if code < 0 else f"exit status {code}"
             raise ConceptMineError(
                 f"center fitting ended without a result ({how})") from None
-        reap(kill=False)
+        reap()
         log.debug("fit-centers: %.3f s in the child, %.3f s waited for it",
                   fit_s, time.perf_counter() - start)
         if error is not None:
             raise error
 
-    def collect(kill=False):
-        fh = open(read_end, "rb")
+    def collect():
+        with _stage("fit-centers"):
+            fit.centers = best_epoch(ds, mcm, descend(ds, mcm) if pid is None
+                                     else trajectory(time.perf_counter()))
+    try:
         try:
-            if not kill:
-                return best_epoch(ds, mcm, trajectory(fh, time.perf_counter()))
-        finally:  # a child not yet reaped is one this process stopped reading
-            reap(kill=True)
-            fh.close()
-    return collect
+            yield fit
+        except Exception:
+            collect()
+            raise
+        collect()
+    finally:  # a child not yet reaped is one this process stopped reading
+        if pid is not None:
+            if status is None:
+                os.kill(pid, signal.SIGKILL)
+                reap()
+            pipe.close()
 
 
 def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> dict:
@@ -269,9 +274,9 @@ def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> d
     The part features are fixed inputs and mining is a pure function of
     them, so the book is mined once and the head trained once for all
     epochs at ``beta * lr``. Nothing but the centers file reads the
-    centers, so a forked child runs their descent (:func:`_start_fit`)
-    while this process mines, trains and scores the run; this process then
-    scores the child's epochs, keeps the best and writes every file. The
+    centers, so a forked child runs their descent (:func:`_fitting`) while
+    this process mines, trains and scores the run; this process then scores
+    the child's epochs, keeps the best and writes every file. The
     stability folds are checked before any costly stage runs or ``outdir``
     is created. An error names the stage it came from (:func:`_stage`).
     """
@@ -285,9 +290,7 @@ def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> d
         split_kfold(ds, cfg.stability_k, cfg.seed)
         outdir.mkdir(parents=True, exist_ok=True)
 
-    with _stage("fit-centers"):
-        collect = _start_fit(ds, cfg.mcm)
-    try:
+    with _fitting(ds, cfg.mcm) as fit:
         with _stage("mine"):
             book = mine_concepts(ds, cfg.mining)
             z, g = compute_cav_batch(ds, book)
@@ -306,20 +309,10 @@ def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> d
             report = metric_report(ds, z, g, book, head, cfg.stability_k,
                                    cfg.mining, cfg.seed,
                                    list(cfg.faithfulness_ns), cfg_dict)
-    except Exception:
-        # The fit stage comes first, so its error wins over this one.
-        with _stage("fit-centers"):
-            collect()
-        raise
-    except BaseException:  # an interrupt ends the fit without waiting
-        collect(kill=True)
-        raise
-    with _stage("fit-centers"):
-        centers = collect()
 
     with _stage("write-artifacts"):
         meta = {"config_hash": h, **asdict(cfg.mining)}
-        save_centers(centers, outdir / "centers.pcmc", "pcmc")
+        save_centers(fit.centers, outdir / "centers.pcmc", "pcmc")
         for fmt in ("json", "pcmb"):
             save_book(book, outdir / f"book.{fmt}", fmt, meta=meta)
         for fmt in ("json", "pcmh"):
@@ -427,9 +420,8 @@ def cmd_merge(args) -> int:
                             ("merged", cfg.threshold_pct, merged)):
             z, g = compute_cav_batch(ds, b)
             head = train_head(z, g, ds.labels, head_cfg)
-            acc = accuracy(z, g, ds.labels, head)
-            f3 = faithfulness(z, g, ds.labels, head, b, [3])[3]
-            rows.append((tag, pct, cfg.level, b.d_c, acc, f3))
+            acc, drops = _accuracy_and_faithfulness(z, g, ds.labels, head, b, [3])
+            rows.append((tag, pct, cfg.level, b.d_c, acc, drops[3]))
         csv_path = args.csv or (str(out) + ".table.csv")
         write_csv(csv_path, ["book", "threshold_pct", "level", "d_c",
                              "accuracy", "F3"], rows)

@@ -22,7 +22,8 @@ class FormatError(ConceptMineError):
 
 class ValidationError(ConceptMineError):
     """Data violates a declared invariant (shape, range, finiteness);
-    ``index`` is the flat position of the entry at fault, when one is named."""
+    ``index`` is the row (first-axis index) of the entry at fault, when one
+    is named."""
 
     def __init__(self, message, index=None):
         super().__init__(message)
@@ -84,9 +85,19 @@ def check_array(name: str, value, ndim: int, dtype=np.float64,
     unless it converts from bools, ints or floats (not strings or objects)
     to ``ndim`` dimensions and, when ``finite``, holds no NaN or infinity.
     With ``high`` (labels, indices) every entry must be an integer in [0, high),
-    not a bool, checked before the cast so nothing wraps, truncates or warns;
-    the refusal's ``index`` is the first entry at fault."""
+    not a bool, checked before the cast so nothing wraps, truncates or warns.
+    A finite entry that the cast takes out of range (past float32's largest)
+    is refused too. The refusal's ``index`` is the row of the first entry at
+    fault."""
     index = None
+
+    def fault(ok):
+        """The first entry where ``ok`` is False; sets ``index`` to its row."""
+        nonlocal index
+        flat = int(np.argmin(ok))
+        index = int(np.unravel_index(flat, ok.shape)[0])
+        return source.flat[flat].item()
+
     try:
         source = np.asarray(value)
         if source.dtype.kind not in ("biuf" if high is None else "iuf"):
@@ -97,9 +108,14 @@ def check_array(name: str, value, ndim: int, dtype=np.float64,
             # NaN fails every comparison; trunc leaves only integers unchanged.
             ok = (source >= 0) & (source < high) & (np.trunc(source) == source)
             if not ok.all():
-                index = int(np.argmin(ok))
-                raise ValueError(f"{source.flat[index].item()!r} at index {index}")
-        array = np.asarray(value, dtype=dtype)
+                raise ValueError(f"{fault(ok)!r} at index {index}")
+        with np.errstate(over="ignore"):
+            array = np.asarray(value, dtype=dtype)
+        if array.dtype.kind == "f" and array.itemsize < source.itemsize:
+            ok = np.isfinite(array) | ~np.isfinite(source)
+            if not ok.all():
+                raise ValueError(f"{fault(ok)!r} at row {index}, outside the "
+                                 f"{array.dtype} range")
         if finite and not np.isfinite(array).all():
             raise ValueError("a non-finite entry")
     except (TypeError, ValueError, OverflowError) as e:

@@ -92,10 +92,12 @@ def accuracy(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,
 
 def percent_correct(pred: np.ndarray, labels: np.ndarray, n_classes: int) -> float:
     """Percent of predicted classes ``pred`` equal to their labels, one
-    label in [0, n_classes) per prediction."""
+    label in [0, n_classes) per prediction and at least one prediction."""
     y = check_array("labels", labels, 1, np.int64, high=n_classes)
     if len(y) != len(pred):
         raise ValidationError(f"{len(y)} labels for {len(pred)} predictions")
+    if not len(y):
+        raise ValidationError("accuracy needs at least one prediction")
     return 100.0 * float(np.mean(pred == y))
 
 
@@ -148,6 +150,8 @@ def train_head(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,
     y = check_array("labels", labels, 1, np.int64, high=len(z))
     if not len(z) == len(g) == len(y):
         raise ValidationError("cavs, gs and labels shapes are inconsistent")
+    if not len(y):
+        raise ValidationError("train_head needs at least one sample")
     n_classes = int(y.max()) + 1
     onehot = np.eye(n_classes)[y]
 

@@ -274,6 +274,8 @@ def sparseness(cavs: np.ndarray) -> float:
     d_c = z.shape[1]
     if d_c < 2:
         raise ValidationError(f"sparseness needs d_c >= 2, got {d_c}")
+    if not len(z):
+        raise ValidationError("sparseness needs at least one CAV row")
     l1 = np.abs(z).sum(axis=1)
     l2 = np.linalg.norm(z, axis=1)
     # A row of tiny entries, whose squares underflow (a score past 100), is

@@ -118,7 +118,8 @@ def test_each_entry_point_refuses_a_malformed_array(entry, bad):
         call(BAD[bad](valid))
 
 
-# id: (a call with one malformed label, index, class or count, the message)
+# id: (a call with one malformed label, index, class or count, or with zero
+# rows, and the message)
 PROBES = {
     "dataset-label-fraction": (lambda: PartFeatureDataset(
         PARTS, NONPROTO, np.array([0, 1.5, 0, 1]), 2), "got 1.5 at index 1"),
@@ -159,6 +160,17 @@ PROBES = {
                                      "class must be an integer >= 0 and <= 1"),
     "contributions-class-bool": (lambda: concept_contributions(Z[0], HEAD, True),
                                  "class must be an integer >= 0 and <= 1"),
+    # Zero rows: a mean over them would warn and read NaN.
+    "train_head-zero-samples": (lambda: train_head(
+        Z[:0], G[:0], Y[:0], HeadTrainConfig(epochs=1)),
+        "train_head needs at least one sample"),
+    "accuracy-zero-rows": (lambda: accuracy(Z[:0], G[:0], Y[:0], HEAD),
+                           "accuracy needs at least one prediction"),
+    "faithfulness-zero-rows": (lambda: faithfulness(
+        Z[:0], G[:0], Y[:0], HEAD, BOOK, [1]),
+        "accuracy needs at least one prediction"),
+    "sparseness-zero-rows": (lambda: sparseness(Z[:0]),
+                             "sparseness needs at least one CAV row"),
 }
 
 

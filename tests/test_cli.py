@@ -446,6 +446,17 @@ class TestExport:
         np.testing.assert_array_equal(a.part_features, b.part_features)
         np.testing.assert_array_equal(a.labels, b.labels)
 
+    @pytest.mark.filterwarnings("error")
+    def test_feature_past_float32_names_file_and_row(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text("part0_0,g_0,label\n0.5,0.5,0\n1e39,0.5,1\n")
+        assert run("export", "--data", path, "-o", tmp_path / "p.pfd") == 1
+        err = capsys.readouterr().err
+        assert "p.csv: row 1: part_features must be" in err
+        assert "got 1e+39 at row 1, outside the float32 range" in err
+        assert "Warning" not in err and "Traceback" not in err
+        assert not (tmp_path / "p.pfd").exists()
+
 
 # Each subcommand's setting flags, with the field each one sets, and the
 # config classes the subcommand builds from them.

@@ -144,6 +144,17 @@ class TestInvariants:
         with pytest.raises(ValidationError, match="sample 1"):
             PartFeatureDataset(parts, np.zeros((3, 2)), np.array([0, 1, 2]), 3)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("where", ["part_features", "nonproto_features"])
+    def test_finite_value_past_float32_names_value_and_row(self, where):
+        parts, g = np.zeros((3, 1, 2)), np.zeros((3, 2))
+        (parts[2, 0] if where == "part_features" else g[2])[1] = -1e39
+        with pytest.raises(ValidationError, match=rf"^{where} must be a \d-D "
+                           r"array of real numbers, got -1e\+39 at row 2, "
+                           r"outside the float32 range$") as info:
+            PartFeatureDataset(parts, g, np.array([0, 1, 2]), 3)
+        assert info.value.index == 2
+
     def test_label_out_of_range(self):
         with pytest.raises(ValidationError, match=r"labels must be a 1-D array of "
                                                   r"integers in \[0, 2\), got 5 at index 1"):

@@ -20,7 +20,7 @@ from conceptmine.dataset import SyntheticSpec, generate_synthetic, save_dataset
 from conceptmine.errors import ConceptMineError, DivergenceError, ValidationError
 from conceptmine.head import HeadTrainConfig
 from conceptmine.mining import mine_concepts
-from conceptmine.partproto import McmConfig, descend
+from conceptmine.partproto import McmConfig, best_epoch, descend
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="the fit is forked only where os.fork exists")
@@ -147,6 +147,42 @@ def test_fit_error_wins_over_a_later_stage_error(ds, tmp_path, monkeypatch):
     with pytest.raises(DivergenceError, match="^stage fit-centers: diverged$") as info:
         run_pipeline(ds, small_config(), tmp_path / "run")
     assert (info.value.epoch, info.value.lr) == (2, 0.1)
+    assert_no_child()
+
+
+def test_later_stage_error_scores_the_fit_once(ds, tmp_path, monkeypatch,
+                                               fit_mode):
+    """A stage that fails while the fit succeeds: the fit is scored once,
+    then the stage's own error is raised."""
+    calls = []
+
+    def counted_best_epoch(*args):
+        calls.append(1)
+        return best_epoch(*args)
+
+    monkeypatch.setattr(cli, "best_epoch", counted_best_epoch)
+    monkeypatch.setattr(cli, "mine_concepts", failing_mine)
+    with pytest.raises(ValidationError, match="^stage mine: bad book$"):
+        run_pipeline(ds, small_config(), tmp_path / "run")
+    assert len(calls) == 1
+    assert_no_child()
+
+
+def test_fit_error_after_every_stage_succeeds(ds, tmp_path, monkeypatch,
+                                              fit_mode):
+    """The fit's error, raised after two snapshots, fails a run whose other
+    stages all succeeded: no file is written and no child is left."""
+    def diverge_after_snapshots(ds, cfg):
+        yield snapshot_of(ds, 0.0)
+        yield snapshot_of(ds, 0.0)
+        raise DivergenceError("diverged", epoch=2, lr=0.1)
+
+    monkeypatch.setattr(cli, "descend", diverge_after_snapshots)
+    with pytest.raises(DivergenceError, match="^stage fit-centers: diverged$") as info:
+        run_pipeline(ds, small_config(), tmp_path / "run")
+    assert (info.value.epoch, info.value.lr) == (2, 0.1)
+    assert not (tmp_path / "run" / "manifest.json").exists()
+    assert not list((tmp_path / "run").iterdir())  # no artifact either
     assert_no_child()
 
 
