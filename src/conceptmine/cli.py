@@ -185,47 +185,50 @@ def _stage(name: str):
 
 @contextlib.contextmanager
 def _fitting(ds: PartFeatureDataset, mcm: McmConfig):
-    """Fit the centers beside the body and set ``fit.centers`` when it ends.
+    """Fit the centers beside the body and, once it ends normally, score
+    them as stage ``fit-centers`` into ``fit.centers``. Any exception, from
+    the body or from the scoring, kills and reaps the child unscored.
 
     A forked child runs only :func:`descend` and pickles each snapshot down
-    a pipe, then its error (or None) and its descent time. On exit the
-    snapshots are scored with :func:`best_epoch` as they are read, so this
-    process holds one group of them at a time and the pipe's capacity
-    bounds the child's lead; a divergence found here kills the child and
-    wins over any error the child raised after it. Where ``os.fork`` does
-    not exist the whole fit runs on exit. The fit's error wins over an
-    ``Exception`` from the body; any other exception ends the fit unscored.
+    a pipe, then its error (or None) and its descent time. The snapshots are
+    scored with :func:`best_epoch` as they are read, so this process holds
+    one group of them at a time and the pipe's capacity bounds the child's
+    lead; a divergence found here kills the child and wins over any error
+    the child raised after it. Without ``os.fork`` the fit runs in process.
     """
     fit = types.SimpleNamespace(centers=None)
-    pid = pipe = status = None
-    if hasattr(os, "fork"):
-        import fcntl  # POSIX only, like os.fork
+    if not hasattr(os, "fork"):
+        yield fit
+        with _stage("fit-centers"):
+            fit.centers = best_epoch(ds, mcm, descend(ds, mcm))
+        return
+    import fcntl  # POSIX only, like os.fork
 
-        read_end, write_end = os.pipe()
-        try:  # best effort: keep whatever capacity the OS grants
-            fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        except (AttributeError, OSError):
-            pass
-        pid = os.fork()
-        if pid == 0:
-            code = 1  # a child that cannot send its result says so by its status
-            try:
-                os.close(read_end)
-                start = time.perf_counter()
-                with open(write_end, "wb") as fh:
-                    error = None
-                    try:
-                        for c in descend(ds, mcm):
-                            pickle.dump(c, fh)
-                            fh.flush()
-                    except Exception as e:
-                        error = e
-                    pickle.dump((error, time.perf_counter() - start), fh)
-                code = 0
-            finally:  # never return into the caller's stack or flush its stdio
-                os._exit(code)
-        os.close(write_end)
-        pipe = open(read_end, "rb")
+    read_end, write_end = os.pipe()
+    try:  # best effort: keep whatever capacity the OS grants
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (AttributeError, OSError):
+        pass
+    pid = os.fork()
+    if pid == 0:
+        code = 1  # a child that cannot send its result says so by its status
+        try:
+            os.close(read_end)
+            start = time.perf_counter()
+            with open(write_end, "wb") as fh:
+                error = None
+                try:
+                    for c in descend(ds, mcm):
+                        pickle.dump(c, fh)
+                        fh.flush()
+                except Exception as e:
+                    error = e
+                pickle.dump((error, time.perf_counter() - start), fh)
+            code = 0
+        finally:  # never return into the caller's stack or flush its stdio
+            os._exit(code)
+    os.close(write_end)
+    status = None
 
     def reap():
         nonlocal status
@@ -248,23 +251,15 @@ def _fitting(ds: PartFeatureDataset, mcm: McmConfig):
         if error is not None:
             raise error
 
-    def collect():
-        with _stage("fit-centers"):
-            fit.centers = best_epoch(ds, mcm, descend(ds, mcm) if pid is None
-                                     else trajectory(time.perf_counter()))
-    try:
+    with open(read_end, "rb") as pipe:
         try:
             yield fit
-        except Exception:
-            collect()
-            raise
-        collect()
-    finally:  # a child not yet reaped is one this process stopped reading
-        if pid is not None:
+            with _stage("fit-centers"):
+                fit.centers = best_epoch(ds, mcm, trajectory(time.perf_counter()))
+        finally:  # a child not yet reaped is one this process stopped reading
             if status is None:
                 os.kill(pid, signal.SIGKILL)
                 reap()
-            pipe.close()
 
 
 def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> dict:
@@ -278,7 +273,9 @@ def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> d
     this process mines, trains and scores the run; this process then scores
     the child's epochs, keeps the best and writes every file. The
     stability folds are checked before any costly stage runs or ``outdir``
-    is created. An error names the stage it came from (:func:`_stage`).
+    is created. The stages run as ``preflight``, ``mine``, ``train``,
+    ``metrics``, ``fit-centers``, ``write-artifacts``, and the first to
+    fail ends the run with an error that names it (:func:`_stage`).
     """
     cfg_dict = cfg.to_dict()
     h = config_hash(cfg_dict)

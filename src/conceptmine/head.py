@@ -170,11 +170,13 @@ def train_head(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,
     for epoch in range(cfg.epochs):
         step = cfg.lr
         for _ in range(_MAX_HALVINGS):
-            pre_prox = w1 - step * g_w1
-            w1_new = soft_threshold(pre_prox, step * cfg.lam * cfg.gamma)
-            w2_new = w2 - step * g_w2
-            b_new = b - step * g_b
-            obj_new, grads_new = objective_and_grads(w1_new, w2_new, b_new)
+            # An overflowing trial's inf or NaN objective is rejected below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                pre_prox = w1 - step * g_w1
+                w1_new = soft_threshold(pre_prox, step * cfg.lam * cfg.gamma)
+                w2_new = w2 - step * g_w2
+                b_new = b - step * g_b
+                obj_new, grads_new = objective_and_grads(w1_new, w2_new, b_new)
             if obj_new <= obj:
                 w1, w2, b, obj = w1_new, w2_new, b_new, obj_new
                 g_w1, g_w2, g_b = grads_new

@@ -1,19 +1,25 @@
 import argparse
 import csv
 import json
+import os
+import platform
 import struct
+import subprocess
+import sys
 from dataclasses import MISSING, asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conceptmine
 from conceptmine.cav import compute_cav_batch
 from conceptmine.cli import (PipelineConfig, _given, build_parser, main,
                              pipeline_config_from_dict, run_pipeline)
 from conceptmine.errors import FormatError, ValidationError
 from conceptmine.dataset import (SyntheticSpec, generate_synthetic,
                                  load_dataset, save_dataset)
-from conceptmine.head import HeadTrainConfig, save_head, train_head
+from conceptmine.head import HeadTrainConfig, load_head, save_head, train_head
 from conceptmine.mining import (MergeConfig, MiningConfig, load_book,
                                 mine_concepts, save_book)
 from conceptmine.occlusion import OcclusionConfig
@@ -50,6 +56,56 @@ def artifacts(tmp_path, ds_path):
              "--k", 4, "--eps", "0.3", "--min-pts", 3, "-o", out)
     assert rc == 0
     return out
+
+
+def openblas_dynamic_arch() -> bool:
+    """True when numpy's OpenBLAS picks its kernel at run time, so that
+    ``OPENBLAS_CORETYPE`` can select another one."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "DYNAMIC_ARCH" in str(blas.get("openblas configuration", ""))
+
+
+# The BLAS may sum a product in any order, so a head trained under another
+# kernel or thread count drifts in the last bits. Measured on the CLI-default
+# data: at most 4e-14 relative on a head weight and 1.5e-14 absolute on a
+# percentage. These bounds are far below any value a run reports.
+BLAS_RTOL, BLAS_ATOL = 1e-9, 1e-12
+
+
+def text_and_numbers(path):
+    """The text fields and the numbers of a run file, each in file order."""
+    if path.suffix == ".pcmh":
+        head = load_head(path, "pcmh")
+        return (sorted(head.meta.items()),
+                np.concatenate([head.W1.ravel(), head.W2.ravel(), head.b]))
+    text, numbers = [], []
+
+    def walk(v):
+        if isinstance(v, dict):
+            for k in v:
+                text.append(k)
+                walk(v[k])
+        elif isinstance(v, list):
+            for x in v:
+                walk(x)
+        elif isinstance(v, (int, float)) and not isinstance(v, bool):
+            numbers.append(float(v))
+        else:
+            text.append(v)
+
+    if path.suffix == ".json":
+        walk(json.loads(path.read_text()))
+    else:
+        with open(path, newline="") as fh:
+            for field in (f for row in csv.reader(fh) for f in row):
+                try:
+                    numbers.append(float(field))
+                except ValueError:
+                    text.append(field)
+    return text, np.array(numbers)
 
 
 class TestGen:
@@ -135,6 +191,46 @@ class TestPipeline:
             "--k", 4, "--eps", "0.3", "--min-pts", 3, "-o", out2)
         for p in sorted(artifacts.iterdir()):
             assert p.read_bytes() == (out2 / p.name).read_bytes(), p.name
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64")
+                        or not openblas_dynamic_arch(),
+                        reason="needs an x86-64 OpenBLAS that picks its "
+                               "kernel at run time")
+    def test_blas_settings_move_only_head_dependent_files(self, tmp_path):
+        """Books and centers are the same bytes under every OpenBLAS kernel
+        and thread count; the head and what it scores agree within
+        BLAS_RTOL and BLAS_ATOL."""
+        data = tmp_path / "d.pfd"
+        assert run("gen", "-o", data) == 0
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(conceptmine.__file__).parents[1]))
+        env.pop("OPENBLAS_CORETYPE", None)
+        runs = []
+        for core in (None, "Sandybridge"):
+            for threads in ("1", "2"):
+                out = tmp_path / f"run-{core}-{threads}"
+                child = dict(env, OPENBLAS_NUM_THREADS=threads,
+                             **({"OPENBLAS_CORETYPE": core} if core else {}))
+                subprocess.run([sys.executable, "-m", "conceptmine.cli",
+                                "pipeline", "--data", str(data), "-o", str(out)],
+                               env=child, check=True, capture_output=True)
+                runs.append(out)
+        first, *others = runs
+        names = sorted(p.name for p in first.iterdir())
+        assert len(names) == 9
+        for out in others:
+            assert sorted(p.name for p in out.iterdir()) == names
+            for name in names:
+                a, b = first / name, out / name
+                if name in ("book.json", "book.pcmb", "centers.pcmc"):
+                    assert a.read_bytes() == b.read_bytes(), (out.name, name)
+                    continue
+                (text_a, num_a), (text_b, num_b) = (text_and_numbers(a),
+                                                    text_and_numbers(b))
+                assert text_a == text_b, (out.name, name)
+                np.testing.assert_allclose(num_b, num_a, rtol=BLAS_RTOL,
+                                           atol=BLAS_ATOL,
+                                           err_msg=f"{out.name}/{name}")
 
     def test_config_file_with_flag_override(self, tmp_path, ds_path):
         cfg_path = tmp_path / "cfg.json"

@@ -137,34 +137,41 @@ def test_later_stage_error_reaps_the_child(ds, tmp_path, monkeypatch):
     assert_no_child()
 
 
-def test_fit_error_wins_over_a_later_stage_error(ds, tmp_path, monkeypatch):
+def test_later_stage_error_wins_over_a_diverging_fit(ds, tmp_path, monkeypatch,
+                                                     fit_mode):
+    """The fit is the stage after ``metrics``: a stage that fails first ends
+    the run at once, without waiting for a fit that would diverge later."""
     def diverge(*args):
-        time.sleep(0.2)  # the parent's stage fails first
+        time.sleep(60)
         raise DivergenceError("diverged", epoch=2, lr=0.1)
 
     monkeypatch.setattr(cli, "descend", diverge)
     monkeypatch.setattr(cli, "mine_concepts", failing_mine)
-    with pytest.raises(DivergenceError, match="^stage fit-centers: diverged$") as info:
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="^stage mine: bad book$"):
         run_pipeline(ds, small_config(), tmp_path / "run")
-    assert (info.value.epoch, info.value.lr) == (2, 0.1)
+    assert time.perf_counter() - start < 30
     assert_no_child()
 
 
-def test_later_stage_error_scores_the_fit_once(ds, tmp_path, monkeypatch,
-                                               fit_mode):
-    """A stage that fails while the fit succeeds: the fit is scored once,
-    then the stage's own error is raised."""
+def test_later_stage_error_never_scores_the_fit(ds, tmp_path, monkeypatch,
+                                                fit_mode):
+    """A stage that fails ends the run unscored: the stage's own error is
+    raised, ``best_epoch`` never runs and an inline fit never descends."""
     calls = []
 
-    def counted_best_epoch(*args):
-        calls.append(1)
-        return best_epoch(*args)
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(cli, "best_epoch", counted_best_epoch)
+    monkeypatch.setattr(cli, "best_epoch", counted(best_epoch))
+    monkeypatch.setattr(cli, "descend", counted(descend))
     monkeypatch.setattr(cli, "mine_concepts", failing_mine)
     with pytest.raises(ValidationError, match="^stage mine: bad book$"):
         run_pipeline(ds, small_config(), tmp_path / "run")
-    assert len(calls) == 1
+    assert calls == []
     assert_no_child()
 
 
@@ -203,10 +210,11 @@ def test_later_stage_error_names_its_stage_once(ds, tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-def test_other_exceptions_reap_the_child(ds, tmp_path, monkeypatch, error):
-    """A bug in a later stage waits for the fit; an interrupt kills it."""
+def test_other_exceptions_reap_the_child(ds, tmp_path, monkeypatch, fit_mode,
+                                         error):
+    """A bug in a later stage, like an interrupt, kills the fit unfinished."""
     def slow_descend(*args):
-        time.sleep(0.5 if error is RuntimeError else 60)
+        time.sleep(60)
         yield from descend(*args)
 
     monkeypatch.setattr(cli, "descend", slow_descend)

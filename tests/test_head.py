@@ -190,6 +190,20 @@ class TestTraining:
             rel = np.abs(analytic - numeric).max() / max(np.abs(numeric).max(), 1e-12)
             assert rel <= 1e-4, name
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lr", [1e200, 1e300])
+    def test_overflowing_step_is_rejected_without_a_warning(self, lr):
+        """A trial step whose objective overflows is a worse point to reject,
+        not a numpy warning."""
+        z, g, y = separable_cavs()
+        objs = []
+        head = train_head(z, g, y, HeadTrainConfig(lr=lr, epochs=3),
+                          on_epoch=lambda e, o, s, u, w: objs.append(o))
+        assert len(objs) == 3 and np.isfinite(objs).all()
+        assert all(a >= b for a, b in zip(objs, objs[1:]))
+        for w in (head.W1, head.W2, head.b):
+            assert np.isfinite(w).all()
+
     @pytest.mark.parametrize("field", ["lam", "lr", "beta"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_config_refused(self, field, value):
