@@ -23,10 +23,13 @@ class ConceptActivationVector:
     g: np.ndarray  # [d_f] pass-through non-prototypical features
 
 
-def _unit_rows(a: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit norm; zero rows stay zero (cosine with 0 is 0)."""
+def _unit_rows(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows scaled to unit norm, written to ``out`` if given (``a`` itself
+    may be it); zero rows read +0.0 (cosine with 0 is 0)."""
     norms = np.linalg.norm(a, axis=-1, keepdims=True)
-    return np.where(norms > 0, a / np.where(norms > 0, norms, 1.0), 0.0)
+    out = np.divide(a, np.where(norms > 0, norms, 1.0), out=out)
+    out[norms[..., 0] == 0] = 0.0
+    return out
 
 
 def _cav_core(parts: np.ndarray, book: ConceptBook) -> np.ndarray:
@@ -42,11 +45,12 @@ def _cav_core(parts: np.ndarray, book: ConceptBook) -> np.ndarray:
     unit_cents = _unit_rows(book.centroid_matrix())
     entry_parts = book.parts()
     z = np.zeros((parts.shape[0], book.d_c), dtype=np.float64)
-    for p in np.unique(entry_parts):
+    unit_f = np.empty((len(parts), parts.shape[2]), dtype=np.float64)
+    for p in np.unique(entry_parts):  # one float64 copy of one part at a time
         cols = np.flatnonzero(entry_parts == p)
-        unit_f = _unit_rows(parts[:, p, :].astype(np.float64))
-        z[:, cols] = unit_f @ unit_cents[cols].T
-    return np.clip(z, 0.0, 1.0)
+        np.copyto(unit_f, parts[:, p, :])
+        z[:, cols] = _unit_rows(unit_f, out=unit_f) @ unit_cents[cols].T
+    return np.clip(z, 0.0, 1.0, out=z)
 
 
 def compute_cav(sample_parts: np.ndarray, g: np.ndarray,

@@ -32,6 +32,17 @@ _HEADER = struct.Struct("<4s5I")
 
 # Attempts per planted mean before generation gives up.
 _MAX_REJECTIONS = 10_000
+# Entries of the largest temporary of one row block. The CAV scorers, the
+# generator and the PFD writer size their blocks by it through _row_blocks,
+# mining's Gram kernel by the name it imports.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(n: int, width: int):
+    """Slices covering ``range(n)`` in order, each of at most
+    ``max(1, _BLOCK_ENTRIES // width)`` rows of ``width`` entries."""
+    step = max(1, _BLOCK_ENTRIES // max(width, 1))
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 @dataclass
@@ -129,17 +140,21 @@ def save_dataset(ds: PartFeatureDataset, path, format: str = "pfd"):
     """Write a dataset to ``path`` in binary PFD or CSV form."""
     ds.validate()
     path = Path(path)
-    merged = np.concatenate(
-        [ds.part_features, ds.nonproto_features[:, None, :]], axis=1)
+
+    def merged(rows):  # [rows, K + 1, d_f]: the parts, then g
+        return np.concatenate(
+            [ds.part_features[rows], ds.nonproto_features[rows, None, :]], axis=1)
+
     if format == "pfd":
         header = _HEADER.pack(MAGIC, VERSION, ds.n_samples, ds.n_parts,
                               ds.n_classes, ds.feat_dim)
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(np.ascontiguousarray(merged, dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(ds.labels, dtype="<u4").tobytes())
+            for rows in _row_blocks(ds.n_samples, (ds.n_parts + 1) * ds.feat_dim):
+                fh.write(np.ascontiguousarray(merged(rows), dtype="<f4").data)
+            fh.write(np.ascontiguousarray(ds.labels, dtype="<u4").data)
     elif format == "csv":
-        values = merged.reshape(ds.n_samples, -1)
+        values = merged(slice(None)).reshape(ds.n_samples, -1)
         write_csv(path, _csv_header(ds.n_parts, ds.feat_dim),
                   (v.tolist() + [c] for v, c in zip(values, ds.labels.tolist())))
     else:
@@ -272,15 +287,22 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[PartFeatureDataset, GroundT
     labels = np.repeat(np.arange(L), spec.samples_per_class)
     assignment = rng.integers(0, G, size=(n, K))
 
-    parts = means[labels[:, None], np.arange(K)[None, :],
-                  assignment].astype(np.float64)
-    g = g_means[labels].astype(np.float64)
-    if spec.noise_sigma > 0:
-        parts = parts + spec.noise_sigma * rng.standard_normal(parts.shape)
-        g = g + spec.noise_sigma * rng.standard_normal(g.shape)
+    # Row block by row block, the means are upcast, noised and narrowed into
+    # the float32 arrays. Consecutive blocks draw consecutive noise, so the
+    # values are those of one draw over all parts and then one over all g.
+    def fill(out, mean_of):
+        for rows in _row_blocks(n, out[0].size):
+            block = mean_of(rows).astype(np.float64)
+            if spec.noise_sigma > 0:
+                block += spec.noise_sigma * rng.standard_normal(block.shape)
+            out[rows] = block
+        return out
 
-    ds = PartFeatureDataset(parts.astype(np.float32), g.astype(np.float32),
-                            labels, L)
+    parts = fill(np.empty((n, K, d_f), dtype=np.float32),
+                 lambda r: means[labels[r, None], np.arange(K), assignment[r]])
+    g = fill(np.empty((n, d_f), dtype=np.float32), lambda r: g_means[labels[r]])
+
+    ds = PartFeatureDataset(parts, g, labels, L)
     return ds, GroundTruth(planted_means=means, assignment=assignment)
 
 

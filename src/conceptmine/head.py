@@ -73,15 +73,31 @@ def head_forward(z: np.ndarray, g: np.ndarray, head: SparseHead) -> np.ndarray:
             f"input dims z{z.shape}/g{g.shape} do not match head "
             f"({head.W1.shape[0]}, {head.W2.shape[0]})"
         )
-    return head.W1.T @ z + head.W2.T @ g + head.b
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = head.W1.T @ z + head.W2.T @ g + head.b
+    return _finite_logits(logits[None])[0]
 
 
 def predict(z: np.ndarray, g: np.ndarray, head: SparseHead) -> np.ndarray:
+    """Predicted class per sample row, by :func:`head_forward`'s rule."""
     z = check_array("z", z, 2)
     g = check_array("g", g, 2)
     if z.shape[1] != head.W1.shape[0] or g.shape[1] != head.W2.shape[0]:
         raise ValidationError("batch dims do not match head")
-    return np.argmax(z @ head.W1 + g @ head.W2 + head.b, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = z @ head.W1 + g @ head.W2 + head.b
+    return np.argmax(_finite_logits(logits), axis=1)
+
+
+def _finite_logits(logits: np.ndarray) -> np.ndarray:
+    """``logits [n, L]``, refused if any overflowed: a finite head can still
+    be too large for its inputs, and an inf or NaN logit ranks nothing."""
+    bad = ~np.isfinite(logits).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValidationError(f"head logits of sample {row} are not finite; the "
+                              f"head weights are too large for its inputs", row)
+    return logits
 
 
 def accuracy(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import PartFeatureDataset
+from .dataset import _BLOCK_ENTRIES, PartFeatureDataset
 from .errors import (FormatError, ValidationError, check_array, check_int,
                      check_real, read_container, read_json_object,
                      write_container, write_json)
@@ -130,10 +130,9 @@ class MergeConfig:
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _TINY = 2.0 ** -900  # exceeds any underflow error of a squared distance
-# Entries of the largest float or int temporary of one block of the kernel
-# below; it sets how many cells share a batch and how many rows of one large
-# cell share a row block.
-_BLOCK_ENTRIES = 1 << 16
+# _BLOCK_ENTRIES (from dataset) bounds the largest float or int temporary of
+# one block of the kernel below: it sets how many cells share a batch and how
+# many rows of one large cell share a row block.
 
 
 def _gram_band(a: np.ndarray, bt: np.ndarray, a_sq: np.ndarray, b_sq: np.ndarray):

@@ -11,15 +11,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cav import compute_cav, compute_cav_batch
-from .dataset import PartFeatureDataset
+from .dataset import _row_blocks, PartFeatureDataset
 from .errors import ValidationError, check_array, check_real, write_csv
 from .head import SparseHead, predict
 from .mining import ConceptBook
 from .xaimetrics import _accuracy_and_faithfulness
 
 
-@dataclass
+@dataclass(frozen=True)
 class OcclusionConfig:
+    """Occluded fractions, ascending: ``occlusion_eval`` relies on it."""
+
     fractions: tuple[float, ...] = (0.1, 0.2, 0.3)
 
     def __post_init__(self):
@@ -28,7 +30,7 @@ class OcclusionConfig:
         fr = tuple(float(f) for f in self.fractions)
         if list(fr) != sorted(fr):
             raise ValidationError(f"fractions must be sorted ascending, got {fr}")
-        self.fractions = fr
+        object.__setattr__(self, "fractions", fr)
 
 
 def _occlusion_order(z: np.ndarray, g: np.ndarray, head: SparseHead,
@@ -39,13 +41,14 @@ def _occlusion_order(z: np.ndarray, g: np.ndarray, head: SparseHead,
     concepts for the sample's clean predicted class; a part without
     concepts scores -inf. Ties keep part order.
     """
-    contrib = z * head.W1[:, predict(z, g, head)].T  # [n, d_c]
-    entry_parts = book.parts()
+    pred = predict(z, g, head)
+    part_cols = [np.flatnonzero(book.parts() == p) for p in range(n_parts)]
     scores = np.full((z.shape[0], n_parts), -np.inf)
-    for p in range(n_parts):
-        cols = np.flatnonzero(entry_parts == p)
-        if cols.size:
-            scores[:, p] = contrib[:, cols].max(axis=1)
+    for rows in _row_blocks(len(z), z.shape[1]):
+        contrib = z[rows] * head.W1[:, pred[rows]].T
+        for p, cols in enumerate(part_cols):
+            if cols.size:
+                scores[rows, p] = contrib[:, cols].max(axis=1)
     return np.argsort(-scores, axis=1, kind="stable")
 
 
@@ -85,16 +88,19 @@ def occlusion_eval(ds: PartFeatureDataset, head: SparseHead, book: ConceptBook,
     need no second CAV pass: a zeroed part has a zero unit row, so each of
     its concepts reads exactly 0, and every other concept keeps its clean
     value. The part ranking and the clean CAVs come from one CAV batch.
+    ``OcclusionConfig`` keeps the fractions ascending, so each fraction's
+    occluded parts hold the last one's, and that one matrix is zeroed in
+    place from point to point.
     """
     fractions = cfg.fractions
     if not fractions or fractions[0] != 0.0:
         fractions = (0.0,) + fractions
 
-    clean_z, g = compute_cav_batch(ds, book)
-    order = _occlusion_order(clean_z, g, head, book, ds.n_parts)
+    z, g = compute_cav_batch(ds, book)
+    order = _occlusion_order(z, g, head, book, ds.n_parts)
     rows = []
     for fraction in fractions:
-        z = np.where(_top_parts(order, fraction)[:, book.parts()], 0.0, clean_z)
+        np.copyto(z, 0.0, where=_top_parts(order, fraction)[:, book.parts()])
         acc, drops = _accuracy_and_faithfulness(z, g, ds.labels, head, book, [3])
         rows.append((fraction, acc, drops[3]))
     return rows

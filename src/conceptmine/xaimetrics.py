@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from .cav import _unit_rows
-from .dataset import PartFeatureDataset, split_kfold
+from .dataset import _row_blocks, PartFeatureDataset, split_kfold
 from .errors import ValidationError, check_array, check_int, write_csv, write_json
 from .head import SparseHead, accuracy, percent_correct, predict
 from .mining import ConceptBook, MiningConfig, mine_concepts
@@ -147,21 +147,24 @@ def _accuracy_and_faithfulness(cavs, gs, labels, head: SparseHead,
         )
     pred = predict(z, g, head)  # one clean pass: base accuracy and ranking class
     base_acc = percent_correct(pred, labels, head.n_classes)
-    contrib = z * head.W1[:, pred].T  # [n, d_c]
-    order = np.argsort(-contrib, axis=1, kind="stable")
-
-    drops: dict[int, float] = {}
-    for n_req in n_list:
-        if n_req == 0:
-            drops[0] = 0.0
-            continue
-        n = n_req
+    for n in n_list:
         if n > book.d_c:
             log.warning("faithfulness n=%d exceeds d_c=%d; clamping", n, book.d_c)
-            n = book.d_c
-        z_mod = z.copy()
-        np.put_along_axis(z_mod, order[:, :n], 0.0, axis=1)
-        drops[n_req] = base_acc - accuracy(z_mod, g, labels, head)
+    steps = sorted({min(n, book.d_c) for n in n_list if n})
+    acc_at = {}
+    if steps:
+        # Each row's first steps[-1] concepts by contribution, stable order.
+        order = np.empty((len(z), steps[-1]), dtype=np.int64)
+        for rows in _row_blocks(len(z), z.shape[1]):
+            contrib = z[rows] * head.W1[:, pred[rows]].T
+            order[rows] = np.argsort(-contrib, axis=1, kind="stable")[:, :steps[-1]]
+        # One copy, its top n zeroed for each n in turn: the columns zeroed
+        # for a smaller n are among them.
+        z_mod, done = z.copy(), 0
+        for n in steps:
+            np.put_along_axis(z_mod, order[:, done:n], 0.0, axis=1)
+            acc_at[n], done = accuracy(z_mod, g, labels, head), n
+    drops = {n: base_acc - acc_at[min(n, book.d_c)] if n else 0.0 for n in n_list}
     return base_acc, drops
 
 
@@ -253,10 +256,14 @@ def consistency(cavs: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     if (sizes < 2).all():
         raise ValidationError("every class is a singleton; intra undefined")
 
-    unit = _unit_rows(z)
-    sums = np.zeros((len(classes), unit.shape[1]))
-    np.add.at(sums, inverse, unit)
-    self_sq = np.bincount(inverse, weights=(unit * unit).sum(axis=1))
+    sums = np.zeros((len(classes), z.shape[1]))
+    self_sq = np.empty(len(z))
+    # Blocks in order: np.add.at then adds the rows in order, as in one call.
+    for rows in _row_blocks(len(z), z.shape[1]):
+        unit = _unit_rows(z[rows])
+        np.add.at(sums, inverse[rows], unit)
+        self_sq[rows] = (unit * unit).sum(axis=1)
+    self_sq = np.bincount(inverse, weights=self_sq)
     class_sq = (sums * sums).sum(axis=1)
 
     multi = sizes >= 2
@@ -276,8 +283,10 @@ def sparseness(cavs: np.ndarray) -> float:
         raise ValidationError(f"sparseness needs d_c >= 2, got {d_c}")
     if not len(z):
         raise ValidationError("sparseness needs at least one CAV row")
-    l1 = np.abs(z).sum(axis=1)
-    l2 = np.linalg.norm(z, axis=1)
+    l1, l2 = np.empty(len(z)), np.empty(len(z))
+    for rows in _row_blocks(len(z), d_c):
+        l1[rows] = np.abs(z[rows]).sum(axis=1)
+        l2[rows] = np.linalg.norm(z[rows], axis=1)
     # A row of tiny entries, whose squares underflow (a score past 100), is
     # scaled by a power of two to l1 in [0.5, 1); l1 / l2 keeps its value.
     tiny = (l1 > 0) & (l1 < 2.0 ** -300)

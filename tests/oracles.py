@@ -22,7 +22,11 @@ members, a loop that tests for a live pair on its own); ``merge_centroids``
 must reproduce it bit for bit. ``reference_best_epoch`` scores every
 snapshot of a trajectory exactly, where ``best_epoch`` bounds them first.
 ``pack_container`` builds the binary artifact container
-field by field from its documented layout.
+field by field from its documented layout. ``reference_generate_synthetic``
+draws each noise array in one call, ``reference_cav_batch`` makes each part's
+unit rows as a new array, and ``reference_faithfulness`` ranks every concept
+of every row at once and zeroes a fresh copy for each n, where the package
+works in row blocks and one work copy; each must match bit for bit.
 """
 
 import itertools
@@ -33,14 +37,15 @@ import struct
 import numpy as np
 
 from conceptmine.cav import _unit_rows, compute_cav, compute_cav_batch
-from conceptmine.dataset import PartFeatureDataset, split_kfold, subset
+from conceptmine.dataset import (GroundTruth, PartFeatureDataset, _sphere_points,
+                                 split_kfold, subset)
 from conceptmine.errors import DivergenceError
 from conceptmine.head import (_MAX_HALVINGS, SparseHead, _smooth_objective_and_grads,
                               concept_contributions, head_forward, predict,
                               soft_threshold)
 from conceptmine.mining import ConceptBook, ConceptEntry, MergeConfig, mine_concepts
 from conceptmine.partproto import PrototypeCenters, mcc_loss
-from conceptmine.xaimetrics import faithfulness, hungarian
+from conceptmine.xaimetrics import hungarian
 
 
 def brute_force_dbscan(points, eps, min_pts):
@@ -427,7 +432,8 @@ def per_sample_occlusion_curve(ds, head, book, fractions):
             ds.nonproto_features, ds.labels, ds.n_classes)
         z, g = compute_cav_batch(occluded, book)
         acc = 100.0 * float(np.mean(predict(z, g, head) == labels))
-        rows.append((fraction, acc, faithfulness(z, g, labels, head, book, [3])[3]))
+        rows.append((fraction, acc,
+                     reference_faithfulness(z, g, labels, head, book, [3])[3]))
     return rows
 
 
@@ -691,3 +697,53 @@ def pack_container(magic, header, *arrays, version=2):
                       sort_keys=True).encode("utf-8")
     return (struct.pack("<4sII", magic, version, len(text)) + text
             + b"".join(a.tobytes() for a in arrays))
+
+
+def reference_generate_synthetic(spec):
+    """``generate_synthetic`` with all part noise drawn in one call, then all
+    g noise in one call, on float64 copies of the whole arrays."""
+    rng = np.random.default_rng(spec.seed)
+    L, K, G, d_f = (spec.n_classes, spec.n_parts, spec.concepts_per_cell,
+                    spec.feat_dim)
+    n = L * spec.samples_per_class
+    means = np.zeros((L, K, G, d_f), dtype=np.float32)
+    for j in range(L):
+        for p in range(K):
+            means[j, p] = _sphere_points(rng, G, d_f, spec.min_separation, "cell")
+    g_means = _sphere_points(rng, L, d_f, spec.min_separation, "g").astype(np.float32)
+    labels = np.repeat(np.arange(L), spec.samples_per_class)
+    assignment = rng.integers(0, G, size=(n, K))
+    parts = means[labels[:, None], np.arange(K)[None, :], assignment].astype(np.float64)
+    g = g_means[labels].astype(np.float64)
+    if spec.noise_sigma > 0:
+        parts = parts + spec.noise_sigma * rng.standard_normal(parts.shape)
+        g = g + spec.noise_sigma * rng.standard_normal(g.shape)
+    ds = PartFeatureDataset(parts.astype(np.float32), g.astype(np.float32), labels, L)
+    return ds, GroundTruth(planted_means=means, assignment=assignment)
+
+
+def reference_cav_batch(ds, book):
+    """CAV matrix [n, d_c] from a new float64 unit-row array per part."""
+    unit_cents = _unit_rows(book.centroid_matrix())
+    entry_parts = book.parts()
+    z = np.zeros((ds.n_samples, book.d_c))
+    for p in np.unique(entry_parts):
+        cols = np.flatnonzero(entry_parts == p)
+        unit_f = _unit_rows(ds.part_features[:, p, :].astype(np.float64))
+        z[:, cols] = unit_f @ unit_cents[cols].T
+    return np.clip(z, 0.0, 1.0)
+
+
+def reference_faithfulness(cavs, gs, labels, head, book, n_list):
+    """F(n) per n: the full stable ranking of every row's contributions, and
+    a fresh copy with its top min(n, d_c) concepts zeroed for each n."""
+    z = np.asarray(cavs, dtype=np.float64)
+    pred = predict(z, gs, head)
+    base = 100.0 * float(np.mean(pred == labels))
+    order = np.argsort(-(z * head.W1[:, pred].T), axis=1, kind="stable")
+    drops = {}
+    for n in n_list:
+        z_mod = z.copy()
+        np.put_along_axis(z_mod, order[:, :min(n, book.d_c)], 0.0, axis=1)
+        drops[n] = base - 100.0 * float(np.mean(predict(z_mod, gs, head) == labels))
+    return drops

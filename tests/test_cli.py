@@ -19,7 +19,8 @@ from conceptmine.cli import (PipelineConfig, _given, build_parser, main,
 from conceptmine.errors import FormatError, ValidationError
 from conceptmine.dataset import (SyntheticSpec, generate_synthetic,
                                  load_dataset, save_dataset)
-from conceptmine.head import HeadTrainConfig, load_head, save_head, train_head
+from conceptmine.head import (HeadTrainConfig, SparseHead, load_head, save_head,
+                             train_head)
 from conceptmine.mining import (MergeConfig, MiningConfig, load_book,
                                 mine_concepts, save_book)
 from conceptmine.occlusion import OcclusionConfig
@@ -519,6 +520,23 @@ class TestOcclude:
                    "-o", tmp_path / "b.csv") == 0
         assert (tmp_path / "a.csv").read_bytes() == \
             (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [["eval", "--k", "2"], ["occlude"]])
+def test_overflowing_head_exits_1_with_one_error_line(tmp_path, ds_path, artifacts,
+                                                      capsys, command):
+    head = load_head(artifacts / "head.json")
+    big = tmp_path / "big.json"
+    save_head(SparseHead(np.full_like(head.W1, 1e308),
+                         np.full_like(head.W2, 1e308), head.b), big)
+    capsys.readouterr()
+    assert run(*command, "--data", ds_path, "--book", artifacts / "book.json",
+               "--head", big, "-o", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: head logits of sample 0 are not finite")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 class TestExport:

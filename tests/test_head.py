@@ -60,6 +60,22 @@ class TestForward:
         preds = predict(np.zeros((2, 1)), np.zeros((2, 1)), head)
         assert (preds == 0).all()
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_logits_name_the_first_sample(self):
+        # A finite head whose logits overflow on some inputs: rows 0 to 2 are
+        # zero and score by b alone, row 3 sums 1e308 four times.
+        head = SparseHead(np.full((4, 2), 1e308), np.full((2, 2), -1e308),
+                          np.zeros(2))
+        z, g = np.zeros((6, 4)), np.zeros((6, 2))
+        z[3:] = 1.0
+        assert (predict(z[:3], g[:3], head) == 0).all()
+        with pytest.raises(ValidationError, match="sample 3 are not finite") as e:
+            predict(z, g, head)
+        assert e.value.index == 3
+        g[4] = 1.0  # inf - inf is NaN
+        with pytest.raises(ValidationError, match="sample 0 are not finite"):
+            head_forward(z[4], g[4], head)
+
 
 class TestPenalty:
     def test_pure_l1(self):

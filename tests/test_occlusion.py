@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -132,7 +133,7 @@ class TestOcclusionEval:
         seen = []
 
         def recording_scores(z, *args):
-            seen.append(z)
+            seen.append(z.copy())  # occlusion_eval refills one buffer
             return _accuracy_and_faithfulness(z, *args)
 
         monkeypatch.setattr(occlusion, "_accuracy_and_faithfulness",
@@ -200,6 +201,12 @@ class TestOcclusionEval:
     def test_unsorted_fractions_rejected(self):
         with pytest.raises(ValidationError):
             OcclusionConfig(fractions=(0.3, 0.1))
+
+    def test_fractions_stay_ascending(self):
+        # occlusion_eval zeroes one CAV matrix from point to point.
+        cfg = OcclusionConfig(fractions=(0.1, 0.3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.fractions = (0.3, 0.1)
 
 
 class TestCurveIo:
