@@ -174,13 +174,16 @@ _PIPE_BYTES = 1 << 20
 def _stage(name: str):
     """Run the body as stage ``name``: its :class:`ConceptMineError` is
     re-raised as a copy that keeps its type and attributes (such as
-    ``DivergenceError.epoch``) and whose message starts ``stage <name>: ``."""
+    ``DivergenceError.epoch``) and whose message starts ``stage <name>: ``,
+    and its ``OSError`` as a :class:`ValidationError` with that message."""
     try:
         yield
     except ConceptMineError as e:
         err = copy.copy(e)
         err.args = (f"stage {name}: {e}",)
         raise err from e
+    except OSError as e:
+        raise ValidationError(f"stage {name}: {e}") from e
 
 
 @contextlib.contextmanager
@@ -377,10 +380,7 @@ def _load_pipeline_config(args) -> PipelineConfig:
 def cmd_pipeline(args) -> int:
     cfg = _load_pipeline_config(args)
     with _stage("load-data"):
-        try:
-            ds = _load_data(args.data)
-        except OSError as e:
-            raise ValidationError(str(e)) from e
+        ds = _load_data(args.data)
     manifest = run_pipeline(ds, cfg, Path(args.output))
     acc = manifest["accuracies"]["full"]
     print(f"pipeline done: d_c={manifest['d_c']}, "

@@ -32,9 +32,10 @@ _HEADER = struct.Struct("<4s5I")
 
 # Attempts per planted mean before generation gives up.
 _MAX_REJECTIONS = 10_000
-# Entries of the largest temporary of one row block. The CAV scorers, the
-# generator and the PFD writer size their blocks by it through _row_blocks,
-# mining's Gram kernel by the name it imports.
+# Entries of the largest temporary of one row block, the one such bound: the
+# CAV scorers, the generator, the PFD writer, mining's passes and the center
+# fit's loss and bounds walk _row_blocks, and mining sizes its cell batches
+# by it.
 _BLOCK_ENTRIES = 1 << 16
 
 

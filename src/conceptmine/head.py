@@ -4,7 +4,8 @@ elastic-net penalty on the concept weights W1 only.
 Training is full-batch proximal gradient descent: a gradient step on the
 smooth part (cross-entropy + L2), then soft-thresholding of W1 by
 step * lambda * gamma. The step size is halved until the objective does not
-increase, so the recorded objective is non-increasing by construction.
+increase (or the step reaches 0.0, which holds still), so the recorded
+objective is non-increasing by construction.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from .errors import (DivergenceError, FormatError, ValidationError,
                      read_json_object, write_container, write_json)
 
 HEAD_MAGIC = b"PCMH"
-
-_MAX_HALVINGS = 60
 
 
 @dataclass
@@ -185,7 +184,7 @@ def train_head(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,
     obj, (g_w1, g_w2, g_b) = objective_and_grads(w1, w2, b)
     for epoch in range(cfg.epochs):
         step = cfg.lr
-        for _ in range(_MAX_HALVINGS):
+        while step > 0:
             # An overflowing trial's inf or NaN objective is rejected below.
             with np.errstate(over="ignore", invalid="ignore"):
                 pre_prox = w1 - step * g_w1
@@ -200,7 +199,7 @@ def train_head(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,
             step /= 2.0
         else:
             # No float-representable step improves the objective; hold still.
-            pre_prox, step = w1, 0.0
+            pre_prox = w1
         if not np.isfinite(obj):
             raise DivergenceError(f"non-finite head objective at epoch {epoch}",
                                   epoch=epoch, lr=cfg.lr)

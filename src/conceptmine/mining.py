@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import _BLOCK_ENTRIES, PartFeatureDataset
+from . import dataset
+from .dataset import _row_blocks, PartFeatureDataset
 from .errors import (FormatError, ValidationError, check_array, check_int,
                      check_real, read_container, read_json_object,
                      write_container, write_json)
@@ -130,9 +131,9 @@ class MergeConfig:
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _TINY = 2.0 ** -900  # exceeds any underflow error of a squared distance
-# _BLOCK_ENTRIES (from dataset) bounds the largest float or int temporary of
-# one block of the kernel below: it sets how many cells share a batch and how
-# many rows of one large cell share a row block.
+# dataset._BLOCK_ENTRIES bounds the largest float or int temporary of one
+# block of the kernel below: it sets how many cells share a batch, and
+# _row_blocks how many rows of one large cell share a row block.
 
 
 def _gram_band(a: np.ndarray, bt: np.ndarray, a_sq: np.ndarray, b_sq: np.ndarray):
@@ -171,9 +172,7 @@ def _sq_dist_blocks(x: np.ndarray, counts: np.ndarray):
     overflow = sq.max() >= 2.0 ** 1020  # else every Gram term is finite
     padding = np.arange(m) >= counts[:, None]
     xt = x.transpose(0, 2, 1)
-    step = max(1, _BLOCK_ENTRIES // (b * m))
-    for lo in range(0, m, step):
-        rows = slice(lo, min(lo + step, m))
+    for rows in _row_blocks(m, b * m):
         gram, band = _gram_band(x[:, rows], xt, sq[:, rows, None], sq[:, None, :])
         if overflow:
             lost = ~np.isfinite(gram + band)
@@ -181,17 +180,15 @@ def _sq_dist_blocks(x: np.ndarray, counts: np.ndarray):
         if padding.any():
             np.copyto(gram, np.inf, where=padding[:, None, :])
             np.copyto(gram, np.inf, where=padding[:, rows, None])
-        yield lo, gram, band
+        yield rows.start, gram, band
 
 
 def _exact_sq_dists(x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """``sum((x[i] - x[j]) ** 2)`` per pair of rows of ``x [n, d]``, bit for
     bit as the ``n x n x d`` broadcast sums it, in chunks of bounded size."""
     out = np.empty(len(i))
-    step = max(1, _BLOCK_ENTRIES // max(x.shape[1], 1))
-    for lo in range(0, len(i), step):
-        out[lo:lo + step] = np.sum((x[i[lo:lo + step]] - x[j[lo:lo + step]]) ** 2,
-                                   axis=1)
+    for rows in _row_blocks(len(i), x.shape[1]):
+        out[rows] = np.sum((x[i[rows]] - x[j[rows]]) ** 2, axis=1)
     return out
 
 
@@ -230,9 +227,7 @@ def _neighbor_min(within: np.ndarray, values: np.ndarray, fill: int) -> np.ndarr
     (``fill`` for none), in row blocks of bounded size."""
     b, m, _ = within.shape
     out = np.empty((b, m), dtype=values.dtype)
-    step = max(1, _BLOCK_ENTRIES // (b * m))
-    for lo in range(0, m, step):
-        rows = slice(lo, min(lo + step, m))
+    for rows in _row_blocks(m, b * m):
         out[:, rows] = np.where(within[:, rows], values[:, None, :],
                                 fill).min(axis=2)
     return out
@@ -256,7 +251,8 @@ def _dbscan_cells(x: np.ndarray, counts: np.ndarray,
     b, m, d = x.shape
     # One Gram pass serves both the eps and the neighbor decisions when the
     # whole batch fits in one block; a large cell is passed twice.
-    blocks = list(_sq_dist_blocks(x, counts)) if b * m * m <= _BLOCK_ENTRIES else None
+    one_pass = b * m * m <= dataset._BLOCK_ENTRIES
+    blocks = list(_sq_dist_blocks(x, counts)) if one_pass else None
     if mining.eps is None:
         eps = _adaptive_eps(x, counts, blocks or _sq_dist_blocks(x, counts))
         min_pts = np.maximum(3, counts // 20)
@@ -331,8 +327,8 @@ def mine_concepts(ds: PartFeatureDataset, mining: MiningConfig = MiningConfig(),
     returns one book per fold instead, each equal to the book of
     ``subset(ds, fold)``. The cells of all folds are clustered together:
     sorted by size, they share zero-padded batches whose temporaries hold
-    at most ``_BLOCK_ENTRIES`` entries, and a cell too large for a batch of
-    its own is row-blocked.
+    at most ``dataset._BLOCK_ENTRIES`` entries, and a cell too large for a
+    batch of its own is row-blocked.
     """
     ds.validate()
     sets = ([np.arange(ds.n_samples)] if folds is None
@@ -354,7 +350,7 @@ def mine_concepts(ds: PartFeatureDataset, mining: MiningConfig = MiningConfig(),
     start = 0
     while start < len(order):
         m = int(sizes[order[start]])
-        cells = order[start:start + max(1, _BLOCK_ENTRIES // (m * max(m, d)))]
+        cells = order[start:start + max(1, dataset._BLOCK_ENTRIES // (m * max(m, d)))]
         start += len(cells)
         counts = sizes[cells]
         sample = np.zeros((len(cells), m), dtype=np.int64)

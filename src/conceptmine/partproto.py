@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import PartFeatureDataset
+from .dataset import _row_blocks, PartFeatureDataset
 from .errors import (SEED_MAX, DivergenceError, ValidationError, check_array,
                      check_int, check_real, read_container, write_container)
 from .mining import _UNIT_ROUNDOFF, _gram_band
@@ -29,7 +29,6 @@ from .mining import _UNIT_ROUNDOFF, _gram_band
 log = logging.getLogger(__name__)
 
 CENTERS_MAGIC = b"PCMC"
-_LOSS_ROWS = 256  # samples per block of the full-data loss and its bounds
 _GROUP = 16  # snapshots bounded by one Gram pass over the features
 _SCREEN = 2.0 ** 400  # no larger centers can overflow the loss or its bounds
 
@@ -99,25 +98,19 @@ def mcc_loss(batch: np.ndarray, centers: PrototypeCenters,
              m1: float, m2: float) -> float:
     """Marginal cluster-center loss, averaged over the batch.
 
-    The intra term is computed in blocks of ``_LOSS_ROWS`` samples, each
-    subtracted in float64 (exact for float32 input) into one reused
-    residual buffer, so a large batch never allocates its full
-    [B, K, d_f] residual or float64 copy.
+    The intra term is computed in row blocks of samples (``_row_blocks``),
+    each subtracted in float64 (exact for float32 input), so a large batch
+    never allocates its full [B, K, d_f] residual or float64 copy.
     """
     batch = _check_batch(batch, centers)
     c = centers.centers
-    n = batch.shape[0]
-
-    rows = np.empty(n)  # per-sample intra hinge sums
-    buffer = np.empty((min(n, _LOSS_ROWS),) + c.shape)
-    for start in range(0, n, _LOSS_ROWS):
-        resid = buffer[:min(_LOSS_ROWS, n - start)]
-        np.subtract(batch[start:start + _LOSS_ROWS], c, out=resid,
-                    dtype=np.float64)
+    hinges = np.empty(len(batch))  # per-sample intra hinge sums
+    for rows in _row_blocks(len(batch), c.size):
+        resid = np.subtract(batch[rows], c, dtype=np.float64)
         resid *= resid
         intra_dist = np.sqrt(np.add.reduce(resid, axis=-1))  # [b, K]
-        rows[start:start + len(resid)] = np.maximum(intra_dist - m1, 0.0).sum(axis=1)
-    return float(rows.mean() + _pair_term(c, m2))
+        hinges[rows] = np.maximum(intra_dist - m1, 0.0).sum(axis=1)
+    return float(hinges.mean() + _pair_term(c, m2))
 
 
 def _gradient(batch: np.ndarray, c: np.ndarray, m1: float, m2: float,
@@ -197,10 +190,10 @@ def descend(ds: PartFeatureDataset, cfg: McmConfig,
 def _loss_bounds(feats: np.ndarray, cs: np.ndarray, m1: float, m2: float):
     """Bounds ``(lo, hi)``, each [G], on the value ``mcc_loss(feats, c, m1, m2)``
     returns for each snapshot ``c`` of ``cs [G, K, d_f]``, from one batched
-    Gram ``matmul`` per row block of ``feats [n, K, d_f]``. The squared
-    distance s = |f - c|^2 of a feature f and its center c lies within
-    ``band`` of the ``gram`` that :func:`mining._gram_band` gives, so the
-    hinge h = [sqrt(s) - m1]_+ lies between [sqrt(gram - band) - m1]_+
+    Gram ``matmul`` per row block (``_row_blocks``) of ``feats [n, K, d_f]``.
+    The squared distance s = |f - c|^2 of a feature f and its center c lies
+    within ``band`` of the ``gram`` that :func:`mining._gram_band` gives, so
+    the hinge h = [sqrt(s) - m1]_+ lies between [sqrt(gram - band) - m1]_+
     and [sqrt(gram + band) - m1]_+.
 
     Where ``sqrt(gram + band) * grow <= m1`` the hinge is 0, and so is the
@@ -221,10 +214,12 @@ def _loss_bounds(feats: np.ndarray, cs: np.ndarray, m1: float, m2: float):
     csq = np.einsum("gkd,gkd->kg", cs, cs)[:, None, :]  # [K, 1, G]
     ct = np.ascontiguousarray(cs.transpose(1, 2, 0))  # [K, d, G]
     sums = np.zeros((3, len(cs)))  # low hinges, high hinges, T; per snapshot
-    buffer = np.empty((k, min(n, _LOSS_ROWS), d))
-    for start in range(0, n, _LOSS_ROWS):
-        f = buffer[:, :min(_LOSS_ROWS, n - start)]
-        np.copyto(f, feats[start:start + _LOSS_ROWS].transpose(1, 0, 2))
+    # A block's largest temporaries: its [K, r, d] features, [K, r, G] Gram.
+    blocks = list(_row_blocks(n, k * max(d, len(cs))))
+    buffer = np.empty((k, blocks[0].stop, d))
+    for rows in blocks:
+        f = buffer[:, :rows.stop - rows.start]
+        np.copyto(f, feats[rows].transpose(1, 0, 2))
         fsq = np.einsum("krd,krd->kr", f, f)[:, :, None]
         gram, band = _gram_band(f, ct, fsq, csq)  # [K, r, G]
         high = np.sqrt(gram + band)

@@ -40,7 +40,7 @@ from conceptmine.cav import _unit_rows, compute_cav, compute_cav_batch
 from conceptmine.dataset import (GroundTruth, PartFeatureDataset, _sphere_points,
                                  split_kfold, subset)
 from conceptmine.errors import DivergenceError
-from conceptmine.head import (_MAX_HALVINGS, SparseHead, _smooth_objective_and_grads,
+from conceptmine.head import (SparseHead, _smooth_objective_and_grads,
                               concept_contributions, head_forward, predict,
                               soft_threshold)
 from conceptmine.mining import ConceptBook, ConceptEntry, MergeConfig, mine_concepts
@@ -559,7 +559,7 @@ def reference_train_head(cavs, gs, labels, cfg, on_epoch=None):
             z, g, onehot, w1, w2, b, cfg.lam, cfg.gamma)
         step = cfg.lr
         accepted = False
-        for _ in range(_MAX_HALVINGS):
+        while step > 0:
             pre_prox = w1 - step * g_w1
             w1_new = soft_threshold(pre_prox, step * cfg.lam * cfg.gamma)
             w2_new = w2 - step * g_w2
@@ -571,7 +571,6 @@ def reference_train_head(cavs, gs, labels, cfg, on_epoch=None):
             step /= 2.0
         if not accepted:
             pre_prox, w1_new, w2_new, b_new, obj_new = w1, w1, w2, b, obj
-            step = 0.0
         w1, w2, b, obj = w1_new, w2_new, b_new, obj_new
         if on_epoch is not None:
             on_epoch(epoch, obj, step, pre_prox, w1)

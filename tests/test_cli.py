@@ -332,6 +332,26 @@ class TestPipeline:
         assert err.startswith("error: stage load-data: ")
         assert "Traceback" not in err and not out.exists()
 
+    def test_output_under_a_file_names_preflight(self, tmp_path, capsys, ds_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run("pipeline", "--data", ds_path, "-o", blocker / "run") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage preflight: ")
+        assert "Not a directory" in err and "Traceback" not in err
+
+    def test_failed_write_names_its_stage(self, tmp_path, capsys, ds_path,
+                                          monkeypatch):
+        def full_disk(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("conceptmine.cli.save_report", full_disk)
+        assert run("pipeline", "--data", ds_path, "--k", 2, "-o",
+                   tmp_path / "run") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage write-artifacts: [Errno 28] No space")
+        assert "Traceback" not in err
+
 
 class TestMineAndTrain:
     def test_mine_then_train(self, tmp_path, ds_path):

@@ -207,18 +207,22 @@ class TestTraining:
             assert rel <= 1e-4, name
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("lr", [1e200, 1e300])
+    @pytest.mark.parametrize("lr", [1e20, 1e100, 1e200, 1e300])
     def test_overflowing_step_is_rejected_without_a_warning(self, lr):
         """A trial step whose objective overflows is a worse point to reject,
-        not a numpy warning."""
+        not a numpy warning. The halvings have no cap, so every epoch finds
+        a step that trains (lr / 2^60 is still too large for each lr here)."""
         z, g, y = separable_cavs()
-        objs = []
+        objs, steps = [], []
         head = train_head(z, g, y, HeadTrainConfig(lr=lr, epochs=3),
-                          on_epoch=lambda e, o, s, u, w: objs.append(o))
+                          on_epoch=lambda e, o, s, u, w: (objs.append(o),
+                                                          steps.append(s)))
         assert len(objs) == 3 and np.isfinite(objs).all()
         assert all(a >= b for a, b in zip(objs, objs[1:]))
         for w in (head.W1, head.W2, head.b):
             assert np.isfinite(w).all()
+        assert min(steps) > 0
+        assert (predict(z, g, head) == y).all()
 
     @pytest.mark.parametrize("field", ["lam", "lr", "beta"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -2,15 +2,17 @@ import logging
 import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conceptmine import dataset
 from conceptmine.dataset import PartFeatureDataset, SyntheticSpec, generate_synthetic
 from conceptmine.errors import DivergenceError, FormatError, ValidationError
-from conceptmine.partproto import (_GROUP, _LOSS_ROWS, McmConfig, PrototypeCenters,
+from conceptmine.partproto import (_GROUP, McmConfig, PrototypeCenters,
                                    _loss_bounds, best_epoch, descend,
                                    fit_prototype_centers, load_centers,
                                    mcc_gradients, mcc_loss, save_centers)
@@ -19,6 +21,12 @@ from oracles import (central_difference_grad, mcc_instance_away_from_kinks,
                      reference_fit_prototype_centers, unblocked_mcc_loss)
 
 random_instance = mcc_instance_away_from_kinks
+
+# The scoring tests run the loss and its bounds in row blocks of at most
+# SMALL_BLOCK entries, so MANY_ROWS samples span several blocks of 64 rows or
+# fewer; it is prime, so the last block of 2 or more rows is partial.
+SMALL_BLOCK = 64
+MANY_ROWS = 263
 
 
 class TestMccLoss:
@@ -325,9 +333,10 @@ def scoring_cases(draw):
     """A dataset, a config and a trajectory that stress the bounded scoring:
     exact ties and one-ulp neighbours, Gram cancellation (everything shifted
     by 1e6), margins that leave every hinge inactive (the bounds then meet),
-    d_f = 1, K = 1, a sample count that is not a multiple of the row block,
-    more snapshots than one group, and a huge, an infinite or a NaN one."""
-    n = draw(st.sampled_from([1, 7, _LOSS_ROWS + 9]))
+    d_f = 1, K = 1, a sample count that is not a multiple of the row block
+    (at ``SMALL_BLOCK``), more snapshots than one group, and a huge, an
+    infinite or a NaN one."""
+    n = draw(st.sampled_from([1, 7, MANY_ROWS]))
     k = draw(st.sampled_from([1, 2, 3]))
     d = draw(st.sampled_from([1, 2, 5]))
     shift = draw(st.sampled_from([0.0, 1e6]))
@@ -379,7 +388,9 @@ class TestBoundedScoring:
     @settings(max_examples=300, deadline=None)
     @given(scoring_cases())
     def test_matches_scoring_every_snapshot(self, case):
-        assert outcome(best_epoch, *case) == outcome(reference_best_epoch, *case)
+        want = outcome(reference_best_epoch, *case)
+        with mock.patch.object(dataset, "_BLOCK_ENTRIES", SMALL_BLOCK):
+            assert outcome(best_epoch, *case) == want
 
     @settings(max_examples=150, deadline=None)
     @given(scoring_cases())
@@ -387,13 +398,15 @@ class TestBoundedScoring:
         ds, cfg, snapshots = case
         finite = [c for c in snapshots if np.abs(c).max() <= 1e6 + 1]
         if finite:
-            lo, hi = _loss_bounds(ds.part_features, np.stack(finite), cfg.m1, cfg.m2)
-            losses = [mcc_loss(ds.part_features, PrototypeCenters(c), cfg.m1, cfg.m2)
-                      for c in finite]
+            with mock.patch.object(dataset, "_BLOCK_ENTRIES", SMALL_BLOCK):
+                lo, hi = _loss_bounds(ds.part_features, np.stack(finite),
+                                      cfg.m1, cfg.m2)
+                losses = [mcc_loss(ds.part_features, PrototypeCenters(c),
+                                   cfg.m1, cfg.m2) for c in finite]
             assert (lo <= losses).all() and (losses <= hi).all()
 
     @settings(max_examples=100, deadline=None)
-    @given(st.sampled_from([1, 7, _LOSS_ROWS + 9]), st.sampled_from([1, 2, 3]),
+    @given(st.sampled_from([1, 7, MANY_ROWS]), st.sampled_from([1, 2, 3]),
            st.sampled_from([1, 2, 5]), st.sampled_from([1e-162, 1e-160, 1e-155]),
            st.sampled_from([0.0, 1e6]), st.integers(0, 2**32 - 1))
     def test_bounds_hold_the_loss_near_underflow(self, n, k, d, scale, shift, seed):
@@ -403,8 +416,9 @@ class TestBoundedScoring:
         feats = scale * (shift + rng.standard_normal((n, k, d)))
         cs = feats.mean(axis=0) + scale * rng.standard_normal((3, k, d))
         for m1, m2 in ((0.0, 0.0), (scale, 2 * scale)):
-            lo, hi = _loss_bounds(feats, cs, m1, m2)
-            losses = [mcc_loss(feats, PrototypeCenters(c), m1, m2) for c in cs]
+            with mock.patch.object(dataset, "_BLOCK_ENTRIES", SMALL_BLOCK):
+                lo, hi = _loss_bounds(feats, cs, m1, m2)
+                losses = [mcc_loss(feats, PrototypeCenters(c), m1, m2) for c in cs]
             assert (lo <= losses).all() and (losses <= hi).all()
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])

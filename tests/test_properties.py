@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conceptmine import mining
+from conceptmine import dataset
 from conceptmine.head import soft_threshold
 from conceptmine.mining import MiningConfig, _sq_dist_blocks, dbscan
 from conceptmine.partproto import PrototypeCenters, mcc_loss
@@ -87,7 +87,7 @@ def test_gram_band_holds_the_direct_sum(b, m, d, scale, shift, seed):
     direct = np.sum((x[:, :, None, :] - x[:, None, :, :]) ** 2, axis=3)
     real = np.arange(m) < counts[:, None]
     real = real[:, :, None] & real[:, None, :]
-    with mock.patch.object(mining, "_BLOCK_ENTRIES", 64):
+    with mock.patch.object(dataset, "_BLOCK_ENTRIES", 64):
         for lo, gram, band in _sq_dist_blocks(x, counts):
             rows = slice(lo, lo + gram.shape[1])
             inside = np.abs(gram - direct[:, rows]) <= band

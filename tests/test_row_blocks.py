@@ -1,13 +1,15 @@
 """Row-blocked passes: the same bits at every block size, and one work copy.
 
-The CAV batch, faithfulness, consistency, sparseness, occlusion and the
-synthetic generator work row by row or entry by entry in row blocks of at
-most ``dataset._BLOCK_ENTRIES`` entries. Each must give the bits of its
-whole-matrix form (the ``reference_*`` oracles) with one-row blocks, at the
-default bound and with one block of every row, and its tracemalloc peak must
-stay within a named multiple of its largest matrix.
+The CAV batch, faithfulness, consistency, sparseness, occlusion, the
+synthetic generator, mining's Gram, exact-sum and neighbour passes and the
+center fit's loss and bounds work in row blocks from ``dataset._row_blocks``,
+of at most ``dataset._BLOCK_ENTRIES`` entries. Each must give the bits of
+its whole-matrix form (the ``reference_*`` oracles) with one-row blocks, at
+the default bound and with one block of every row, and its tracemalloc peak
+must stay within a named multiple of its largest matrix.
 """
 
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -15,16 +17,22 @@ import numpy as np
 import pytest
 from oracles import (pairwise_consistency, per_sample_occlusion_curve,
                      reference_cav_batch, reference_faithfulness,
-                     reference_generate_synthetic)
+                     reference_generate_synthetic, reference_mine_concepts,
+                     reference_stability, unblocked_mcc_loss)
+from test_mining import book_bytes, fold_dataset
 
-from conceptmine import dataset
+from conceptmine import dataset, mining, partproto
 from conceptmine.cav import compute_cav_batch
 from conceptmine.dataset import (PartFeatureDataset, SyntheticSpec,
-                                 generate_synthetic, save_dataset)
+                                 generate_synthetic, save_dataset, split_kfold,
+                                 subset)
 from conceptmine.head import HeadTrainConfig, SparseHead, train_head
 from conceptmine.mining import ConceptBook, ConceptEntry, MiningConfig, mine_concepts
 from conceptmine.occlusion import OcclusionConfig, occlusion_eval
-from conceptmine.xaimetrics import consistency, faithfulness, sparseness
+from conceptmine.partproto import (_GROUP, McmConfig, PrototypeCenters, _loss_bounds,
+                                   best_epoch, descend, fit_prototype_centers,
+                                   mcc_loss)
+from conceptmine.xaimetrics import consistency, faithfulness, sparseness, stability
 
 # One row per block, the default, and one block of every row.
 BOUNDS = {"one-row": 1, "default": dataset._BLOCK_ENTRIES, "whole": 1 << 62}
@@ -42,6 +50,12 @@ OCCLUSION_PEAK = 3.0
 # generate_synthetic's peak over the bytes of the dataset it returns: about
 # 1.3 blocked and 3.7 for one draw over the whole arrays.
 GENERATE_PEAK = 1.5
+# Largest tracemalloc peak of the center fit's loss and of its bounds. On 300
+# samples of 8 parts of 2,048 float32 features (19.7 MB, a ResNet-50 stage)
+# they take about 2.5 and 4.5 MiB, and took 34.0 and 36.1 MiB in blocks of
+# 256 samples; on 60,000 samples of one 1-D part the bounds take 3.1 MiB, and
+# 38.5 MiB in blocks sized by K * d_f alone.
+FIT_PEAK = 8 << 20
 
 
 @pytest.fixture(params=list(BOUNDS))
@@ -203,3 +217,81 @@ def test_one_work_copy_of_the_largest_matrix():
     if gen_peak > GENERATE_PEAK * data_bytes:
         over["generate_synthetic"] = round(gen_peak / data_bytes, 2)
     assert not over
+
+
+class TestMiningAndFitAtEveryBlockSize:
+    @pytest.mark.parametrize("entries", [1, 64, dataset._BLOCK_ENTRIES, 1 << 62])
+    @pytest.mark.parametrize("case", ["planted", "duplicates", "shifted", "origin"])
+    @pytest.mark.parametrize("k", [2, 5, 10])
+    @pytest.mark.parametrize("params", [MiningConfig(),
+                                        MiningConfig(eps=0.3, min_pts=3)],
+                             ids=["adaptive", "fixed"])
+    def test_books_and_stability_match_reference(self, entries, case, k, params,
+                                                 monkeypatch):
+        """At one row, at 64 entries (row blocks of a few rows of one cell),
+        at the default and with every cell in one batch."""
+        ds = fold_dataset(k, case)
+        folds = split_kfold(ds, k, seed=1)
+        want = [book_bytes(reference_mine_concepts(d, params))
+                for d in [ds] + [subset(ds, fold) for fold in folds]]
+        want_stability = reference_stability(ds, k, params, seed=1)
+        monkeypatch.setattr(dataset, "_BLOCK_ENTRIES", entries)
+        got = [mine_concepts(ds, params)] + mine_concepts(ds, params, folds=folds)
+        assert [book_bytes(book) for book in got] == want
+        assert stability(ds, k, params, seed=1) == want_stability
+
+    @pytest.mark.parametrize("spec", [
+        SyntheticSpec(n_classes=2, n_parts=3, feat_dim=5, samples_per_class=20, seed=1),
+        SyntheticSpec(n_classes=3, n_parts=2, feat_dim=16, samples_per_class=30, seed=2),
+        SyntheticSpec(n_classes=2, n_parts=1, feat_dim=1, samples_per_class=19, seed=3),
+        SyntheticSpec(n_classes=5, n_parts=6, feat_dim=64, samples_per_class=12,
+                      concepts_per_cell=3, seed=4),
+    ], ids=["k3-d5", "k2-d16", "k1-d1", "k6-d64"])
+    @pytest.mark.parametrize("cfg", [
+        McmConfig(epochs=20), McmConfig(lr=0.005, epochs=35),
+        McmConfig(lr=0.5, epochs=20), McmConfig(m1=0.0, m2=50.0, epochs=20),
+    ], ids=["default", "slow", "fast", "pair-term"])
+    def test_best_epoch_keeps_its_centers(self, spec, cfg, monkeypatch):
+        ds, _ = generate_synthetic(spec)
+        trajectory = list(descend(ds, cfg))
+        want = best_epoch(ds, cfg, iter(trajectory)).centers.tobytes()
+        for entries in (1, 1 << 62):
+            monkeypatch.setattr(dataset, "_BLOCK_ENTRIES", entries)
+            assert best_epoch(ds, cfg, iter(trajectory)).centers.tobytes() == want
+
+    def test_each_pass_walks_the_row_blocks(self, monkeypatch):
+        """Mining's Gram, exact-sum and neighbour passes and the fit's loss
+        and bounds take their blocks from ``dataset._row_blocks``, so
+        ``dataset._BLOCK_ENTRIES`` alone sizes them all."""
+        walked = set()
+
+        def row_blocks(n, width):
+            walked.add(sys._getframe(1).f_code.co_name)
+            return dataset._row_blocks(n, width)
+
+        for module in (mining, partproto):
+            monkeypatch.setattr(module, "_row_blocks", row_blocks)
+        ds = fold_dataset(5, "planted")
+        mine_concepts(ds, MiningConfig())
+        fit_prototype_centers(ds, McmConfig(epochs=3))
+        assert walked == {"_sq_dist_blocks", "_exact_sq_dists", "_neighbor_min",
+                          "mcc_loss", "_loss_bounds"}
+
+
+@pytest.mark.parametrize("n, k, d", [(300, 8, 2048), (60_000, 1, 1)],
+                         ids=["wide", "narrow"])
+def test_fit_loss_and_bounds_peak_in_row_blocks(n, k, d):
+    """Wide features bound the rows of a block by K * d_f; narrow ones by
+    the group's K x G Gram entries per sample."""
+    rng = np.random.default_rng(0)
+    feats = rng.standard_normal((n, k, d), dtype=np.float32)
+    cs = (feats.mean(axis=0, dtype=np.float64)
+          + 0.1 * rng.standard_normal((_GROUP, k, d)))
+    centers = PrototypeCenters(cs[0])
+    loss, bounds = [], []
+    loss_peak = peak_bytes(lambda: loss.append(mcc_loss(feats, centers, 0.3, 1.5)))
+    bounds_peak = peak_bytes(lambda: bounds.extend(_loss_bounds(feats, cs, 0.3, 1.5)))
+    assert max(loss_peak, bounds_peak) < FIT_PEAK, (loss_peak, bounds_peak)
+    assert loss[0] == unblocked_mcc_loss(feats, cs[0], 0.3, 1.5)
+    lo, hi = bounds
+    assert lo[0] <= loss[0] <= hi[0]
