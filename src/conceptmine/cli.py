@@ -55,11 +55,6 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_int("seed", self.seed, 0, SEED_MAX)
-        if self.mcm.seed != self.seed:  # the top-level seed seeds center fitting
-            # A copy, not dataclasses.replace: McmConfig's checks (and its
-            # collapsed-margin warning) ran when the caller built it.
-            self.mcm = copy.copy(self.mcm)
-            self.mcm.seed = self.seed
         check_int("stability_k", self.stability_k, 2)
         self.faithfulness_ns = tuple(self.faithfulness_ns)
         for n in self.faithfulness_ns:
@@ -90,11 +85,6 @@ def pipeline_config_from_dict(raw: dict) -> PipelineConfig:
     _known_keys(raw, PipelineConfig)
     sections = {name: _known_keys(raw.get(name, {}), cls, f"{name}.")
                 for name, cls in _SECTIONS.items()}
-    seed = raw.get("seed", PipelineConfig.seed)
-    if "seed" in sections["mcm"] and sections["mcm"]["seed"] != seed:
-        raise ValidationError(
-            f"config key mcm.seed ({sections['mcm']['seed']!r}) must equal "
-            f"seed ({seed}); the top-level seed seeds center fitting")
     try:
         return PipelineConfig(**{**raw, **{name: cls(**sections[name])
                                           for name, cls in _SECTIONS.items()}})
@@ -187,7 +177,7 @@ def _stage(name: str):
 
 
 @contextlib.contextmanager
-def _fitting(ds: PartFeatureDataset, mcm: McmConfig):
+def _fitting(ds: PartFeatureDataset, mcm: McmConfig, seed: int):
     """Fit the centers beside the body and, once it ends normally, score
     them as stage ``fit-centers`` into ``fit.centers``. Any exception, from
     the body or from the scoring, kills and reaps the child unscored.
@@ -203,7 +193,7 @@ def _fitting(ds: PartFeatureDataset, mcm: McmConfig):
     if not hasattr(os, "fork"):
         yield fit
         with _stage("fit-centers"):
-            fit.centers = best_epoch(ds, mcm, descend(ds, mcm))
+            fit.centers = best_epoch(ds, mcm, descend(ds, mcm, seed=seed))
         return
     import fcntl  # POSIX only, like os.fork
 
@@ -221,7 +211,7 @@ def _fitting(ds: PartFeatureDataset, mcm: McmConfig):
             with open(write_end, "wb") as fh:
                 error = None
                 try:
-                    for c in descend(ds, mcm):
+                    for c in descend(ds, mcm, seed=seed):
                         pickle.dump(c, fh)
                         fh.flush()
                 except Exception as e:
@@ -290,7 +280,7 @@ def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> d
         split_kfold(ds, cfg.stability_k, cfg.seed)
         outdir.mkdir(parents=True, exist_ok=True)
 
-    with _fitting(ds, cfg.mcm) as fit:
+    with _fitting(ds, cfg.mcm, cfg.seed) as fit:
         with _stage("mine"):
             book = mine_concepts(ds, cfg.mining)
             z, g = compute_cav_batch(ds, book)
@@ -366,11 +356,10 @@ def cmd_gen(args) -> int:
 
 def _load_pipeline_config(args) -> PipelineConfig:
     """The --config file (all defaults without one) with the flags given
-    laid over it; --seed also sets the seed of center fitting."""
+    laid over it."""
     raw = read_json_object(args.config) if args.config else {}
     raw.update(_given(args, PipelineConfig))
-    seed = {"seed": args.seed} if args.seed is not None else {}
-    for name, given in (("mcm", seed), ("mining", _given(args, MiningConfig)),
+    for name, given in (("mining", _given(args, MiningConfig)),
                         ("head", _given(args, HeadTrainConfig))):
         if given and isinstance(raw.get(name, {}), dict):
             raw[name] = {**raw.get(name, {}), **given}
@@ -401,6 +390,9 @@ def cmd_mine(args) -> int:
 
 
 def cmd_merge(args) -> int:
+    given = [*_given(args, HeadTrainConfig), *(["csv"] if args.csv else [])]
+    if given and not args.data:
+        args.usage_error(f"--{given[0]} needs --data: it sets only the table")
     ds = _load_data(args.data) if args.data else None
     book = _load_book(args.book, ds)
     cfg = MergeConfig(**_given(args, MergeConfig))
@@ -568,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="path of the Table-style CSV report")
     _add_flags(p, HeadTrainConfig, "lam", "gamma", "epochs")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_merge)
+    p.set_defaults(func=cmd_merge, usage_error=p.error)
 
     p = sub.add_parser("train", help="train the sparse head on a book's CAVs")
     p.add_argument("--data", required=True)

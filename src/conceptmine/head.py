@@ -5,7 +5,8 @@ Training is full-batch proximal gradient descent: a gradient step on the
 smooth part (cross-entropy + L2), then soft-thresholding of W1 by
 step * lambda * gamma. The step size is halved until the objective does not
 increase (or the step reaches 0.0, which holds still), so the recorded
-objective is non-increasing by construction.
+objective is non-increasing by construction. Each epoch's search starts at
+min(lr, 2 * the last accepted step).
 """
 
 from __future__ import annotations
@@ -182,8 +183,10 @@ def train_head(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,
     # The accepted trial's gradients are the next epoch's: one forward pass
     # per trial point, none repeated.
     obj, (g_w1, g_w2, g_b) = objective_and_grads(w1, w2, b)
+    step = cfg.lr
     for epoch in range(cfg.epochs):
-        step = cfg.lr
+        # From twice the last accepted step: a huge lr is halved down once.
+        step = min(cfg.lr, 2.0 * step)
         while step > 0:
             # An overflowing trial's inf or NaN objective is rejected below.
             with np.errstate(over="ignore", invalid="ignore"):
@@ -198,7 +201,8 @@ def train_head(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,
                 break
             step /= 2.0
         else:
-            # No float-representable step improves the objective; hold still.
+            # No float-representable step improves the objective; hold
+            # still. The step stays 0.0: every later trial would be the same.
             pre_prox = w1
         if not np.isfinite(obj):
             raise DivergenceError(f"non-finite head objective at epoch {epoch}",

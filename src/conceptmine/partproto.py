@@ -42,7 +42,6 @@ class McmConfig:
     lr: float = 0.05
     epochs: int = 50
     batch_size: int = 32
-    seed: int = 0
 
     def __post_init__(self):
         check_real("lr", self.lr, 0, low_open=True)
@@ -50,7 +49,6 @@ class McmConfig:
             check_real(name, getattr(self, name), 0)
         for name in ("epochs", "batch_size"):
             check_int(name, getattr(self, name), 1)
-        check_int("seed", self.seed, 0, SEED_MAX)
         if self.m2 <= self.m1:
             log.warning("m2=%g <= m1=%g: collapsed-margin regime", self.m2, self.m1)
 
@@ -155,17 +153,18 @@ def mcc_gradients(batch: np.ndarray, centers: PrototypeCenters,
 
 
 def descend(ds: PartFeatureDataset, cfg: McmConfig,
-            init: PrototypeCenters | None = None):
+            init: PrototypeCenters | None = None, seed: int = 0):
     """Mini-batch gradient descent on the MCC loss, as a generator.
 
     Centers start at the per-part feature means plus seeded jitter unless
     ``init`` is given. Yields the [K, d_f] float64 centers before the first
     epoch and after each of the ``cfg.epochs`` epochs, ``epochs + 1`` arrays
     that are never written to afterwards. Computes no loss and calls no
-    BLAS routine. Deterministic per cfg.seed.
+    BLAS routine. Deterministic per seed, an integer in [0, 2^63).
     """
+    check_int("seed", seed, 0, SEED_MAX)
     feats = ds.part_features  # float32: each step upcasts only its batch
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     if init is not None:
         c = init.centers.copy()
     else:
@@ -317,10 +316,11 @@ def best_epoch(ds: PartFeatureDataset, cfg: McmConfig,
 
 
 def fit_prototype_centers(ds: PartFeatureDataset, cfg: McmConfig,
-                          init: PrototypeCenters | None = None) -> PrototypeCenters:
+                          init: PrototypeCenters | None = None,
+                          seed: int = 0) -> PrototypeCenters:
     """Fit centers by mini-batch gradient descent on the MCC loss and return
     the best (lowest full-data loss) seen at any epoch boundary."""
-    return best_epoch(ds, cfg, descend(ds, cfg, init))
+    return best_epoch(ds, cfg, descend(ds, cfg, init, seed))
 
 
 def save_centers(pc: PrototypeCenters, path, format: str = "pcmc"):

@@ -490,11 +490,11 @@ def _reference_mcc_gradients(batch, c, m1, m2):
     return grad
 
 
-def reference_fit_prototype_centers(ds, cfg, init=None):
+def reference_fit_prototype_centers(ds, cfg, init=None, seed=0):
     """Center fitting with the activity mask and the pair term applied at
     every step, scoring each epoch on the full [n, K, d_f] residual."""
     feats = ds.part_features.astype(np.float64)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     if init is not None:
         c = np.asarray(init, dtype=np.float64).copy()
     else:
@@ -554,10 +554,11 @@ def reference_train_head(cavs, gs, labels, cfg, on_epoch=None):
         return smooth + cfg.lam * cfg.gamma * float(np.sum(np.abs(w1_)))
 
     obj = full_objective(w1, w2, b)
+    step = cfg.lr
     for epoch in range(cfg.epochs):
         _, g_w1, g_w2, g_b = _smooth_objective_and_grads(
             z, g, onehot, w1, w2, b, cfg.lam, cfg.gamma)
-        step = cfg.lr
+        step = min(cfg.lr, 2.0 * step)
         accepted = False
         while step > 0:
             pre_prox = w1 - step * g_w1

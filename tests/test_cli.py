@@ -24,7 +24,7 @@ from conceptmine.head import (HeadTrainConfig, SparseHead, load_head, save_head,
 from conceptmine.mining import (MergeConfig, MiningConfig, load_book,
                                 mine_concepts, save_book)
 from conceptmine.occlusion import OcclusionConfig
-from conceptmine.partproto import McmConfig
+from conceptmine.partproto import McmConfig, fit_prototype_centers, save_centers
 from conceptmine.xaimetrics import config_hash
 
 from oracles import pack_container
@@ -32,6 +32,12 @@ from oracles import pack_container
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def centers_bytes(centers, path):
+    """The bytes of ``centers`` written as the pipeline writes them."""
+    save_centers(centers, path)
+    return path.read_bytes()
 
 
 def crlf_lines(path):
@@ -248,24 +254,22 @@ class TestPipeline:
         assert manifest["config"]["seed"] == 9  # flag wins
         assert manifest["config"]["head"]["epochs"] == 12
 
-    def test_mcm_seed_must_equal_seed(self):
-        with pytest.raises(ValidationError, match="mcm.seed"):
-            pipeline_config_from_dict({"seed": 3, "mcm": {"seed": 5}})
-        with pytest.raises(ValidationError, match="mcm.seed"):
-            pipeline_config_from_dict({"mcm": {"seed": 1}})
+    def test_mcm_seed_is_an_unknown_key(self):
+        """The top-level seed is the one seed of a run: ``mcm.seed`` is a
+        removed knob, refused whatever its value."""
+        for mcm_seed, seed in ((5, 3), (1, 0), (0, 0)):
+            with pytest.raises(ValidationError,
+                               match="^unknown config key mcm.seed$"):
+                pipeline_config_from_dict({"seed": seed, "mcm": {"seed": mcm_seed}})
 
-    def test_seed_mirror_warns_once(self, caplog):
-        """The collapsed-margin warning comes from building the McmConfig,
-        not again from giving it the top-level seed."""
+    def test_collapsed_margin_warns_once(self, caplog):
+        """The collapsed-margin warning comes from building the McmConfig
+        once, not again from building the pipeline config around it."""
         mcm = {"m1": 2.0, "m2": 1.0}
         with caplog.at_level("WARNING", logger="conceptmine.partproto"):
-            cfg = pipeline_config_from_dict({"seed": 7, "mcm": mcm})
+            pipeline_config_from_dict({"seed": 7, "mcm": mcm})
         assert [r.getMessage() for r in caplog.records] == [
             "m2=1 <= m1=2: collapsed-margin regime"]
-        assert cfg.mcm.seed == 7
-        given = McmConfig(**mcm)
-        assert PipelineConfig(seed=5, mcm=given).mcm.seed == 5
-        assert given.seed == 0  # the caller's config is not changed
 
     def test_library_seed_seeds_center_fitting(self, tmp_path, ds_path):
         lib, cli = tmp_path / "lib", tmp_path / "cli"
@@ -285,18 +289,20 @@ class TestPipeline:
     def test_default_config_hash_pinned(self):
         cfg = pipeline_config_from_dict({})
         assert cfg.to_dict() == PipelineConfig().to_dict()
-        assert config_hash(cfg.to_dict()) == "89b4bfefa9b7"
+        assert "seed" not in cfg.to_dict()["mcm"]
+        assert config_hash(cfg.to_dict()) == "f8d8e84468fe"
 
     def test_config_dict_round_trips(self):
         cfg = pipeline_config_from_dict({"seed": 4, "stability_k": 3,
                                          "faithfulness_ns": [0, 2]})
-        assert cfg.to_dict()["mcm"]["seed"] == 4
+        assert cfg.to_dict()["seed"] == 4
+        assert "seed" not in cfg.to_dict()["mcm"]
         again = pipeline_config_from_dict(cfg.to_dict())
         assert isinstance(again, PipelineConfig)
         assert again.to_dict() == cfg.to_dict()
 
-    def test_seed_flag_overrides_mcm_seed_of_saved_config(self, tmp_path,
-                                                          ds_path):
+    def test_seed_flag_reseeds_the_fit_of_a_saved_config(self, tmp_path,
+                                                         ds_path):
         cfg = pipeline_config_from_dict({"seed": 1, "stability_k": 4,
                                          "head": {"epochs": 5}})
         cfg_path = tmp_path / "cfg.json"
@@ -305,7 +311,31 @@ class TestPipeline:
         assert run("pipeline", "--data", ds_path, "--config", cfg_path,
                    "--seed", 9, "-o", out) == 0
         config = json.load(open(out / "manifest.json"))["config"]
-        assert config["seed"] == config["mcm"]["seed"] == 9
+        assert config["seed"] == 9 and "seed" not in config["mcm"]
+        ds = load_dataset(ds_path)
+        centers = (out / "centers.pcmc").read_bytes()
+        assert centers == centers_bytes(fit_prototype_centers(ds, cfg.mcm, seed=9),
+                                        tmp_path / "nine.pcmc")
+        assert centers != centers_bytes(fit_prototype_centers(ds, cfg.mcm, seed=1),
+                                        tmp_path / "one.pcmc")
+
+    @pytest.mark.parametrize("inline", [False, True], ids=["forked", "inline"])
+    def test_seed_flag_seeds_the_center_fit(self, tmp_path, ds_path,
+                                            monkeypatch, inline):
+        """``pipeline --seed 3`` writes the centers that the library fit
+        gives with seed 3, forked or in process, and seed 0 gives others."""
+        if inline:
+            monkeypatch.delattr(os, "fork")
+        ds = load_dataset(ds_path)
+        for seed in (3, 0):
+            out = tmp_path / f"seed{seed}"
+            assert run("pipeline", "--data", ds_path, "--seed", seed, "--k", 2,
+                       "--epochs", 3, "-o", out) == 0
+            assert (out / "centers.pcmc").read_bytes() == centers_bytes(
+                fit_prototype_centers(ds, McmConfig(), seed=seed),
+                tmp_path / f"lib{seed}.pcmc")
+        assert (tmp_path / "seed3" / "centers.pcmc").read_bytes() != \
+            (tmp_path / "seed0" / "centers.pcmc").read_bytes()
 
     def test_missing_data_runtime_error(self, tmp_path, capsys):
         rc = run("pipeline", "--data", tmp_path / "nope.pfd", "-o",
@@ -757,6 +787,16 @@ INT64 = "not valid JSON (an integer outside the signed 64-bit range)"
                  {}, 2, id="export-seed"),
     pytest.param(["pipeline", "--data", "{ds}", "--remine-interval", 5,
                   "-o", "{tmp}/run"], {}, 2, id="pipeline-remine-interval"),
+    # merge's table flags set only the table that --data asks for; the
+    # output is {tmp}/run, which no refused command may leave behind
+    *[pytest.param(["merge", "--book", "{art}/b.json", "--threshold", 20, *flags,
+                    "-o", "{tmp}/run"], {}, (2, f"{flags[0]} needs --data"),
+                   id=f"merge{flags[0][1:]}-without-data")
+      for flags in (["--csv", "{tmp}/t.csv"], ["--lam", 5], ["--gamma", 0.1],
+                    ["--epochs", 3])],
+    pytest.param(["merge", "--book", "{art}/b.json", "--threshold", 20, "--csv",
+                  "{tmp}/t.csv", "--lam", 5, "--epochs", 3, "-o", "{tmp}/run"],
+                 {}, (2, "needs --data"), id="merge-table-flags-without-data"),
     # malformed list flags
     pytest.param(["eval", *BOOK_HEAD, "--ns", "1,x", "-o", "{tmp}/r.json"],
                  {}, 2, id="eval-bad-ns"),
@@ -777,7 +817,9 @@ INT64 = "not valid JSON (an integer outside the signed 64-bit range)"
     pytest.param(PIPELINE_CFG, {"cfg.json": '{"faithfulness_ns": [1, -2]}'},
                  1, id="config-faithfulness-ns-negative"),
     pytest.param(PIPELINE_CFG, {"cfg.json": '{"seed": 3, "mcm": {"seed": 5}}'},
-                 1, id="config-mcm-seed-differs"),
+                 (1, "unknown config key mcm.seed"), id="config-mcm-seed-unknown"),
+    pytest.param(PIPELINE_CFG, {"cfg.json": '{"mcm": {"seed": 0}}'},
+                 (1, "unknown config key mcm.seed"), id="config-mcm-seed-0-unknown"),
     pytest.param(PIPELINE_CFG, {"cfg.json": '{"mcm": {"batch_size": 0}}'},
                  1, id="config-mcm-batch-size-zero"),
     pytest.param(PIPELINE_CFG, {"cfg.json": '{"mcm": {"batch_size": -5}}'},

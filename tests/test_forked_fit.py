@@ -97,7 +97,7 @@ def test_child_dying_without_a_result_is_a_typed_error(
         ds, tmp_path, capsys, monkeypatch, die, why):
     parent = os.getpid()
 
-    def die_in_child(*args):
+    def die_in_child(*args, **kwargs):
         assert os.getpid() != parent, "the fit ran in the calling process"
         die()
 
@@ -114,7 +114,7 @@ def test_child_dying_without_a_result_is_a_typed_error(
 
 
 def test_stream_cut_after_snapshots_is_a_typed_error(ds, tmp_path, monkeypatch):
-    def exit_after_snapshots(ds, cfg):
+    def exit_after_snapshots(ds, cfg, seed):
         yield snapshot_of(ds, 0.0)
         yield snapshot_of(ds, 0.0)
         os._exit(3)
@@ -161,9 +161,9 @@ def test_later_stage_error_never_scores_the_fit(ds, tmp_path, monkeypatch,
     calls = []
 
     def counted(fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls.append(fn.__name__)
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(cli, "best_epoch", counted(best_epoch))
@@ -179,7 +179,7 @@ def test_fit_error_after_every_stage_succeeds(ds, tmp_path, monkeypatch,
                                               fit_mode):
     """The fit's error, raised after two snapshots, fails a run whose other
     stages all succeeded: no file is written and no child is left."""
-    def diverge_after_snapshots(ds, cfg):
+    def diverge_after_snapshots(ds, cfg, seed):
         yield snapshot_of(ds, 0.0)
         yield snapshot_of(ds, 0.0)
         raise DivergenceError("diverged", epoch=2, lr=0.1)
@@ -213,9 +213,9 @@ def test_later_stage_error_names_its_stage_once(ds, tmp_path, monkeypatch,
 def test_other_exceptions_reap_the_child(ds, tmp_path, monkeypatch, fit_mode,
                                          error):
     """A bug in a later stage, like an interrupt, kills the fit unfinished."""
-    def slow_descend(*args):
+    def slow_descend(*args, **kwargs):
         time.sleep(60)
-        yield from descend(*args)
+        yield from descend(*args, **kwargs)
 
     monkeypatch.setattr(cli, "descend", slow_descend)
 
@@ -301,7 +301,7 @@ def snapshot_of(ds, value):
 
 
 def test_parent_found_divergence_kills_the_child(ds, tmp_path, monkeypatch):
-    def diverge_then_hang(ds, cfg):
+    def diverge_then_hang(ds, cfg, seed):
         yield snapshot_of(ds, 0.0)
         yield snapshot_of(ds, 1e300)  # finite centers, overflowing loss
         time.sleep(60)
@@ -323,7 +323,7 @@ def test_parent_found_divergence_kills_the_child(ds, tmp_path, monkeypatch):
 def test_child_error_after_snapshots(ds, tmp_path, monkeypatch, value, error,
                                      message):
     """A child's error counts only if every snapshot before it scored finite."""
-    def fail_after_snapshots(ds, cfg):
+    def fail_after_snapshots(ds, cfg, seed):
         yield snapshot_of(ds, 0.0)
         yield snapshot_of(ds, value)
         raise ValidationError("the child's own error")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import conceptmine.head as head_module
 from conceptmine.cav import compute_cav_batch
 from conceptmine.dataset import SyntheticSpec, generate_synthetic
 from conceptmine.errors import ValidationError
@@ -223,6 +224,39 @@ class TestTraining:
             assert np.isfinite(w).all()
         assert min(steps) > 0
         assert (predict(z, g, head) == y).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_lr_is_halved_down_once(self, monkeypatch):
+        """Each epoch's search starts at twice the last accepted step, so lr
+        1e300 pays its thousand-odd halvings about once in 20 epochs, not in
+        every epoch (19,415 objective evaluations when each search restarted
+        at lr)."""
+        ds, _ = generate_synthetic(SyntheticSpec(n_classes=3, n_parts=2,
+                                                 feat_dim=8, samples_per_class=20))
+        z, g = compute_cav_batch(ds, mine_concepts(ds, MiningConfig()))
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return _smooth_objective_and_grads(*args)
+
+        monkeypatch.setattr(head_module, "_smooth_objective_and_grads", counted)
+        head = train_head(z, g, ds.labels, HeadTrainConfig(lr=1e300, epochs=20))
+        assert len(calls) <= 1100
+        assert (predict(z, g, head) == ds.labels).all()
+
+    def test_step_search_starts_at_twice_the_last_step(self):
+        """No epoch accepts a step above lr or above twice the step accepted
+        before it; at an ordinary lr every epoch accepts lr itself."""
+        z, g, y = separable_cavs()
+        for lr in (1.0, 1e100):
+            steps = []
+            train_head(z, g, y, HeadTrainConfig(lr=lr, epochs=10),
+                       on_epoch=lambda e, o, s, u, w: steps.append(s))
+            assert all(0 < s <= lr for s in steps)
+            assert all(b <= 2.0 * a for a, b in zip(steps, steps[1:]))
+            if lr == 1.0:
+                assert steps == [1.0] * 10
 
     @pytest.mark.parametrize("field", ["lam", "lr", "beta"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])

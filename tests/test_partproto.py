@@ -157,8 +157,8 @@ class TestFit:
         ds = PartFeatureDataset(batch, np.zeros((8, 3)),
                                 np.zeros(8, dtype=np.uint32), 1)
         init = PrototypeCenters(points.copy())
-        cfg = McmConfig(m1=0.3, m2=1.5, lr=0.05, epochs=5, seed=0)
-        out = fit_prototype_centers(ds, cfg, init=init)
+        cfg = McmConfig(m1=0.3, m2=1.5, lr=0.05, epochs=5)
+        out = fit_prototype_centers(ds, cfg, init=init, seed=0)
         np.testing.assert_array_equal(out.centers, points)
         assert mcc_loss(batch, out, 0.3, 1.5) == 0.0
 
@@ -172,8 +172,8 @@ class TestFit:
         offset = rng.normal(size=means.shape)
         offset /= np.linalg.norm(offset, axis=1, keepdims=True)
         init = PrototypeCenters(means + 0.5 * offset)
-        cfg = McmConfig(m1=0.02, m2=1.0, lr=0.05, epochs=60, batch_size=16, seed=0)
-        out = fit_prototype_centers(ds, cfg, init=init)
+        cfg = McmConfig(m1=0.02, m2=1.0, lr=0.05, epochs=60, batch_size=16)
+        out = fit_prototype_centers(ds, cfg, init=init, seed=0)
         errs = np.linalg.norm(out.centers - means, axis=1)
         assert errs.max() <= 0.05
 
@@ -181,17 +181,19 @@ class TestFit:
         ds, _ = planted(seed=10)
         feats = ds.part_features.astype(np.float64)
         init = PrototypeCenters(np.zeros((ds.n_parts, ds.feat_dim)))
-        cfg = McmConfig(lr=0.1, epochs=10, seed=1)
-        out = fit_prototype_centers(ds, cfg, init=init)
+        cfg = McmConfig(lr=0.1, epochs=10)
+        out = fit_prototype_centers(ds, cfg, init=init, seed=1)
         assert mcc_loss(feats, out, cfg.m1, cfg.m2) <= \
             mcc_loss(feats, init, cfg.m1, cfg.m2)
 
     def test_deterministic(self, planted):
         ds, _ = planted(seed=20)
-        cfg = McmConfig(epochs=8, seed=5)
-        a = fit_prototype_centers(ds, cfg)
-        b = fit_prototype_centers(ds, cfg)
+        cfg = McmConfig(epochs=8)
+        a = fit_prototype_centers(ds, cfg, seed=5)
+        b = fit_prototype_centers(ds, cfg, seed=5)
         np.testing.assert_array_equal(a.centers, b.centers)
+        other = fit_prototype_centers(ds, cfg, seed=6)
+        assert other.centers.tobytes() != a.centers.tobytes()
 
     def test_m2_not_above_m1_warns(self, caplog):
         with caplog.at_level("WARNING"):
@@ -204,11 +206,22 @@ class TestFit:
 
     @pytest.mark.parametrize("field, value", [
         ("epochs", 0), ("epochs", -3), ("epochs", 2.5),
-        ("batch_size", 0), ("batch_size", -5), ("batch_size", 2.5),
-        ("seed", -1), ("seed", 2.5)])
-    def test_counts_and_seed_are_bounded_integers(self, field, value):
+        ("batch_size", 0), ("batch_size", -5), ("batch_size", 2.5)])
+    def test_counts_are_bounded_integers(self, field, value):
         with pytest.raises(ValidationError, match=field):
             McmConfig(**{field: value})
+
+    def test_seed_is_not_a_config_field(self):
+        with pytest.raises(TypeError):
+            McmConfig(seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, 2**63, True, "0"])
+    def test_descend_refuses_a_seed_out_of_range(self, planted, seed):
+        ds, _ = planted()
+        with pytest.raises(ValidationError, match="seed"):
+            next(descend(ds, McmConfig(epochs=1), seed=seed))
+        with pytest.raises(ValidationError, match="seed"):
+            fit_prototype_centers(ds, McmConfig(epochs=1), seed=seed)
 
     @pytest.mark.parametrize("field", ["lr", "m1", "m2"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -234,19 +247,19 @@ class TestFitMatchesReference:
     @pytest.mark.parametrize("regime", sorted(FIT_REGIMES))
     def test_bit_identical(self, planted, seed, regime):
         ds, _ = planted(seed=seed)
-        cfg = McmConfig(epochs=6, seed=seed, **FIT_REGIMES[regime])
-        got = fit_prototype_centers(ds, cfg)
+        cfg = McmConfig(epochs=6, **FIT_REGIMES[regime])
+        got = fit_prototype_centers(ds, cfg, seed=seed)
         assert got.centers.tobytes() == \
-            reference_fit_prototype_centers(ds, cfg).tobytes()
+            reference_fit_prototype_centers(ds, cfg, seed=seed).tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_bit_identical_from_init(self, planted, seed):
         ds, _ = planted(seed=seed, n_parts=4)
         init = np.random.default_rng(seed).normal(size=(ds.n_parts, ds.feat_dim))
-        cfg = McmConfig(epochs=6, batch_size=20, seed=seed)
-        got = fit_prototype_centers(ds, cfg, init=PrototypeCenters(init))
+        cfg = McmConfig(epochs=6, batch_size=20)
+        got = fit_prototype_centers(ds, cfg, init=PrototypeCenters(init), seed=seed)
         assert got.centers.tobytes() == \
-            reference_fit_prototype_centers(ds, cfg, init=init).tobytes()
+            reference_fit_prototype_centers(ds, cfg, init=init, seed=seed).tobytes()
 
 
 class TestDescentAndScoring:
@@ -272,7 +285,7 @@ class TestDescentAndScoring:
         copy_bytes = feats.size * np.dtype(np.float64).itemsize
         tracemalloc.start()
         try:
-            start = next(descend(ds, McmConfig(seed=5)))
+            start = next(descend(ds, McmConfig(), seed=5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -285,10 +298,10 @@ class TestDescentAndScoring:
     @pytest.mark.parametrize("regime", sorted(FIT_REGIMES))
     def test_best_epoch_of_descend_matches_reference(self, planted, seed, regime):
         ds, _ = planted(seed=seed)
-        cfg = McmConfig(epochs=5, seed=seed, **FIT_REGIMES[regime])
-        got = best_epoch(ds, cfg, descend(ds, cfg))
+        cfg = McmConfig(epochs=5, **FIT_REGIMES[regime])
+        got = best_epoch(ds, cfg, descend(ds, cfg, seed=seed))
         assert got.centers.tobytes() == \
-            reference_fit_prototype_centers(ds, cfg).tobytes()
+            reference_fit_prototype_centers(ds, cfg, seed=seed).tobytes()
 
     def test_best_epoch_picks_the_lowest_loss_snapshot(self, planted):
         ds, _ = planted()
