@@ -37,13 +37,13 @@ def _cav_core(parts: np.ndarray, book: ConceptBook) -> np.ndarray:
         raise ValidationError(
             f"feature dim {parts.shape[2]} does not match book d_f={book.feat_dim}"
         )
-    if parts.shape[1] <= book.parts().max(initial=-1):
+    entry_parts = book.parts()
+    if parts.shape[1] <= entry_parts.max(initial=-1):
         raise ValidationError(
-            f"book references part {int(book.parts().max())} but sample has "
+            f"book references part {int(entry_parts.max())} but sample has "
             f"only {parts.shape[1]} parts"
         )
     unit_cents = _unit_rows(book.centroid_matrix())
-    entry_parts = book.parts()
     z = np.zeros((parts.shape[0], book.d_c), dtype=np.float64)
     unit_f = np.empty((len(parts), parts.shape[2]), dtype=np.float64)
     for p in np.unique(entry_parts):  # one float64 copy of one part at a time

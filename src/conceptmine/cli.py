@@ -301,13 +301,14 @@ def run_pipeline(ds: PartFeatureDataset, cfg: PipelineConfig, outdir: Path) -> d
                                    list(cfg.faithfulness_ns), cfg_dict)
 
     with _stage("write-artifacts"):
-        meta = {"config_hash": h, **asdict(cfg.mining)}
+        book.meta = {"config_hash": h, **asdict(cfg.mining)}
+        head.meta = {"config_hash": h, "lambda": cfg.head.lam,
+                     "gamma": cfg.head.gamma}
         save_centers(fit.centers, outdir / "centers.pcmc", "pcmc")
         for fmt in ("json", "pcmb"):
-            save_book(book, outdir / f"book.{fmt}", fmt, meta=meta)
+            save_book(book, outdir / f"book.{fmt}", fmt)
         for fmt in ("json", "pcmh"):
-            save_head(head, outdir / f"head.{fmt}", fmt, lam=cfg.head.lam,
-                      gamma=cfg.head.gamma, meta={"config_hash": h})
+            save_head(head, outdir / f"head.{fmt}", fmt)
         save_report(report, outdir / "metrics.json")
         save_report_csv(report, outdir / "metrics.csv")
         write_csv(outdir / "training_log.csv", ["epoch", "objective"],
@@ -383,8 +384,8 @@ def cmd_mine(args) -> int:
     book = mine_concepts(ds, mining)
     out = Path(args.output)
     meta = asdict(mining)
-    save_book(book, out, _book_format(out),
-              meta={"config_hash": config_hash(meta), **meta})
+    book.meta = {"config_hash": config_hash(meta), **meta}
+    save_book(book, out, _book_format(out))
     print(f"mined {book.d_c} concepts from {ds.n_samples} samples")
     return 0
 
@@ -397,8 +398,9 @@ def cmd_merge(args) -> int:
     book = _load_book(args.book, ds)
     cfg = MergeConfig(**_given(args, MergeConfig))
     merged = merge_centroids(book, cfg)
+    merged.meta = book.meta
     out = Path(args.output)
-    save_book(merged, out, _book_format(out), meta=book.meta)
+    save_book(merged, out, _book_format(out))
     print(f"d_c before={book.d_c} after={merged.d_c} "
           f"(threshold={cfg.threshold_pct}%, level={cfg.level})")
 
@@ -426,10 +428,10 @@ def cmd_train(args) -> int:
     cfg = HeadTrainConfig(**_given(args, HeadTrainConfig))
     head = train_head(z, g, ds.labels, cfg)
     out = Path(args.output)
-    meta = {"config_hash": book.meta.get("config_hash",
-                                         config_hash(asdict(cfg)))}
-    save_head(head, out, _head_format(out), lam=cfg.lam, gamma=cfg.gamma,
-              meta=meta)
+    head.meta = {"config_hash": book.meta.get("config_hash",
+                                              config_hash(asdict(cfg))),
+                 "lambda": cfg.lam, "gamma": cfg.gamma}
+    save_head(head, out, _head_format(out))
     acc = accuracy(z, g, ds.labels, head)
     print(f"trained head: train_acc={acc:.2f}%, "
           f"W1 zeros={float(np.mean(head.W1 == 0)):.2%}")

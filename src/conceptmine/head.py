@@ -24,9 +24,9 @@ HEAD_MAGIC = b"PCMH"
 
 @dataclass
 class SparseHead:
-    """Classification weights: logits = W1^T z + W2^T g + b. ``meta`` holds
-    the other top-level keys of the file the head was read from
-    (config_hash, lambda, gamma); it is empty for a trained head."""
+    """What a head file holds: weights, logits = W1^T z + W2^T g + b, and
+    ``meta``, the file's other top-level keys (config_hash, lambda, gamma),
+    empty for a trained head."""
 
     W1: np.ndarray  # [d_c, L]
     W2: np.ndarray  # [d_f, L]
@@ -221,11 +221,11 @@ def concept_contributions(z: np.ndarray, head: SparseHead, c: int) -> np.ndarray
     return z * head.W1[:, c]
 
 
-def save_head(head: SparseHead, path, format: str = "json",
-              lam: float = 0.0, gamma: float = 0.0, meta: dict | None = None):
-    """Write a head as JSON {W1, W2, b, lambda, gamma} plus the keys ``meta``,
-    or as a PCMH container whose W1, W2 and b follow the JSON header."""
-    payload = {**(meta or {}), "lambda": lam, "gamma": gamma}
+def save_head(head: SparseHead, path, format: str = "json"):
+    """Write a head as JSON {W1, W2, b} plus its ``meta`` keys, or as a PCMH
+    container whose W1, W2 and b follow ``meta`` as the JSON header. A head
+    loaded from a file this wrote saves to that file's bytes."""
+    payload = dict(head.meta)
     if format == "json":
         payload.update({"W1": head.W1.tolist(), "W2": head.W2.tolist(),
                         "b": head.b.tolist()})

@@ -61,9 +61,9 @@ class ConceptEntry:
 
 @dataclass
 class ConceptBook:
-    """Flat list of concept centroids; the entry position is the CAV index.
-    ``meta`` holds the other top-level keys of the file the book was read
-    from (config_hash, eps, min_pts); it is empty for a mined book."""
+    """What a book file holds: a flat list of concept centroids, the entry
+    position being the CAV index, and ``meta``, the file's other top-level
+    keys (config_hash, eps, min_pts), empty for a mined book."""
 
     feat_dim: int
     entries: list[ConceptEntry] = field(default_factory=list)
@@ -315,7 +315,7 @@ def dbscan(points: np.ndarray, mining: MiningConfig) -> np.ndarray:
 
 def mine_concepts(ds: PartFeatureDataset, mining: MiningConfig = MiningConfig(),
                   folds: list[np.ndarray] | None = None
-                  ) -> ConceptBook | list[ConceptBook]:
+                  ) -> ConceptBook | list[list[np.ndarray]]:
     """Cluster every (class, part) cell and collect cluster-mean centroids.
 
     Noise points contribute to no centroid, and a cell that is all noise
@@ -323,12 +323,13 @@ def mine_concepts(ds: PartFeatureDataset, mining: MiningConfig = MiningConfig(),
     one concept. Without ``mining.eps`` each cell uses scale-adaptive
     defaults. Entries are ordered by (class, part, local id).
 
-    With ``folds`` (sample-index arrays, as from ``split_kfold``)
-    returns one book per fold instead, each equal to the book of
-    ``subset(ds, fold)``. The cells of all folds are clustered together:
-    sorted by size, they share zero-padded batches whose temporaries hold
-    at most ``dataset._BLOCK_ENTRIES`` entries, and a cell too large for a
-    batch of its own is row-blocked.
+    With ``folds`` (sample-index arrays, as from ``split_kfold``) returns,
+    per fold, the centroid matrices [m, d_f] of the cells of the book of
+    ``subset(ds, fold)`` in (class, part) order, and builds no book. The
+    cells of all folds are clustered together: sorted by size, they share
+    zero-padded batches whose temporaries hold at most
+    ``dataset._BLOCK_ENTRIES`` entries, and a cell too large for a batch of
+    its own is row-blocked.
     """
     ds.validate()
     sets = ([np.arange(ds.n_samples)] if folds is None
@@ -346,7 +347,7 @@ def mine_concepts(ds: PartFeatureDataset, mining: MiningConfig = MiningConfig(),
     # Cell c = (set * n_classes + class) * n_parts + part.
     sizes = np.repeat([len(idx) for idx in members], n_parts)
     order = np.argsort(-sizes, kind="stable")
-    entries: list = [[] for _ in sizes]
+    found: list = [None] * len(sizes)  # per cell: its means and member counts
     start = 0
     while start < len(order):
         m = int(sizes[order[start]])
@@ -381,16 +382,19 @@ def mine_concepts(ds: PartFeatureDataset, mining: MiningConfig = MiningConfig(),
         # row-by-row sum ndarray.mean takes (add.reduceat sums pairwise).
         points[starts] *= -1
         means = np.subtract.reduceat(points, starts, axis=0) / runs[:, None]
-        for k, n, mean in zip(key.tolist(), runs.tolist(), means):
-            c, l = divmod(k, m)
-            entries[c].append(ConceptEntry(*divmod(c % per_set, n_parts), l, mean, n))
-    books = []
-    for s in range(len(sets)):
-        book = ConceptBook(feat_dim=d, entries=[
-            e for cell in entries[s * per_set:(s + 1) * per_set] for e in cell])
-        book.validate()
-        books.append(book)
-    return books[0] if folds is None else books
+        # Every cell has clusters 0, 1, ...: its rows are one run of keys.
+        owner, first = np.unique(key // m, return_index=True)
+        for c, cell, cell_runs in zip(owner.tolist(), np.split(means, first[1:]),
+                                      np.split(runs, first[1:])):
+            found[c] = cell, cell_runs.tolist()
+    if folds is not None:
+        return [[cell for cell, _ in found[s * per_set:(s + 1) * per_set]]
+                for s in range(len(sets))]
+    book = ConceptBook(d, [ConceptEntry(*divmod(c, n_parts), l, mean, n)
+                           for c, (cell, cell_runs) in enumerate(found)
+                           for l, (mean, n) in enumerate(zip(cell, cell_runs))])
+    book.validate()
+    return book
 
 
 def _agglomerate(weights, cents, cutoff):
@@ -471,14 +475,14 @@ def merge_centroids(book: ConceptBook, cfg: MergeConfig) -> ConceptBook:
     return out
 
 
-def save_book(book: ConceptBook, path, format: str = "json",
-              meta: dict | None = None):
-    """Write a concept book with the top-level keys ``meta`` as JSON, or as a
-    PCMB container whose centroids follow the JSON header as one matrix."""
+def save_book(book: ConceptBook, path, format: str = "json"):
+    """Write a concept book and its ``meta`` keys as JSON, or as a PCMB
+    container whose centroids follow the JSON header as one matrix. A book
+    loaded from a file this wrote saves to that file's bytes."""
     book.validate()
     entries = [{"class": e.class_id, "part": e.part, "local_id": e.local_id,
                 "member_count": e.member_count} for e in book.entries]
-    payload = {**(meta or {}), "d_f": book.feat_dim, "entries": entries}
+    payload = {**book.meta, "d_f": book.feat_dim, "entries": entries}
     if format == "json":
         for entry, e in zip(entries, book.entries):
             entry["centroid"] = e.centroid.tolist()

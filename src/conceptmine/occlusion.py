@@ -42,7 +42,8 @@ def _occlusion_order(z: np.ndarray, g: np.ndarray, head: SparseHead,
     concepts scores -inf. Ties keep part order.
     """
     pred = predict(z, g, head)
-    part_cols = [np.flatnonzero(book.parts() == p) for p in range(n_parts)]
+    entry_parts = book.parts()
+    part_cols = [np.flatnonzero(entry_parts == p) for p in range(n_parts)]
     scores = np.full((z.shape[0], n_parts), -np.inf)
     for rows in _row_blocks(len(z), z.shape[1]):
         contrib = z[rows] * head.W1[:, pred[rows]].T
@@ -98,9 +99,10 @@ def occlusion_eval(ds: PartFeatureDataset, head: SparseHead, book: ConceptBook,
 
     z, g = compute_cav_batch(ds, book)
     order = _occlusion_order(z, g, head, book, ds.n_parts)
+    entry_parts = book.parts()
     rows = []
     for fraction in fractions:
-        np.copyto(z, 0.0, where=_top_parts(order, fraction)[:, book.parts()])
+        np.copyto(z, 0.0, where=_top_parts(order, fraction)[:, entry_parts])
         acc, drops = _accuracy_and_faithfulness(z, g, ds.labels, head, book, [3])
         rows.append((fraction, acc, drops[3]))
     return rows

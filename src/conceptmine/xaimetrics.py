@@ -168,15 +168,6 @@ def _accuracy_and_faithfulness(cavs, gs, labels, head: SparseHead,
     return base_acc, drops
 
 
-def _cells(book: ConceptBook) -> dict[tuple[int, int], tuple]:
-    """Per (class, part) cell: its centroid matrix and their unit rows."""
-    cells: dict[tuple[int, int], list] = {}
-    for e in book.entries:
-        cells.setdefault((e.class_id, e.part), []).append(e.centroid)
-    return {key: (np.array(c), _unit_rows(np.array(c)))
-            for key, c in cells.items()}
-
-
 # Entries of the largest temporary of one cost stack, its [C, m, m, d_f]
 # centroid comparison; it caps how many problems share one solve.
 _STACK_ENTRIES = 1 << 20
@@ -208,23 +199,22 @@ def stability(ds: PartFeatureDataset, k: int, mining: MiningConfig,
               seed: int) -> float:
     """Mean matched cosine similarity of per-cell centroids mined on k folds.
 
-    Every fold is mined on its own, all in one batched mining call; for
-    each fold pair and (class, part) cell the two centroid lists are
-    aligned by minimum-cost assignment on (1 - cosine), padding unequal
-    counts with unmatched penalty 1 (similarity 0). Matched similarities
-    are clamped at 0 so the score lies in [0, 100]. 100 means all folds
-    mine identical books.
+    Every fold is mined on its own, all in one batched mining call that
+    returns each fold's cell centroids; for each fold pair and (class,
+    part) cell the two centroid matrices are aligned by minimum-cost
+    assignment on (1 - cosine), padding unequal counts with unmatched
+    penalty 1 (similarity 0). Matched similarities are clamped at 0 so the
+    score lies in [0, 100]. 100 means all folds mine identical cells.
     As every cost is 1 - sim, the m matched similarities of a cell sum to
     m - min_cost: only the optimal cost is needed, not the assignment. The
     (pair, cell) problems are grouped by padded size m, each group is solved
     in batches whose centroid comparison holds at most ``_STACK_ENTRIES``
     entries, and the per-cell sums are added in (pair, cell) order.
     """
-    books = [_cells(b)
-             for b in mine_concepts(ds, mining, folds=split_kfold(ds, k, seed))]
-    problems = [(*pair_a, *cells_b[key])
-                for cells_a, cells_b in itertools.combinations(books, 2)
-                for key, pair_a in cells_a.items()]
+    folds = [[(c, _unit_rows(c)) for c in cells] for cells in
+             mine_concepts(ds, mining, folds=split_kfold(ds, k, seed))]
+    problems = [(*a, *b) for cells_a, cells_b in itertools.combinations(folds, 2)
+                for a, b in zip(cells_a, cells_b)]
     sizes = np.array([max(len(p[0]), len(p[2])) for p in problems])
     matched = np.empty(len(problems))
     for m in np.unique(sizes).tolist():

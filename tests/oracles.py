@@ -6,7 +6,8 @@ DBSCAN via union-find over core points instead of label propagation
 squared distances via the direct n x n x d broadcast instead of the Gram
 form, books and stability mined one cell and one fold at a time instead
 of in batches, stability's cells grouped entry by entry
-(``_reference_cells``) instead of by ``xaimetrics._cells``, assignment via
+(``_reference_cells``) instead of sliced from each batch's cluster means
+by ``mine_concepts``, assignment via
 exhaustive permutation search, the minimum assignment cost of one matrix
 at a time on Python lists (``reference_assignment_min_cost``, the form the
 batched solver must match bit for bit, and the solver of

@@ -176,13 +176,25 @@ class TestPipeline:
         head = train_head(z, g, ds.labels,
                           replace(cfg, lr=cfg.beta * cfg.lr))
         h = json.load(open(artifacts / "manifest.json"))["config_hash"]
-        save_book(book, tmp_path / "book.pcmb", "pcmb",
-                  meta={"config_hash": h, "eps": 0.3, "min_pts": 3})
-        save_head(head, tmp_path / "head.pcmh", "pcmh", lam=cfg.lam,
-                  gamma=cfg.gamma, meta={"config_hash": h})
+        book.meta = {"config_hash": h, "eps": 0.3, "min_pts": 3}
+        head.meta = {"config_hash": h, "lambda": cfg.lam, "gamma": cfg.gamma}
+        save_book(book, tmp_path / "book.pcmb", "pcmb")
+        save_head(head, tmp_path / "head.pcmh", "pcmh")
         for name in ("book.pcmb", "head.pcmh"):
             assert (artifacts / name).read_bytes() == \
                 (tmp_path / name).read_bytes(), name
+
+    @pytest.mark.parametrize("name", ["book.json", "book.pcmb", "head.json",
+                                      "head.pcmh"])
+    def test_loaded_artifact_saves_to_its_own_bytes(self, tmp_path, artifacts,
+                                                    name):
+        """A book or head is its file: loaded and saved again with no other
+        argument, it writes the bytes it was read from, meta included."""
+        kind, fmt = name.split(".")
+        load, save = {"book": (load_book, save_book),
+                      "head": (load_head, save_head)}[kind]
+        save(load(artifacts / name, fmt), tmp_path / name, fmt)
+        assert (tmp_path / name).read_bytes() == (artifacts / name).read_bytes()
 
     def test_fold_check_runs_before_any_stage(self, tmp_path, ds_path,
                                               capsys):
@@ -525,8 +537,8 @@ class TestEval:
                                                         artifacts, capsys):
         book = load_book(artifacts / "book.pcmb", "pcmb")
         book2 = tmp_path / "book2.pcmb"
-        save_book(book, book2, "pcmb",
-                  meta={**book.meta, "config_hash": "deadbeef0000"})
+        book.meta["config_hash"] = "deadbeef0000"
+        save_book(book, book2, "pcmb")
         argv = ["eval", "--data", ds_path, "--book", book2,
                 "--head", artifacts / "head.pcmh", "--k", 4,
                 "-o", tmp_path / "r.json"]

@@ -2,6 +2,7 @@
 (PCMC): its layout, byte-exact load/save round trips, and the FormatError
 that every malformed or version-1 file raises."""
 
+import inspect
 import json
 import struct
 
@@ -51,11 +52,10 @@ def save(kind, path):
     if kind == "book":
         book = ConceptBook(4, [ConceptEntry(e["class"], e["part"], e["local_id"],
                                             c, e["member_count"])
-                               for e, c in zip(ENTRIES, CENTROIDS)])
-        save_book(book, path, "pcmb", meta=BOOK_META)
+                               for e, c in zip(ENTRIES, CENTROIDS)], BOOK_META)
+        save_book(book, path, "pcmb")
     elif kind == "head":
-        save_head(SparseHead(W1, W2, B), path, "pcmh", lam=0.007, gamma=0.5,
-                  meta={"config_hash": HEAD_META["config_hash"]})
+        save_head(SparseHead(W1, W2, B, HEAD_META), path, "pcmh")
     else:
         save_centers(PrototypeCenters(CENTERS), path, "pcmc")
 
@@ -67,15 +67,20 @@ def load(kind, path):
 
 
 def save_loaded(kind, src, dst):
-    """Load ``src`` and save it to ``dst`` with the meta it was read with."""
+    """Load ``src`` and save it to ``dst``: the object carries its meta."""
     obj = load(kind, src)
     if kind == "book":
-        save_book(obj, dst, "pcmb", meta=obj.meta)
+        save_book(obj, dst, "pcmb")
     elif kind == "head":
-        save_head(obj, dst, "pcmh", lam=obj.meta["lambda"],
-                  gamma=obj.meta["gamma"], meta=obj.meta)
+        save_head(obj, dst, "pcmh")
     else:
         save_centers(obj, dst, "pcmc")
+
+
+@pytest.mark.parametrize("save", [save_book, save_head])
+def test_saves_take_no_meta_of_their_own(save):
+    """A book or head is its file: a save writes the object's ``meta``."""
+    assert list(inspect.signature(save).parameters)[1:] == ["path", "format"]
 
 
 @pytest.mark.parametrize("kind", KINDS)

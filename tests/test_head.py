@@ -330,7 +330,8 @@ class TestHeadIo:
         head = SparseHead(rng.normal(size=(3, 2)), rng.normal(size=(4, 2)),
                           rng.normal(size=2))
         path = tmp_path / "h.json"
-        save_head(head, path, "json", lam=0.01, gamma=0.5)
+        head.meta = {"lambda": 0.01, "gamma": 0.5}
+        save_head(head, path, "json")
         out = load_head(path, "json")
         np.testing.assert_array_equal(out.W1, head.W1)
         np.testing.assert_array_equal(out.W2, head.W2)
@@ -344,7 +345,8 @@ class TestHeadIo:
         head = SparseHead(rng.normal(size=(5, 3)), rng.normal(size=(2, 3)),
                           rng.normal(size=3))
         path = tmp_path / "h.pcmh"
-        save_head(head, path, "pcmh", lam=0.1, gamma=0.9)
+        head.meta = {"lambda": 0.1, "gamma": 0.9}
+        save_head(head, path, "pcmh")
         out = load_head(path, "pcmh")
         np.testing.assert_array_equal(out.W1, head.W1)
         np.testing.assert_array_equal(out.W2, head.W2)

@@ -19,7 +19,7 @@ from oracles import (pairwise_consistency, per_sample_occlusion_curve,
                      reference_cav_batch, reference_faithfulness,
                      reference_generate_synthetic, reference_mine_concepts,
                      reference_stability, unblocked_mcc_loss)
-from test_mining import book_bytes, fold_dataset
+from test_mining import book_bytes, cell_bytes, fold_dataset, reference_cell_bytes
 
 from conceptmine import dataset, mining, partproto
 from conceptmine.cav import compute_cav_batch
@@ -232,12 +232,14 @@ class TestMiningAndFitAtEveryBlockSize:
         at the default and with every cell in one batch."""
         ds = fold_dataset(k, case)
         folds = split_kfold(ds, k, seed=1)
-        want = [book_bytes(reference_mine_concepts(d, params))
-                for d in [ds] + [subset(ds, fold) for fold in folds]]
+        want = book_bytes(reference_mine_concepts(ds, params))
+        want_cells = [reference_cell_bytes(reference_mine_concepts(
+            subset(ds, fold), params)) for fold in folds]
         want_stability = reference_stability(ds, k, params, seed=1)
         monkeypatch.setattr(dataset, "_BLOCK_ENTRIES", entries)
-        got = [mine_concepts(ds, params)] + mine_concepts(ds, params, folds=folds)
-        assert [book_bytes(book) for book in got] == want
+        assert book_bytes(mine_concepts(ds, params)) == want
+        assert [cell_bytes(cells) for cells
+                in mine_concepts(ds, params, folds=folds)] == want_cells
         assert stability(ds, k, params, seed=1) == want_stability
 
     @pytest.mark.parametrize("spec", [
