@@ -34,8 +34,8 @@ from .mining import (MergeConfig, MiningConfig, load_book, merge_centroids,
                      mine_concepts, save_book)
 from .occlusion import OcclusionConfig, occlusion_eval, save_curve_csv, save_curve_svg
 from .partproto import McmConfig, best_epoch, descend, save_centers
-from .xaimetrics import (_accuracy_and_faithfulness, config_hash, metric_report,
-                         save_report, save_report_csv)
+from .xaimetrics import (config_hash, faithfulness, metric_report, save_report,
+                         save_report_csv)
 
 log = logging.getLogger(__name__)
 
@@ -391,6 +391,7 @@ def cmd_mine(args) -> int:
 
 
 def cmd_merge(args) -> int:
+    """Merge a book (its meta names the merge); --data scores both books."""
     given = [*_given(args, HeadTrainConfig), *(["csv"] if args.csv else [])]
     if given and not args.data:
         args.usage_error(f"--{given[0]} needs --data: it sets only the table")
@@ -398,7 +399,8 @@ def cmd_merge(args) -> int:
     book = _load_book(args.book, ds)
     cfg = MergeConfig(**_given(args, MergeConfig))
     merged = merge_centroids(book, cfg)
-    merged.meta = book.meta
+    merged.meta = {**book.meta, "merge": asdict(cfg)}
+    merged.meta["config_hash"] = config_hash(merged.meta)
     out = Path(args.output)
     save_book(merged, out, _book_format(out))
     print(f"d_c before={book.d_c} after={merged.d_c} "
@@ -411,7 +413,7 @@ def cmd_merge(args) -> int:
                             ("merged", cfg.threshold_pct, merged)):
             z, g = compute_cav_batch(ds, b)
             head = train_head(z, g, ds.labels, head_cfg)
-            acc, drops = _accuracy_and_faithfulness(z, g, ds.labels, head, b, [3])
+            acc, drops = faithfulness(z, g, ds.labels, head, b, [3])
             rows.append((tag, pct, cfg.level, b.d_c, acc, drops[3]))
         csv_path = args.csv or (str(out) + ".table.csv")
         write_csv(csv_path, ["book", "threshold_pct", "level", "d_c",

@@ -15,7 +15,7 @@ from .dataset import _row_blocks, PartFeatureDataset
 from .errors import ValidationError, check_array, check_real, write_csv
 from .head import SparseHead, predict
 from .mining import ConceptBook
-from .xaimetrics import _accuracy_and_faithfulness
+from .xaimetrics import faithfulness
 
 
 @dataclass(frozen=True)
@@ -84,14 +84,13 @@ def occlusion_eval(ds: PartFeatureDataset, head: SparseHead, book: ConceptBook,
                    cfg: OcclusionConfig) -> list[tuple[float, float, float]]:
     """Curve of (fraction, accuracy, F(3)) including the fraction-0 baseline.
 
-    For each fraction every sample is occluded from its clean response, and
-    accuracy plus F(3) are re-evaluated on the occluded activations. Those
-    need no second CAV pass: a zeroed part has a zero unit row, so each of
-    its concepts reads exactly 0, and every other concept keeps its clean
-    value. The part ranking and the clean CAVs come from one CAV batch.
-    ``OcclusionConfig`` keeps the fractions ascending, so each fraction's
-    occluded parts hold the last one's, and that one matrix is zeroed in
-    place from point to point.
+    Each fraction occludes every sample from its clean response, and one
+    :func:`faithfulness` call scores accuracy and F(3) on the occluded
+    CAVs. No second CAV pass is needed: a zeroed part's concepts read
+    exactly 0 (its unit row is zero), and every other concept keeps its
+    clean value. One CAV batch gives the clean CAVs and the part ranking.
+    As ``OcclusionConfig`` keeps the fractions ascending, each fraction's
+    occluded parts hold the last one's: one matrix is zeroed in place.
     """
     fractions = cfg.fractions
     if not fractions or fractions[0] != 0.0:
@@ -103,7 +102,7 @@ def occlusion_eval(ds: PartFeatureDataset, head: SparseHead, book: ConceptBook,
     rows = []
     for fraction in fractions:
         np.copyto(z, 0.0, where=_top_parts(order, fraction)[:, entry_parts])
-        acc, drops = _accuracy_and_faithfulness(z, g, ds.labels, head, book, [3])
+        acc, drops = faithfulness(z, g, ds.labels, head, book, [3])
         rows.append((fraction, acc, drops[3]))
     return rows
 

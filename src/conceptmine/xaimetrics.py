@@ -126,16 +126,10 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
 
 def faithfulness(cavs: np.ndarray, gs: np.ndarray, labels: np.ndarray,
                  head: SparseHead, book: ConceptBook,
-                 n_list: list[int]) -> dict[int, float]:
-    """Accuracy drop (percentage points) after deleting each sample's top-n
-    concepts, ranked by contribution to its predicted class on clean inputs."""
-    return _accuracy_and_faithfulness(cavs, gs, labels, head, book, n_list)[1]
-
-
-def _accuracy_and_faithfulness(cavs, gs, labels, head: SparseHead,
-                               book: ConceptBook, n_list: list[int]):
-    """``(accuracy(cavs, ...), faithfulness(cavs, ...))`` from one clean
-    ``predict``, for callers that report both."""
+                 n_list: list[int]) -> tuple[float, dict[int, float]]:
+    """``(accuracy, {n: drop})``: the head's percent correct on ``cavs`` and,
+    for each n, its drop in points after deleting each sample's top-n
+    concepts, ranked by contribution to the class of its one clean predict."""
     for n in n_list:
         check_int("faithfulness n", n, 0)
     z = check_array("cavs", cavs, 2)
@@ -145,7 +139,7 @@ def _accuracy_and_faithfulness(cavs, gs, labels, head: SparseHead,
             f"CAV width {z.shape[1]} does not match book d_c={book.d_c} "
             f"and head d_c={head.W1.shape[0]}"
         )
-    pred = predict(z, g, head)  # one clean pass: base accuracy and ranking class
+    pred = predict(z, g, head)
     base_acc = percent_correct(pred, labels, head.n_classes)
     for n in n_list:
         if n > book.d_c:
@@ -299,10 +293,10 @@ def metric_report(ds: PartFeatureDataset, cavs: np.ndarray, gs: np.ndarray,
 
     Holds ``config`` and its hash, the seed, F(n) for each n of ``n_list``
     (string keys, ascending), stability over ``k`` folds, consistency,
-    sparseness, and the accuracy of the full head, of its concept weights
-    W1 alone and of its non-prototypical weights W2 alone."""
+    sparseness, and the accuracy of the full head (F(n)'s base, from
+    :func:`faithfulness`), of W1 alone and of the non-prototypical W2 alone."""
     intra, inter = consistency(cavs, ds.labels)
-    faith = faithfulness(cavs, gs, ds.labels, head, book, n_list)
+    full, faith = faithfulness(cavs, gs, ds.labels, head, book, n_list)
     w1_only = replace(head, W2=np.zeros_like(head.W2))
     w2_only = replace(head, W1=np.zeros_like(head.W1))
     return {
@@ -315,7 +309,7 @@ def metric_report(ds: PartFeatureDataset, cavs: np.ndarray, gs: np.ndarray,
         "consistency_inter": inter,
         "sparseness": sparseness(cavs),
         "accuracies": {
-            "full": accuracy(cavs, gs, ds.labels, head),
+            "full": full,
             "prototypical_only": accuracy(cavs, gs, ds.labels, w1_only),
             "nonprototypical_only": accuracy(cavs, gs, ds.labels, w2_only),
         },

@@ -213,7 +213,7 @@ def test_criterion_6_metric_sanity():
         # F(0) = 0 exactly and the chance-drop construction.
         ds0, book0, z0, g0, head0 = orthogonal_concept_setup(n_classes=4)
         y0 = ds0.labels.astype(np.int64)
-        drops0 = faithfulness(z0, g0, y0, head0, book0, [0, 1])
+        _, drops0 = faithfulness(z0, g0, y0, head0, book0, [0, 1])
         assert drops0[0] == 0.0
         assert drops0[1] == pytest.approx(75.0, abs=1e-9)
 
@@ -225,8 +225,8 @@ def test_criterion_6_metric_sanity():
             z, g = compute_cav_batch(ds, book)
             head = train_head(z, g, ds.labels,
                               HeadTrainConfig(lam=0.001, gamma=0.5, epochs=120))
-            drops = faithfulness(z, g, ds.labels.astype(np.int64), head, book,
-                                 [1, 2, 3, 4, 5])
+            _, drops = faithfulness(z, g, ds.labels.astype(np.int64), head,
+                                    book, [1, 2, 3, 4, 5])
             vals = [drops[n] for n in (1, 2, 3, 4, 5)]
             monotone += all(a <= b + 1e-9 for a, b in zip(vals, vals[1:]))
         assert monotone >= 19, f"monotone for only {monotone}/20 seeds"

@@ -17,17 +17,17 @@ from conceptmine.cav import compute_cav_batch
 from conceptmine.cli import (PipelineConfig, _given, build_parser, main,
                              pipeline_config_from_dict, run_pipeline)
 from conceptmine.errors import FormatError, ValidationError
-from conceptmine.dataset import (SyntheticSpec, generate_synthetic,
-                                 load_dataset, save_dataset)
-from conceptmine.head import (HeadTrainConfig, SparseHead, load_head, save_head,
-                             train_head)
+from conceptmine.dataset import (PartFeatureDataset, SyntheticSpec,
+                                 generate_synthetic, load_dataset, save_dataset)
+from conceptmine.head import (HeadTrainConfig, SparseHead, accuracy, load_head,
+                             save_head, train_head)
 from conceptmine.mining import (MergeConfig, MiningConfig, load_book,
                                 mine_concepts, save_book)
 from conceptmine.occlusion import OcclusionConfig
 from conceptmine.partproto import McmConfig, fit_prototype_centers, save_centers
 from conceptmine.xaimetrics import config_hash
 
-from oracles import pack_container
+from oracles import pack_container, reference_faithfulness
 
 
 def run(*argv):
@@ -438,6 +438,68 @@ class TestMerge:
         assert len(rows) == 3
         assert int(rows[2][3]) <= int(rows[1][3])  # merged d_c <= input d_c
         assert crlf_lines(table)
+
+    def test_table_values_where_f3_moves(self, tmp_path):
+        """On class-free g, each row's accuracy and F(3) are those of a head
+        trained on that book's CAVs with the table's settings."""
+        spec = SyntheticSpec(n_classes=3, n_parts=4, feat_dim=16,
+                             samples_per_class=20, concepts_per_cell=2,
+                             noise_sigma=0.02, min_separation=1.0, seed=9)
+        ds, _ = generate_synthetic(spec)
+        noise = 0.05 * np.random.default_rng(5).standard_normal(
+            (ds.n_samples, ds.feat_dim))
+        data = tmp_path / "scrubbed.pfd"
+        save_dataset(PartFeatureDataset(ds.part_features,
+                                        noise.astype(np.float32), ds.labels,
+                                        ds.n_classes), data)
+        book, out = tmp_path / "book.json", tmp_path / "merged.json"
+        assert run("mine", "--data", data, "--eps", "0.3", "--min-pts", 3,
+                   "-o", book) == 0
+        assert run("merge", "--book", book, "--threshold", 20, "--data", data,
+                   "--epochs", 60, "--lam", "0.001", "-o", out) == 0
+        ds = load_dataset(data)
+        rows = list(csv.reader(open(f"{out}.table.csv")))[1:]
+        f3s = []
+        for row, path in zip(rows, (book, out), strict=True):
+            b = load_book(path)
+            z, g = compute_cav_batch(ds, b)
+            head = train_head(z, g, ds.labels,
+                              HeadTrainConfig(lam=0.001, epochs=60))
+            f3 = reference_faithfulness(z, g, ds.labels, head, b, [3])[3]
+            assert [float(v) for v in row[4:]] == [
+                accuracy(z, g, ds.labels, head), f3]
+            f3s.append(f3)
+        assert max(f3s) > 0
+
+    def test_merged_book_names_its_merge(self, tmp_path, ds_path, artifacts,
+                                         capsys):
+        out = tmp_path / "merged0.json"
+        assert run("merge", "--book", artifacts / "book.json",
+                   "--threshold", 0, "-o", out) == 0
+        before = json.load(open(artifacts / "book.json"))
+        after = json.load(open(out))
+        assert after["entries"] == before["entries"]
+        meta = {k: v for k, v in before.items() if k not in ("d_f", "entries")}
+        merge = {"level": 1, "threshold_pct": 0.0}
+        assert after["merge"] == merge
+        assert after["config_hash"] == config_hash({**meta, "merge": merge})
+        assert after["config_hash"] != before["config_hash"]
+
+        scored = ("eval", "--data", ds_path, "--book", out, "--k", 2)
+        capsys.readouterr()
+        assert run(*scored, "--head", artifacts / "head.json",
+                   "-o", tmp_path / "r.json") == 1
+        assert "config hash" in capsys.readouterr().err
+        assert run(*scored, "--head", artifacts / "head.json", "--force",
+                   "-o", tmp_path / "r.json") == 0
+        assert json.load(open(tmp_path / "r.json"))["config"]["book"][
+            "merge"] == merge
+        # A head trained on the merged book carries its hash.
+        head = tmp_path / "head.json"
+        assert run("train", "--data", ds_path, "--book", out, "--epochs", 5,
+                   "-o", head) == 0
+        assert json.load(open(head))["config_hash"] == after["config_hash"]
+        assert run(*scored, "--head", head, "-o", tmp_path / "r2.json") == 0
 
     def test_default_level_is_config_default(self, tmp_path, ds_path,
                                              artifacts):

@@ -16,7 +16,6 @@ from conceptmine.mining import ConceptBook, MiningConfig, mine_concepts
 from conceptmine.occlusion import (OcclusionConfig, _occlusion_order,
                                    _top_parts, occlude_sample, occlusion_eval,
                                    save_curve_csv, save_curve_svg)
-from conceptmine.xaimetrics import _accuracy_and_faithfulness
 from oracles import per_sample_occlusion, per_sample_occlusion_curve
 
 
@@ -134,10 +133,9 @@ class TestOcclusionEval:
 
         def recording_scores(z, *args):
             seen.append(z.copy())  # occlusion_eval refills one buffer
-            return _accuracy_and_faithfulness(z, *args)
+            return xaimetrics.faithfulness(z, *args)
 
-        monkeypatch.setattr(occlusion, "_accuracy_and_faithfulness",
-                            recording_scores)
+        monkeypatch.setattr(occlusion, "faithfulness", recording_scores)
         rows = occlusion_eval(ds, head, book, OcclusionConfig(fractions))
         assert rows == per_sample_occlusion_curve(ds, head, book, fractions)
         # The masked CAVs equal those recomputed from occluded features.

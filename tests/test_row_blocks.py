@@ -26,7 +26,7 @@ from conceptmine.cav import compute_cav_batch
 from conceptmine.dataset import (PartFeatureDataset, SyntheticSpec,
                                  generate_synthetic, save_dataset, split_kfold,
                                  subset)
-from conceptmine.head import HeadTrainConfig, SparseHead, train_head
+from conceptmine.head import HeadTrainConfig, SparseHead, accuracy, train_head
 from conceptmine.mining import ConceptBook, ConceptEntry, MiningConfig, mine_concepts
 from conceptmine.occlusion import OcclusionConfig, occlusion_eval
 from conceptmine.partproto import (_GROUP, McmConfig, PrototypeCenters, _loss_bounds,
@@ -99,10 +99,11 @@ class TestSameBitsAtEveryBlockSize:
         ds, book, head, z, g = scored()
         n_list = [3, 0, 1, book.d_c + 2, 3, 5, book.d_c]
         with caplog.at_level("WARNING"):
-            got = faithfulness(z, g, ds.labels, head, book, n_list)
+            acc, got = faithfulness(z, g, ds.labels, head, book, n_list)
         assert caplog.text.count("clamping") == 1
         want = reference_faithfulness(z, g, ds.labels, head, book, n_list)
         assert list(got) == list(want) and got == want
+        assert acc == accuracy(z, g, ds.labels, head)
         assert got[0] == 0.0 and len(set(got.values())) > 3
 
     def test_consistency(self, bound):

@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from conceptmine import xaimetrics
 from conceptmine.cav import compute_cav_batch
 from conceptmine.dataset import PartFeatureDataset, SyntheticSpec, generate_synthetic
 from conceptmine.errors import ValidationError
-from conceptmine.head import HeadTrainConfig, SparseHead, train_head
+from conceptmine.head import HeadTrainConfig, SparseHead, accuracy, train_head
 from conceptmine.mining import MiningConfig, mine_concepts
 from conceptmine.xaimetrics import (_assignment_min_costs, config_hash,
                                     consistency, faithfulness, hungarian,
@@ -16,7 +18,7 @@ from conceptmine.xaimetrics import (_assignment_min_costs, config_hash,
                                     save_report_csv, sparseness, stability)
 from oracles import (exhaustive_assignment, lexicographic_stability,
                      pairwise_consistency, reference_assignment_min_cost,
-                     reference_stability)
+                     reference_faithfulness, reference_stability)
 
 
 def orthogonal_concept_setup(n_classes=4, per_class=10, d_f=32, seed=0):
@@ -140,19 +142,20 @@ class TestHungarian:
 class TestFaithfulness:
     def test_zero_n_exact_zero(self):
         _, book, z, g, head = orthogonal_concept_setup()
-        drops = faithfulness(z, g, np.repeat(np.arange(4), 10), head, book, [0])
+        _, drops = faithfulness(z, g, np.repeat(np.arange(4), 10), head, book, [0])
         assert drops[0] == 0.0
 
     def test_dominant_concept_drop_to_chance(self):
         ds, book, z, g, head = orthogonal_concept_setup(n_classes=4)
         y = ds.labels.astype(np.int64)
-        drops = faithfulness(z, g, y, head, book, [1])
+        acc, drops = faithfulness(z, g, y, head, book, [1])
+        assert acc == 100.0
         assert drops[1] == pytest.approx(100.0 * (1 - 1 / 4), abs=1e-9)
 
     def test_monotone_in_n(self):
         ds, book, z, g, head = orthogonal_concept_setup(n_classes=5)
         y = ds.labels.astype(np.int64)
-        drops = faithfulness(z, g, y, head, book, [1, 2, 3, 4, 5])
+        _, drops = faithfulness(z, g, y, head, book, [1, 2, 3, 4, 5])
         vals = [drops[n] for n in (1, 2, 3, 4, 5)]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -168,7 +171,7 @@ class TestFaithfulness:
         ds, book, z, g, head = orthogonal_concept_setup()
         y = ds.labels.astype(np.int64)
         with caplog.at_level("WARNING"):
-            drops = faithfulness(z, g, y, head, book, [book.d_c + 5])
+            _, drops = faithfulness(z, g, y, head, book, [book.d_c + 5])
         assert "clamping" in caplog.text
         assert book.d_c + 5 in drops
 
@@ -190,6 +193,16 @@ class TestFaithfulness:
             monkeypatch.setattr(module, "predict", counted)
         faithfulness(z, g, ds.labels, head, book, [0, 1, 2, 3])
         assert len(calls) == 3 + 1
+
+    def test_accuracy_is_the_clean_accuracy(self):
+        from test_occlusion import fitted
+        ds, book, head = fitted(seed=9, scrub_g=True)
+        z, g = compute_cav_batch(ds, book)
+        acc, drops = faithfulness(z, g, ds.labels, head, book, [1, 3])
+        assert type(acc) is float and type(drops) is dict
+        assert acc == accuracy(z, g, ds.labels, head)
+        assert drops == reference_faithfulness(z, g, ds.labels, head, book,
+                                               [1, 3])
 
 
 def duplicated_location_dataset(seed=0, copies=30):
@@ -440,6 +453,42 @@ class TestReport:
             report["config_hash"], 7, report["consistency_intra"],
             report["consistency_inter"], f["1"], f["3"], f["10"],
             report["sparseness"], report["stability"])]
+
+    def test_values_and_predicts_where_faithfulness_moves(self, monkeypatch):
+        """On class-free g, F(n) is not 0; the report's full accuracy is the
+        base of every F(n), from the one clean predict of faithfulness."""
+        from test_occlusion import fitted
+        ds, book, head = fitted(seed=9, scrub_g=True)
+        z, g = compute_cav_batch(ds, book)
+        ns = [1, 2, 3, 4, 5]
+        calls, predict = [], head_module.predict
+
+        def counted(*args):
+            calls.append(args)
+            return predict(*args)
+
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "conceptmine"
+                    and getattr(module, "predict", None) is predict):
+                monkeypatch.setattr(module, "predict", counted)
+        report = metric_report(ds, z, g, book, head, 3,
+                               MiningConfig(eps=0.3, min_pts=3), 0, ns, {})
+        monkeypatch.undo()
+
+        want = reference_faithfulness(z, g, ds.labels, head, book, ns)
+        assert report["faithfulness"] == {str(n): want[n] for n in ns}
+        assert max(want.values()) > 0
+        assert report["accuracies"] == {
+            "full": accuracy(z, g, ds.labels, head),
+            "prototypical_only": accuracy(
+                z, g, ds.labels, replace(head, W2=np.zeros_like(head.W2))),
+            "nonprototypical_only": accuracy(
+                z, g, ds.labels, replace(head, W1=np.zeros_like(head.W1))),
+        }
+        # One clean predict, one per distinct nonzero clamped n, one per
+        # one-sided head: 8 at ns 1..5.
+        steps = {min(n, book.d_c) for n in ns if n}
+        assert len(calls) == 1 + len(steps) + 2 == 8
 
     def test_hash_stable_and_order_free(self):
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
